@@ -164,6 +164,9 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     snapshot_names = _write_snapshots(out, result.snapshots)
     payload = _run_payload("pde", cfg, learning_constant, len(result.series), snapshot_names)
     payload["mass_residual"] = result.max_mass_residual
+    payload["n_steps"] = result.n_steps
+    payload["dt_min"] = result.dt_min
+    payload["dt_max"] = result.dt_max
     runio.write_json(out / "run.json", payload)
     print(f"wrote {out / 'series.csv'} ({len(result.series)} records)")
     return EXIT_OK

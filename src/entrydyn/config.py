@@ -117,7 +117,7 @@ def _parse_game(raw: dict) -> GameParams:
     try:
         return GameParams(
             n_agents=_as_int(_require(section, "n_agents", "game"), "game.n_agents"),
-            capacity=_as_number(_require(section, "capacity", "game"), "game.capacity"),
+            capacity=_as_int(_require(section, "capacity", "game"), "game.capacity"),
             payoff_scale=_as_number(
                 _require(section, "payoff_scale", "game"), "game.payoff_scale"
             ),

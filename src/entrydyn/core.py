@@ -74,6 +74,8 @@ class GameParams:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise ValueError(f"n_agents must be positive, got {self.n_agents}")
+        if not float(self.capacity).is_integer():
+            raise ValueError(f"capacity must be an integer, got {self.capacity}")
         if not 0 < self.capacity <= self.n_agents:
             raise ValueError(
                 f"capacity must satisfy 0 < c <= N, got c={self.capacity} N={self.n_agents}"

@@ -115,6 +115,10 @@ class TestRunCommands:
         assert main(["pde", "--config", str(cfg)]) == 0
         payload = read_json(tmp_path / "out" / "run.json")
         assert payload["mass_residual"] <= 1e-8
+        # sorted state: no drift, so every step is the full output interval
+        assert payload["n_steps"] == 4
+        assert payload["dt_min"] == pytest.approx(0.005)
+        assert payload["dt_max"] == pytest.approx(0.005)
         series = read_series(tmp_path / "out" / "series.csv")
         assert np.max(np.abs(series.a - 0.5)) <= 1e-6
         assert np.max(series.b) <= 1e-6
@@ -126,6 +130,9 @@ class TestRunCommands:
         assert (tmp_path / "a" / "series.csv").read_bytes() == (
             tmp_path / "b" / "series.csv"
         ).read_bytes()
+        first, second = (read_json(tmp_path / d / "run.json") for d in "ab")
+        for key in ("mass_residual", "n_steps", "dt_min", "dt_max"):
+            assert first[key] == second[key]
 
     def test_pde_snapshots_written_and_plottable(self, tmp_path):
         cfg = pde_cfg(
@@ -152,6 +159,16 @@ class TestConfigRejection:
         )
         assert main(["abm", "--config", str(cfg)]) == 2
         assert "capacity" in capsys.readouterr().err
+
+    def test_fractional_capacity_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "c.json",
+            out_dir=str(tmp_path / "out"),
+            game=dict(GAME_SMALL, capacity=20.5),
+        )
+        assert main(["abm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "game.capacity" in err and "integer" in err
 
     def test_unknown_nested_key_is_named(self, tmp_path, capsys):
         cfg = write_cfg(

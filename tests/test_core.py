@@ -35,6 +35,11 @@ class TestGameParams:
         # c = N is the saturated edge; the single-agent enumeration cases need it
         assert make_params(n=1, c=1).kappa == 1.0
 
+    def test_capacity_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer"):
+            GameParams(10, 4.5, 0.1, 10, BASIC)
+        assert GameParams(10, 5.0, 0.1, 10, BASIC).kappa == 0.5
+
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
             make_params(h=0.0)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrydyn import (
     DensityGrid,
     ErevRothRatio,
+    GameParams,
     GridSpec,
+    LearningRule,
     SolverOptions,
     fit_exponential_decay,
     gaussian_density,
@@ -16,10 +20,10 @@ from entrydyn import (
 from entrydyn.analysis import learning_window
 from entrydyn.kinetic import (
     _Stencil,
+    advective_dt,
     coefficients,
     diffusion_coefficient,
     moments,
-    stable_dt,
     step,
 )
 
@@ -100,17 +104,28 @@ class TestCoefficients:
 
 
 class TestStableDt:
+    # the stable step is the advective bound alone: diffusion is implicit
     def test_advection_bound(self):
-        assert stable_dt(0.1, np.array([2.0]), np.array([0.0]), 0.5, np.inf) == pytest.approx(0.025)
-
-    def test_diffusion_bound(self):
-        assert stable_dt(0.1, np.array([0.0]), np.array([1.0]), 0.4, np.inf) == pytest.approx(0.002)
+        assert advective_dt(0.1, np.array([2.0, -4.0]), 0.5, np.inf) == pytest.approx(0.0125)
 
     def test_cap_wins_when_smallest(self):
-        assert stable_dt(0.1, np.array([2.0]), np.array([1.0]), 0.4, 1e-3) == 1e-3
+        assert advective_dt(0.1, np.array([2.0]), 0.4, 1e-3) == 1e-3
 
     def test_zero_coefficients_fall_back_to_cap(self):
-        assert stable_dt(0.1, np.array([0.0]), np.array([0.0]), 0.4, 0.7) == 0.7
+        assert advective_dt(0.1, np.array([0.0]), 0.4, 0.7) == 0.7
+
+
+def _old_diffusive_limit(f: DensityGrid, params: GameParams) -> float:
+    """dq^2 / (2 max mu): the step bound of an explicit diffusion update."""
+    a, b = moments(f, MODEL)
+    _, mu = coefficients(a, b, params, MODEL, f.spec.interior_faces())
+    return f.spec.dq**2 / (2.0 * float(np.max(mu)))
+
+
+def _advective_limit(f: DensityGrid, params: GameParams) -> float:
+    a, b = moments(f, MODEL)
+    v, _ = coefficients(a, b, params, MODEL, f.spec.interior_faces())
+    return advective_dt(f.spec.dq, v, 1.0, np.inf)
 
 
 class TestStep:
@@ -118,6 +133,10 @@ class TestStep:
         f = gaussian_density(GRID, -2.0, 1.5)
         with pytest.raises(ValueError, match="stability"):
             step(f, PDE_PARAMS, MODEL, dt=1e9)
+        limit = _advective_limit(f, PDE_PARAMS)
+        step(f, PDE_PARAMS, MODEL, dt=limit)
+        with pytest.raises(ValueError, match="advective stability bound"):
+            step(f, PDE_PARAMS, MODEL, dt=1.01 * limit)
 
     def test_rejects_non_logistic_model(self):
         f = gaussian_density(GRID, -2.0, 1.5)
@@ -133,10 +152,52 @@ class TestStep:
         assert np.max(np.abs(f_next.values - f.values)) <= 1e-12
 
     def test_mass_conserved_per_step(self):
-        # dt must sit inside the diffusion stability bound (~1e-6 here)
+        # early-transient state: D ~ 450, so dt = 5e-7 is about half the
+        # old explicit diffusion limit and 1/200 of the advective bound
         f = gaussian_density(GRID, -1.9, 1.5)
         f_next = step(f, PDE_PARAMS, MODEL, dt=5e-7)
         assert abs(f_next.mass() - f.mass()) <= 1e-14
+
+    def test_implicit_diffusion_far_beyond_explicit_limit(self):
+        # two spikes at +-1: a = kappa by symmetry, so diffusion dominates
+        # and the advective bound leaves room for 100 times the explicit
+        # diffusion limit, at which an explicit update would go negative
+        f = two_spike_density(GRID, -1.0, 1.0, 0.5)
+        dt = 100.0 * _old_diffusive_limit(f, PDE_PARAMS)
+        assert dt <= _advective_limit(f, PDE_PARAMS)
+        f_next = step(f, PDE_PARAMS, MODEL, dt=dt)
+        assert abs(f_next.mass() - f.mass()) <= 1e-13
+        assert float(f_next.values.min()) >= 0.0
+        # the profile spreads: a large step is smoothing, not oscillating
+        assert float(f_next.values.max()) < float(f.values.max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_cells=st.integers(8, 200),
+        half_width=st.floats(2.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.floats(0.05, 1.0),
+        capacity=st.integers(1, 1000),
+        fictitious=st.booleans(),
+        dt_frac=st.floats(0.01, 1.0),
+    )
+    def test_one_step_keeps_mass_and_positivity(
+        self, n_cells, half_width, seed, fill, capacity, fictitious, dt_frac
+    ):
+        # a random grid and a rough, partly empty density fix (a, b); with
+        # a random capacity and either rule, one step at up to the solver's
+        # CFL of 0.5 keeps mass and leaves no cell negative
+        spec = GridSpec(-half_width, half_width, n_cells)
+        rng = np.random.default_rng(seed)
+        values = rng.random(n_cells) * (rng.random(n_cells) < fill)
+        values[rng.integers(n_cells)] += 1.0
+        f = DensityGrid(spec, values / (values.sum() * spec.dq))
+        rule = LearningRule.FICTITIOUS_STOCHASTIC if fictitious else LearningRule.BASIC_REINFORCEMENT
+        params = GameParams(1000, capacity, 0.01, 100, rule)
+        dt = dt_frac * 0.5 * _advective_limit(f, params)
+        f_next = step(f, params, MODEL, dt=dt)
+        assert abs(f_next.mass() - f.mass()) <= 1e-13
+        assert float(f_next.values.min()) >= 0.0
 
 
 class TestStencilTransport:
@@ -201,6 +262,26 @@ class TestSolve:
         assert times == pytest.approx([0.0, 0.06, 0.3], abs=1e-9)
         for _, density in pde_acceptance.snapshots:
             assert density.mass() == pytest.approx(1.0, abs=1e-8)
+
+    def test_step_count_not_set_by_diffusion(self, pde_acceptance):
+        # the explicit scheme took 39,246 steps here, all diffusion-bound
+        assert pde_acceptance.n_steps <= 2000
+        assert 0 < pde_acceptance.dt_min <= pde_acceptance.dt_max <= 0.001 + 1e-15
+
+    def test_midpoint_coefficients_keep_time_error_small(self, acceptance_f0):
+        # under the q-uniform rule dt ~ 1/|kappa - a|, so coefficients lagged
+        # one step leave an O(dt) drift error (about 4.5e-4 here); taken at
+        # the extrapolated midpoint they stay near 1e-4
+        runs = [
+            solve(
+                acceptance_f0,
+                PDE_FICT_PARAMS,
+                MODEL,
+                SolverOptions(t_end=0.01, output_interval=0.001, cfl_safety=safety),
+            )
+            for safety in (0.4, 0.1)
+        ]
+        assert np.max(np.abs(runs[0].series.a - runs[1].series.a)) <= 2e-4
 
     def test_mass_and_positivity_on_acceptance_run(self, pde_acceptance):
         assert pde_acceptance.max_mass_residual <= 1e-8
