@@ -137,24 +137,62 @@ def init_population(
     return PopulationState(q, 0)
 
 
+def _play_round(
+    q: np.ndarray,
+    p: np.ndarray,
+    params: GameParams,
+    rng: np.random.Generator,
+    work: np.ndarray,
+    entered: np.ndarray,
+) -> int:
+    """One round in place: draw entries against p, update q, return m.
+
+    p must hold the entry probabilities of the pre-round q.  work (float)
+    and entered (bool) are caller-owned buffers of q's size; on return
+    entered holds the round's decisions and work is scratch.  The
+    arithmetic is that of q + gain * entered and
+    q + gain - h * ~entered, operation for operation, so results are
+    bit-identical to the allocating forms.
+    """
+    rng.random(out=work)
+    np.less(work, p, out=entered)
+    m = int(np.count_nonzero(entered))
+    h = params.payoff_scale
+    gain = h * (params.capacity - m)
+    if params.rule is LearningRule.BASIC_REINFORCEMENT:
+        np.multiply(entered, gain, out=work)
+        q += work
+    else:
+        np.subtract(1.0, entered, out=work)
+        work *= h
+        q += gain
+        q -= work
+    return m
+
+
 def play_round(
     state: PopulationState,
     params: GameParams,
     model: ProbabilityModel,
     rng: np.random.Generator,
 ) -> tuple[PopulationState, RoundOutcome]:
-    """One round: simultaneous entry draws, then simultaneous updates."""
-    q = state.propensities
-    p = np.atleast_1d(model.prob(q))
-    entered = rng.random(q.shape[0]) < p
-    m = int(np.count_nonzero(entered))
-    gain = params.payoff_scale * (params.capacity - m)
-    if params.rule is LearningRule.BASIC_REINFORCEMENT:
-        q_next = q + gain * entered
-    else:
-        q_next = q + gain - params.payoff_scale * ~entered
+    """One round: simultaneous entry draws, then simultaneous updates.
+
+    The input state is left unchanged; the round runs on a copy.
+    """
+    q = state.propensities.copy()
+    p = model.prob(q)
+    entered = np.empty(q.shape, dtype=bool)
+    m = _play_round(q, p, params, rng, np.empty_like(q), entered)
     outcome = RoundOutcome(entered, m, state.time(params))
-    return PopulationState(q_next, state.round_index + 1), outcome
+    return PopulationState(q, state.round_index + 1), outcome
+
+
+def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """a = mean p and b = mean p(1 - p), using work (p's size) as scratch."""
+    np.subtract(1.0, p, out=work)
+    work *= p
+    return float(p.mean()), float(work.mean())
 
 
 def empirical_moments(
@@ -162,7 +200,7 @@ def empirical_moments(
 ) -> tuple[float, float]:
     """Mean entry fraction a and sorting coefficient b of the population."""
     p = np.atleast_1d(model.prob(state.propensities))
-    return float(p.mean()), float((p * (1.0 - p)).mean())
+    return _moments(p, np.empty_like(p))
 
 
 def empirical_density(state: PopulationState, spec: GridSpec) -> DensityGrid:
@@ -209,6 +247,11 @@ def simulate(
     time; the final record has no following round and gets NaN.  Snapshot
     requests are realized at the first record time at or after the request
     (or at the final record for requests beyond t_end).
+
+    The run evaluates the probability model once per round, into a buffer
+    that both the record and the round's entry draws read, and updates
+    the propensities in place: no agent-sized float array is allocated
+    per round, except for a requested density snapshot.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -218,7 +261,10 @@ def simulate(
         raise ValueError("snapshot_times given without a snapshot_grid")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    state = init_population(params, init, rng)
+    q = init_population(params, init, rng).propensities
+    p = np.empty_like(q)
+    work = np.empty_like(q)
+    entered = np.empty(q.shape, dtype=bool)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
     pending = sorted(snapshot_times)
 
@@ -231,25 +277,29 @@ def simulate(
     for n in range(n_rounds + 1):
         t = n * params.tau
         is_record = (n % record_stride == 0) or (n == n_rounds)
+        model.prob(q, out=p)
         if is_record:
-            a, b = empirical_moments(state, model)
+            a, b = _moments(p, work)
             rec_t.append(t)
             rec_a.append(a)
             rec_b.append(b)
             while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
                 pending.pop(0)
-                snapshots.append((t, empirical_density(state, snapshot_grid)))
+                density = empirical_density(PopulationState(q, n), snapshot_grid)
+                snapshots.append((t, density))
         if n < n_rounds:
-            state, outcome = play_round(state, params, model, rng)
+            m = _play_round(q, p, params, rng, work, entered)
             if is_record:
-                rec_m.append(outcome.m / params.n_agents)
+                rec_m.append(m / params.n_agents)
         elif is_record:
             rec_m.append(math.nan)
 
     series = ObservableSeries(
         t=np.array(rec_t), a=np.array(rec_a), b=np.array(rec_b), m_frac=np.array(rec_m)
     )
-    return SimulationResult(series=series, snapshots=snapshots, final=state)
+    return SimulationResult(
+        series=series, snapshots=snapshots, final=PopulationState(q, n_rounds)
+    )
 
 
 def _replica_series(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

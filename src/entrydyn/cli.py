@@ -31,7 +31,6 @@ from .core import DomainError, GameParams, LearningRule, predicted_time_scales
 from .kinetic import SolverOptions, solve
 from .oracle import (
     MAX_AGENTS,
-    enumerate_round,
     expected_drift_check,
     poisson_binomial_pmf,
     random_instance,
@@ -101,9 +100,9 @@ def _cmd_abm(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     init = cfg.abm_init()
-    start = init_population(cfg.params, init, cfg.seed)
+    # the start population serves c_p only; it is not kept through the run
     learning_constant = initial_learning_constant_from_propensities(
-        start.propensities, cfg.model
+        init_population(cfg.params, init, cfg.seed).propensities, cfg.model
     )
 
     snapshot_names: dict[str, str] = {}
@@ -315,10 +314,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     worst_drift = 0.0
     for _ in range(args.instances):
         propensities, params, model = random_instance(rng, max_agents=args.max_agents)
-        law = enumerate_round(propensities, params, model)
-        pmf = poisson_binomial_pmf(np.atleast_1d(model.prob(propensities)))
-        worst_law = max(worst_law, float(np.max(np.abs(law.m_probs - pmf))))
         check = expected_drift_check(propensities, params, model)
+        pmf = poisson_binomial_pmf(np.atleast_1d(model.prob(propensities)))
+        worst_law = max(worst_law, float(np.max(np.abs(check.law.m_probs - pmf))))
         worst_drift = max(worst_drift, check.max_abs_gap)
 
     passed = worst_law <= args.tolerance and worst_drift <= args.tolerance

@@ -122,8 +122,21 @@ class Logistic:
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def prob(self, q):
-        return expit((np.asarray(q, dtype=float) - self.center) / self.scale)
+    def prob(self, q, out=None):
+        """Entry probability of each propensity.
+
+        With out (a float array shaped like q) the result is computed in
+        place into out and out is returned; the values are bit-identical to
+        the allocating call.
+        """
+        z = np.asarray(q, dtype=float)
+        if out is None:
+            # operator form: numpy reuses the temporary of z - center, so
+            # this allocates one array fewer than ufunc calls on a named z
+            return expit((z - self.center) / self.scale)
+        np.subtract(z, self.center, out=out)
+        out /= self.scale
+        return expit(out, out=out)
 
     def dprob(self, q):
         p = self.prob(q)
@@ -143,23 +156,30 @@ class ErevRothRatio:
         if not self.baseline > 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
 
-    def prob(self, q):
-        arr = np.asarray(q, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError(
-                "ratio probability model requires nonnegative propensities, "
-                f"got minimum {arr.min():g}"
-            )
-        return arr / (arr + self.baseline)
+    def prob(self, q, out=None):
+        """Entry probability of each propensity.
+
+        With out (a float array shaped like q) the result is computed in
+        place into out and out is returned; the values are bit-identical to
+        the allocating call.  Raises DomainError on a negative propensity.
+        """
+        arr = _nonnegative(q)
+        return np.divide(arr, np.add(arr, self.baseline, out=out), out=out)
 
     def dprob(self, q):
-        arr = np.asarray(q, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError(
-                "ratio probability model requires nonnegative propensities, "
-                f"got minimum {arr.min():g}"
-            )
+        arr = _nonnegative(q)
         return self.baseline / (arr + self.baseline) ** 2
+
+
+def _nonnegative(q) -> np.ndarray:
+    """q as a float array, or DomainError if any entry is negative."""
+    arr = np.asarray(q, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError(
+            "ratio probability model requires nonnegative propensities, "
+            f"got minimum {arr.min():g}"
+        )
+    return arr
 
 
 ProbabilityModel = Logistic | ErevRothRatio

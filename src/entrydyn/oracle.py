@@ -54,10 +54,14 @@ class RoundLaw:
 
 @dataclass(frozen=True)
 class DriftCheck:
-    """Enumerated versus closed-form expected propensity change."""
+    """Enumerated versus closed-form expected propensity change.
+
+    law is the enumerated round the check was computed from.
+    """
 
     enumerated: np.ndarray
     predicted: np.ndarray
+    law: RoundLaw
 
     @property
     def max_abs_gap(self) -> float:
@@ -138,7 +142,7 @@ def expected_drift_check(
         predicted = h * p * (c - 1.0 - (total - p))
     else:
         predicted = h * (c - total) - h * (1.0 - p)
-    return DriftCheck(enumerated, np.broadcast_to(predicted, q.shape).copy())
+    return DriftCheck(enumerated, np.broadcast_to(predicted, q.shape).copy(), law)
 
 
 def random_instance(

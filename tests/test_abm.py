@@ -1,5 +1,11 @@
+import math
+import tracemalloc
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logit
 
 from entrydyn import (
@@ -31,6 +37,41 @@ MODEL = Logistic(1.0, 0.0)
 
 def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
     return GameParams(n, c, h, m, rule)
+
+
+@dataclass(frozen=True)
+class CountingLogistic(Logistic):
+    """Logistic that records whether each prob call wrote into a buffer."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def prob(self, q, out=None):
+        self.calls.append(out is not None)
+        return super().prob(q, out=out)
+
+
+def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):
+    """simulate() written as a loop over the public play_round and empirical_moments."""
+    rng = np.random.default_rng(seed)
+    state = init_population(params, init, rng)
+    n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
+    pending = sorted(snapshot_times)
+    rows, snapshots = [], []
+    for n in range(n_rounds + 1):
+        t = n * params.tau
+        is_record = n % record_stride == 0 or n == n_rounds
+        if is_record:
+            a, b = empirical_moments(state, model)
+            while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
+                pending.pop(0)
+                snapshots.append((t, empirical_density(state, grid)))
+        m_frac = math.nan
+        if n < n_rounds:
+            state, outcome = play_round(state, params, model, rng)
+            m_frac = outcome.m / params.n_agents
+        if is_record:
+            rows.append((t, a, b, m_frac))
+    return np.array(rows), snapshots, state
 
 
 class TestInitPopulation:
@@ -119,6 +160,16 @@ class TestPlayRound:
         stayed = ~outcome.entered
         assert np.array_equal(new.propensities[stayed], state.propensities[stayed])
         assert outcome.m == int(outcome.entered.sum())
+
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_input_state_unchanged(self, rule):
+        params = make_params(n=200, c=100, rule=rule)
+        state = init_population(params, Gaussian(0.0, 1.0), 4)
+        before = state.propensities.copy()
+        new, _ = play_round(state, params, MODEL, np.random.default_rng(4))
+        assert state.propensities.tobytes() == before.tobytes()
+        assert state.round_index == 0 and new.round_index == 1
+        assert not np.shares_memory(new.propensities, state.propensities)
 
     def test_ratio_model_negative_propensity_aborts(self):
         # overcrowding drives propensities negative; must be a hard error.
@@ -233,6 +284,69 @@ class TestSimulate:
         assert times == [0.0, 0.05]
         for _, density in result.snapshots:
             assert density.mass() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("record_stride", [1, 3])
+    @pytest.mark.parametrize(
+        "model, init",
+        [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
+        ids=["logistic", "ratio"],
+    )
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_bit_identical_to_play_round_loop(self, rule, model, init, record_stride):
+        params = make_params(n=400, c=200, rule=rule)
+        grid = GridSpec(-8.0, 8.0, 64)
+        snaps = (0.0, 0.1, 0.5)
+        result = simulate(params, model, init, 0.3, 11, record_stride, snaps, grid)
+        rows, ref_snaps, ref_final = reference_simulate(
+            params, model, init, 0.3, 11, record_stride, snaps, grid
+        )
+        s = result.series
+        for column, values in zip(rows.T, (s.t, s.a, s.b, s.m_frac)):
+            assert column.tobytes() == values.tobytes()
+        assert result.final.propensities.tobytes() == ref_final.propensities.tobytes()
+        assert result.final.round_index == ref_final.round_index == 30
+        assert [t for t, _ in result.snapshots] == [t for t, _ in ref_snaps]
+        for (_, got), (_, ref) in zip(result.snapshots, ref_snaps):
+            assert got.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("record_stride", [1, 3])
+    def test_one_probability_evaluation_per_round(self, record_stride):
+        model = CountingLogistic()
+        params = make_params(n=50, c=25)
+        simulate(params, model, Gaussian(0.0, 1.0), 0.12, 2, record_stride)
+        assert len(model.calls) == 12 + 1
+        assert all(model.calls)
+
+    def test_round_loop_allocates_no_agent_arrays(self):
+        # the run holds q, p and work (8 bytes per agent each) and entered
+        # (1 byte); a further float array allocated in any round would lift
+        # the peak to about 4.1 * 8 * n
+        n = 100_000
+        params = make_params(n=n, c=n // 2, h=1e-5)
+        tracemalloc.start()
+        try:
+            simulate(params, MODEL, AllEqual(0.0), 0.2, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rule=st.sampled_from([BASIC, FICT]),
+        n=st.integers(1, 60),
+        capacity_frac=st.floats(0.0, 1.0),
+        h=st.floats(0.005, 0.5),
+        mean=st.floats(-3.0, 3.0),
+        sd=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_snapped_population_stays_on_lattice(self, rule, n, capacity_frac, h, mean, sd, seed):
+        params = GameParams(n, max(1, round(capacity_frac * n)), h, 100, rule)
+        init = Gaussian(mean, sd, snap_to_lattice=True)
+        result = simulate(params, MODEL, init, 0.2, seed)
+        steps = (result.final.propensities - mean) / h
+        assert np.max(np.abs(steps - np.round(steps))) <= 1e-6
 
     def test_point_start_aggregate_learning(self):
         # All-equal start at p=0.2: a(t) climbs toward kappa. The t=0

@@ -82,6 +82,8 @@ class TestProbabilityModels:
             m.prob(-0.1)
         with pytest.raises(DomainError):
             m.dprob(np.array([0.5, -1e-9]))
+        with pytest.raises(DomainError):
+            m.prob(np.array([0.5, -1e-9]), out=np.empty(2))
 
     def test_ratio_derivative_matches_finite_difference(self):
         m = ErevRothRatio(0.7)
@@ -102,6 +104,14 @@ class TestProbabilityModels:
         p = model.prob(grid)
         assert np.all(np.diff(p) > 0)
         assert np.all(p >= 0) and np.all(p <= 1)
+
+    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), ErevRothRatio(1.5)])
+    def test_prob_into_out_is_bit_identical(self, model):
+        q = np.random.default_rng(12).uniform(0.0, 9.0, 257)
+        buf = np.full_like(q, np.nan)
+        result = model.prob(q, out=buf)
+        assert result is buf
+        assert buf.tobytes() == model.prob(q).tobytes()
 
 
 class TestPayoff:

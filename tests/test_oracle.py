@@ -111,6 +111,16 @@ class TestExpectedDriftCheck:
             worst = max(worst, expected_drift_check(q, params, model).max_abs_gap)
         assert worst <= 1e-12
 
+    def test_carries_the_enumerated_law(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            q, params, model = random_instance(rng)
+            law = expected_drift_check(q, params, model).law
+            ref = enumerate_round(q, params, model)
+            assert law.m_probs.tobytes() == ref.m_probs.tobytes()
+            assert law.expected_propensity.tobytes() == ref.expected_propensity.tobytes()
+            assert (law.expected_a, law.expected_b) == (ref.expected_a, ref.expected_b)
+
 
 class TestPoissonBinomial:
     def test_homogeneous_case(self):
