@@ -172,14 +172,16 @@ def moment_ode_a(t, a0: float, params: GameParams, learning_constant: float) -> 
 def initial_learning_constant(density: DensityGrid, model: ProbabilityModel) -> float:
     """c_p = int p'(q) p(q) f(q) dq for a grid density."""
     q = density.centers()
-    weights = model.dprob(q) * model.prob(q)
+    p = model.prob(q)
+    weights = model.dprob(q, p) * p
     return float(weights @ (density.values * density.dq))
 
 
 def initial_learning_constant_from_propensities(propensities, model: ProbabilityModel) -> float:
     """c_p = mean of p'(q_i) p(q_i) over an agent population."""
     q = np.asarray(propensities, dtype=float)
-    return float(np.mean(model.dprob(q) * model.prob(q)))
+    p = model.prob(q)
+    return float(np.mean(model.dprob(q, p) * p))
 
 
 @dataclass(frozen=True)

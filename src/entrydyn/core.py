@@ -138,8 +138,10 @@ class Logistic:
         out /= self.scale
         return expit(out, out=out)
 
-    def dprob(self, q):
-        p = self.prob(q)
+    def dprob(self, q, p=None):
+        """p'(q); p, when given, must be prob(q) and saves evaluating it again."""
+        if p is None:
+            p = self.prob(q)
         return p * (1.0 - p) / self.scale
 
 
@@ -166,7 +168,8 @@ class ErevRothRatio:
         arr = _nonnegative(q)
         return np.divide(arr, np.add(arr, self.baseline, out=out), out=out)
 
-    def dprob(self, q):
+    def dprob(self, q, p=None):
+        """p'(q); p is accepted for the common signature and not needed."""
         arr = _nonnegative(q)
         return self.baseline / (arr + self.baseline) ** 2
 

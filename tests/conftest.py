@@ -12,6 +12,7 @@ times are recorded for the runtime budgets.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -69,6 +70,17 @@ PDE_FICT_PARAMS = GameParams(
 )
 
 REPLICAS = 8
+
+
+@dataclass(frozen=True)
+class CountingLogistic(Logistic):
+    """Logistic that records whether each prob call wrote into a buffer."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def prob(self, q, out=None):
+        self.calls.append(out is not None)
+        return super().prob(q, out=out)
 
 
 @pytest.fixture(scope="session")

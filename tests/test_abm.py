@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from entrydyn import (
 )
 from entrydyn.abm import Gaussian, max_workers_from_env
 
+from conftest import CountingLogistic
+
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
 MODEL = Logistic(1.0, 0.0)
@@ -37,17 +38,6 @@ MODEL = Logistic(1.0, 0.0)
 
 def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
     return GameParams(n, c, h, m, rule)
-
-
-@dataclass(frozen=True)
-class CountingLogistic(Logistic):
-    """Logistic that records whether each prob call wrote into a buffer."""
-
-    calls: list = field(default_factory=list, compare=False)
-
-    def prob(self, q, out=None):
-        self.calls.append(out is not None)
-        return super().prob(q, out=out)
 
 
 def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):

@@ -19,7 +19,7 @@ from entrydyn import (
 )
 from entrydyn.analysis import MIN_FIT_POINTS, learning_window
 
-from conftest import GRID, MODEL, PDE_PARAMS
+from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
 
 PARAMS = GameParams(1000, 500, 0.01, 100, LearningRule.BASIC_REINFORCEMENT)
 
@@ -236,6 +236,14 @@ class TestLearningConstant:
         q = np.full(100, float(np.log(0.2 / 0.8)))
         value = initial_learning_constant_from_propensities(q, MODEL)
         assert value == pytest.approx(0.032, abs=1e-12)
+
+    def test_one_probability_evaluation_same_value(self):
+        model = CountingLogistic(1.3, 0.2)
+        q = np.random.default_rng(4).normal(0.0, 2.0, 1000)
+        value = initial_learning_constant_from_propensities(q, model)
+        assert len(model.calls) == 1
+        plain = Logistic(1.3, 0.2)
+        assert value == float(np.mean(plain.dprob(q) * plain.prob(q)))
 
     def test_predicted_rate_matches_acceptance_scenario(self, acceptance_f0):
         c_p = initial_learning_constant(acceptance_f0, MODEL)

@@ -1,11 +1,12 @@
 """End-to-end runs of the command line, in process via cli.main()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from entrydyn import ObservableSeries, read_json, read_series, write_json, write_series
+from entrydyn import ObservableSeries, oracle, read_json, read_series, write_json, write_series
 from entrydyn.cli import main
 
 GAME_SMALL = {
@@ -342,6 +343,21 @@ class TestOracleCheck:
 
     def test_zero_tolerance_fails(self):
         assert main(["oracle-check", "--instances", "20", "--tolerance", "0"]) == 1
+
+    @pytest.mark.parametrize("name", ["m_probs", "expected_propensity"])
+    def test_nan_gap_fails(self, monkeypatch, capsys, name):
+        # NaN compares false with everything, so a running max() would drop it
+        real = oracle.enumerate_round
+
+        def nan_round(*args):
+            law = real(*args)
+            return dataclasses.replace(law, **{name: np.full_like(getattr(law, name), np.nan)})
+
+        monkeypatch.setattr(oracle, "enumerate_round", nan_round)
+        assert main(["oracle-check", "--instances", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "worst gap nan" in out
+        assert "FAIL" in out
 
 
 class TestMakePlots:
