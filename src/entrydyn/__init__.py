@@ -16,14 +16,11 @@ from .abm import (
     Gaussian,
     InitialCondition,
     PopulationState,
-    RoundOutcome,
     SimulationResult,
     TwoSpike,
     empirical_density,
-    empirical_moments,
     ensemble_run,
     init_population,
-    play_round,
     simulate,
 )
 from .analysis import (
@@ -48,9 +45,7 @@ from .core import (
     Logistic,
     ProbabilityModel,
     TimeScales,
-    payoff,
     predicted_time_scales,
-    update_propensity,
 )
 from .grid import (
     DensityGrid,
@@ -95,7 +90,6 @@ __all__ = [
     "PopulationState",
     "ProbabilityModel",
     "RoundLaw",
-    "RoundOutcome",
     "RunConfig",
     "SimulationResult",
     "SolverOptions",
@@ -105,7 +99,6 @@ __all__ = [
     "compare_series",
     "default_grid",
     "empirical_density",
-    "empirical_moments",
     "ensemble_run",
     "enumerate_round",
     "expected_drift_check",
@@ -118,8 +111,6 @@ __all__ = [
     "load_config",
     "moment_ode_a",
     "parse_config",
-    "payoff",
-    "play_round",
     "poisson_binomial_pmf",
     "predicted_time_scales",
     "read_density",
@@ -129,7 +120,6 @@ __all__ = [
     "solve",
     "sorting_fit",
     "two_spike_density",
-    "update_propensity",
     "within_factor",
     "write_density",
     "write_json",

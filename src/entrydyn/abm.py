@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GameParams, LearningRule, ProbabilityModel
-from .grid import DensityGrid, GridSpec
+from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries
 
 __all__ = [
@@ -28,14 +27,11 @@ __all__ = [
     "Gaussian",
     "InitialCondition",
     "PopulationState",
-    "RoundOutcome",
     "SimulationResult",
     "TwoSpike",
     "empirical_density",
-    "empirical_moments",
     "ensemble_run",
     "init_population",
-    "play_round",
     "simulate",
 ]
 
@@ -51,18 +47,6 @@ class PopulationState:
         self.propensities = np.asarray(self.propensities, dtype=float)
         if self.propensities.ndim != 1 or self.propensities.size == 0:
             raise ValueError("propensities must be a nonempty 1-d array")
-
-    def time(self, params: GameParams) -> float:
-        return self.round_index * params.tau
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Realized decisions of one round, played at time t."""
-
-    entered: np.ndarray
-    m: int
-    t: float
 
 
 @dataclass(frozen=True)
@@ -170,24 +154,6 @@ def _play_round(
     return m
 
 
-def play_round(
-    state: PopulationState,
-    params: GameParams,
-    model: ProbabilityModel,
-    rng: np.random.Generator,
-) -> tuple[PopulationState, RoundOutcome]:
-    """One round: simultaneous entry draws, then simultaneous updates.
-
-    The input state is left unchanged; the round runs on a copy.
-    """
-    q = state.propensities.copy()
-    p = model.prob(q)
-    entered = np.empty(q.shape, dtype=bool)
-    m = _play_round(q, p, params, rng, np.empty_like(q), entered)
-    outcome = RoundOutcome(entered, m, state.time(params))
-    return PopulationState(q, state.round_index + 1), outcome
-
-
 def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
     """a = mean p and b = mean p(1 - p), using work (p's size) as scratch."""
     np.subtract(1.0, p, out=work)
@@ -195,32 +161,9 @@ def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
     return float(p.mean()), float(work.mean())
 
 
-def empirical_moments(
-    state: PopulationState, model: ProbabilityModel
-) -> tuple[float, float]:
-    """Mean entry fraction a and sorting coefficient b of the population."""
-    p = np.atleast_1d(model.prob(state.propensities))
-    return _moments(p, np.empty_like(p))
-
-
 def empirical_density(state: PopulationState, spec: GridSpec) -> DensityGrid:
-    """Histogram density of the propensities on a uniform grid, unit mass.
-
-    Propensities outside the grid are counted in the end cells; a warning
-    reports how many were moved.
-    """
-    q = state.propensities
-    outside = int(np.count_nonzero((q < spec.q_min) | (q > spec.q_max)))
-    if outside:
-        warnings.warn(
-            f"{outside} propensities outside [{spec.q_min:g}, {spec.q_max:g}] "
-            "accumulated in the end cells",
-            stacklevel=2,
-        )
-        q = np.clip(q, spec.q_min, spec.q_max)
-    edges = spec.q_min + np.arange(spec.n_cells + 1) * spec.dq
-    counts, _ = np.histogram(q, bins=edges)
-    return DensityGrid(spec, counts / (q.size * spec.dq))
+    """Histogram density of the propensities, unit mass (grid.histogram_density)."""
+    return histogram_density(spec, state.propensities)
 
 
 @dataclass
@@ -285,8 +228,7 @@ def simulate(
             rec_b.append(b)
             while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
                 pending.pop(0)
-                density = empirical_density(PopulationState(q, n), snapshot_grid)
-                snapshots.append((t, density))
+                snapshots.append((t, histogram_density(snapshot_grid, q)))
         if n < n_rounds:
             m = _play_round(q, p, params, rng, work, entered)
             if is_record:

@@ -26,8 +26,8 @@ from .analysis import (
     sorting_fit,
     within_factor,
 )
-from .config import ConfigError, RunConfig, load_config
-from .core import DomainError, GameParams, LearningRule, predicted_time_scales
+from .config import ConfigError, RunConfig, _parse_game, load_config
+from .core import DomainError, GameParams, predicted_time_scales
 from .kinetic import SolverOptions, solve
 from .oracle import (
     MAX_AGENTS,
@@ -172,18 +172,12 @@ def _cmd_pde(args: argparse.Namespace) -> int:
 
 
 def _load_run_dir(run_dir: Path) -> tuple[dict, GameParams]:
-    payload = runio.read_json(run_dir / "run.json")
+    path = run_dir / "run.json"
+    payload = runio.read_json(path)
     try:
-        game = payload["config"]["game"]
-        params = GameParams(
-            n_agents=game["n_agents"],
-            capacity=game["capacity"],
-            payoff_scale=game["payoff_scale"],
-            rounds_per_unit=game["rounds_per_unit"],
-            rule=LearningRule(game["rule"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{run_dir / 'run.json'}: not a usable run record ({exc})") from None
+        params = _parse_game(payload["config"]["game"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"{path}: not a usable run record ({exc})") from None
     return payload, params
 
 

@@ -22,6 +22,7 @@ from .grid import (
     default_grid,
     gaussian_density,
     gaussian_mean_for_entry_fraction,
+    histogram_density,
     two_spike_density,
 )
 
@@ -258,15 +259,12 @@ class RunConfig:
             return gaussian_density(self.grid, spec["mean"], spec["sd"])
         if kind == "two_spike":
             return two_spike_density(self.grid, spec["q_low"], spec["q_high"], spec["mass_high"])
+        if kind == "explicit":
+            return histogram_density(self.grid, spec["values"])
         centers = self.grid.centers()
         values = np.zeros(self.grid.n_cells)
-        if kind == "all_equal":
-            values[int(np.argmin(np.abs(centers - spec["value"])))] = 1.0 / self.grid.dq
-            return DensityGrid(self.grid, values)
-        points = np.clip(spec["values"], centers[0], centers[-1])
-        edges = self.grid.q_min + np.arange(self.grid.n_cells + 1) * self.grid.dq
-        counts, _ = np.histogram(points, bins=edges)
-        return DensityGrid(self.grid, counts / (len(points) * self.grid.dq))
+        values[int(np.argmin(np.abs(centers - spec["value"])))] = 1.0 / self.grid.dq
+        return DensityGrid(self.grid, values)
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""

@@ -29,9 +29,7 @@ __all__ = [
     "Logistic",
     "ProbabilityModel",
     "TimeScales",
-    "payoff",
     "predicted_time_scales",
-    "update_propensity",
 ]
 
 
@@ -186,35 +184,6 @@ def _nonnegative(q) -> np.ndarray:
 
 
 ProbabilityModel = Logistic | ErevRothRatio
-
-
-def _check_entrant_count(entered: bool, m: int, params: GameParams) -> None:
-    if not 0 <= m <= params.n_agents:
-        raise ValueError(f"entrant count m={m} outside 0..{params.n_agents}")
-    if entered and m < 1:
-        raise ValueError("entered agent implies at least one entrant, got m=0")
-
-
-def payoff(entered: bool, m: int, params: GameParams) -> float:
-    """Payoff to one agent given its entry decision and the round's entrant count."""
-    _check_entrant_count(entered, m, params)
-    if not entered:
-        return params.outside_payoff
-    return params.outside_payoff + params.payoff_scale * (params.capacity - m)
-
-
-def update_propensity(q: float, entered: bool, m: int, params: GameParams) -> float:
-    """Propensity after one round under the configured learning rule.
-
-    Both rules move q by an integer multiple of h, so a population started
-    on a lattice {q_off + k*h} stays on it.
-    """
-    _check_entrant_count(entered, m, params)
-    h = params.payoff_scale
-    gain = h * (params.capacity - m)
-    if params.rule is LearningRule.BASIC_REINFORCEMENT:
-        return q + gain if entered else q
-    return q + gain - (0.0 if entered else h)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ produce the standard initial conditions used by both engines.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "default_grid",
     "gaussian_density",
     "gaussian_mean_for_entry_fraction",
+    "histogram_density",
     "two_spike_density",
 ]
 
@@ -98,6 +100,27 @@ def gaussian_density(spec: GridSpec, mean: float, sd: float) -> DensityGrid:
     if total <= 0:
         raise ValueError("gaussian mass vanished on the grid; widen the domain")
     return DensityGrid(spec, values / total)
+
+
+def histogram_density(spec: GridSpec, points) -> DensityGrid:
+    """Histogram density of points on the grid's cells, unit mass.
+
+    Points are clipped to the end cell centres: points outside [q_min,
+    q_max] count in the end cells, with a warning, and none is lost where
+    the last edge q_min + n_cells * dq rounds below q_max.
+    """
+    points = np.asarray(points, dtype=float)
+    outside = int(np.count_nonzero((points < spec.q_min) | (points > spec.q_max)))
+    if outside:
+        warnings.warn(
+            f"{outside} propensities outside [{spec.q_min:g}, {spec.q_max:g}] "
+            "accumulated in the end cells",
+            stacklevel=2,
+        )
+    centers = spec.centers()
+    edges = spec.q_min + np.arange(spec.n_cells + 1) * spec.dq
+    counts, _ = np.histogram(np.clip(points, centers[0], centers[-1]), bins=edges)
+    return DensityGrid(spec, counts / (points.size * spec.dq))
 
 
 def two_spike_density(spec: GridSpec, q_low: float, q_high: float, mass_high: float) -> DensityGrid:

@@ -14,6 +14,10 @@ the two learning rules give different coefficient fields:
     fictitious play       v and mu independent of q: v = r (kappa - a),
                           mu = D
 
+The private _Stencil is the one place these coefficients and the grid
+moments a, b are formed: step() and solve() apply exactly what it
+returns, and the tests check the identities above on its face arrays.
+
 Discretization: cell-centered finite volume with no-flux walls and one
 IMEX step per time step.  Advection is explicit first-order upwind;
 diffusion is centered and backward Euler, one tridiagonal solve of
@@ -52,24 +56,13 @@ __all__ = [
     "PdeResult",
     "SolverOptions",
     "advective_dt",
-    "coefficients",
     "diffusion_coefficient",
-    "moments",
     "solve",
     "step",
 ]
 
 MASS_TOLERANCE = 1e-8
 NEGATIVITY_TOLERANCE = -1e-12
-
-
-def _require_logistic(model: ProbabilityModel) -> Logistic:
-    if not isinstance(model, Logistic):
-        raise ValueError(
-            "the mean-field solver requires the logistic probability model; "
-            f"got {type(model).__name__} (its domain does not cover the grid)"
-        )
-    return model
 
 
 @dataclass(frozen=True)
@@ -101,41 +94,11 @@ class SolverOptions:
             )
 
 
-def moments(density: DensityGrid, model: ProbabilityModel) -> tuple[float, float]:
-    """Entry fraction a and sorting coefficient b of a grid density."""
-    _require_logistic(model)
-    p = model.prob(density.centers())
-    fdq = density.values * density.dq
-    a = float(p @ fdq)
-    b = float((p * (1.0 - p)) @ fdq)
-    return a, b
-
-
 def diffusion_coefficient(a: float, b: float, params: GameParams) -> float:
     """Shared diffusion scalar D(t) from the current observables."""
     gap = params.kappa - a
     n_h = params.n_agents * params.payoff_scale
     return 0.5 * params.r * (n_h * gap * gap + params.payoff_scale * b)
-
-
-def coefficients(
-    a: float,
-    b: float,
-    params: GameParams,
-    model: ProbabilityModel,
-    q: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flux velocity v(q) and diffusion mu(q) at the given points."""
-    logistic = _require_logistic(model)
-    q = np.asarray(q, dtype=float)
-    drive = params.r * (params.kappa - a)
-    d_coef = diffusion_coefficient(a, b, params)
-    if params.rule is LearningRule.BASIC_REINFORCEMENT:
-        p = logistic.prob(q)
-        dp = logistic.dprob(q)
-        return drive * p - d_coef * dp, d_coef * p
-    shape = q.shape
-    return np.full(shape, drive), np.full(shape, d_coef)
 
 
 def advective_dt(dq: float, v: np.ndarray, cfl_safety: float, cap: float) -> float:
@@ -147,9 +110,14 @@ def advective_dt(dq: float, v: np.ndarray, cfl_safety: float, cap: float) -> flo
 
 
 class _Stencil:
-    """Quantities fixed by the grid and model, reused across steps."""
+    """Grid moments and face coefficients, from terms computed once per grid."""
 
-    def __init__(self, spec: GridSpec, params: GameParams, model: Logistic) -> None:
+    def __init__(self, spec: GridSpec, params: GameParams, model: ProbabilityModel) -> None:
+        if not isinstance(model, Logistic):
+            raise ValueError(
+                "the mean-field solver requires the logistic probability model; "
+                f"got {type(model).__name__} (its domain does not cover the grid)"
+            )
         self.spec = spec
         self.params = params
         centers = spec.centers()
@@ -161,10 +129,12 @@ class _Stencil:
         self.uniform = params.rule is LearningRule.FICTITIOUS_STOCHASTIC
 
     def moments(self, f: np.ndarray) -> tuple[float, float]:
+        """Entry fraction a and sorting coefficient b of cell values f."""
         fdq = f * self.spec.dq
         return float(self.p_center @ fdq), float(self.w_center @ fdq)
 
     def face_coefficients(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Flux velocity v and diffusion mu at the interior faces."""
         drive = self.params.r * (self.params.kappa - a)
         d_coef = diffusion_coefficient(a, b, self.params)
         if self.uniform:
@@ -204,8 +174,7 @@ def step(
     Rejects steps beyond the advective stability bound dq / max|v| instead
     of silently producing oscillations; diffusion sets no bound.
     """
-    logistic = _require_logistic(model)
-    stencil = _Stencil(density.spec, params, logistic)
+    stencil = _Stencil(density.spec, params, model)
     a, b = stencil.moments(density.values)
     v, mu = stencil.face_coefficients(a, b)
     limit = advective_dt(density.spec.dq, v, 1.0, math.inf)
@@ -255,13 +224,12 @@ def solve(
     Raises RuntimeError if mass conservation (1e-8) or positivity (-1e-12)
     is breached; both would mean the scheme itself is broken, not the input.
     """
-    logistic = _require_logistic(model)
+    stencil = _Stencil(f0.spec, params, model)
     mass0 = f0.mass()
     if abs(mass0 - 1.0) > MASS_TOLERANCE:
         raise ValueError(f"initial density has mass {mass0:.12g}, expected 1")
 
     interval = options.output_interval if options.output_interval is not None else params.tau
-    stencil = _Stencil(f0.spec, params, logistic)
     f = f0.values.copy()
     t = 0.0
     max_residual = abs(mass0 - 1.0)

@@ -1,4 +1,4 @@
-"""Shared scenario constants and session-cached heavy runs.
+"""Shared scenario constants, reference rules and session-cached heavy runs.
 
 The acceptance scenario is frozen here: logistic model with unit scale,
 kappa = 0.5, r = 1000, Gaussian start with entry fraction 0.2 and width
@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from entrydyn import (
@@ -29,7 +30,7 @@ from entrydyn import (
     simulate,
     solve,
 )
-from entrydyn.abm import Gaussian
+from entrydyn.abm import Gaussian, _play_round
 
 MODEL = Logistic(scale=1.0, center=0.0)
 GRID = GridSpec(-12.0, 12.0, 800)
@@ -81,6 +82,39 @@ class CountingLogistic(Logistic):
     def prob(self, q, out=None):
         self.calls.append(out is not None)
         return super().prob(q, out=out)
+
+
+# the scalar learning rule, the reference for the vectorised round in abm
+def _check_entrant_count(entered: bool, m: int, params: GameParams) -> None:
+    if not 0 <= m <= params.n_agents:
+        raise ValueError(f"entrant count m={m} outside 0..{params.n_agents}")
+    if entered and m < 1:
+        raise ValueError("entered agent implies at least one entrant, got m=0")
+
+
+def payoff(entered: bool, m: int, params: GameParams) -> float:
+    """Payoff to one agent given its entry decision and the round's entrant count."""
+    _check_entrant_count(entered, m, params)
+    if not entered:
+        return params.outside_payoff
+    return params.outside_payoff + params.payoff_scale * (params.capacity - m)
+
+
+def update_propensity(q: float, entered: bool, m: int, params: GameParams) -> float:
+    """Propensity after one round under the configured learning rule."""
+    _check_entrant_count(entered, m, params)
+    h = params.payoff_scale
+    gain = h * (params.capacity - m)
+    if params.rule is LearningRule.BASIC_REINFORCEMENT:
+        return q + gain if entered else q
+    return q + gain - (0.0 if entered else h)
+
+
+def play_round(q, params, model, rng):
+    """abm._play_round on a copy of q with fresh buffers: (new q, entered, m)."""
+    q_next, entered = np.array(q, dtype=float), np.empty(len(q), dtype=bool)
+    m = _play_round(q_next, model.prob(q_next), params, rng, np.empty_like(q_next), entered)
+    return q_next, entered, m
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,17 +20,15 @@ from entrydyn import (
     PopulationState,
     TwoSpike,
     empirical_density,
-    empirical_moments,
     ensemble_run,
     enumerate_round,
     fit_exponential_decay,
     init_population,
-    play_round,
     simulate,
 )
-from entrydyn.abm import Gaussian, max_workers_from_env
+from entrydyn.abm import Gaussian, _moments, max_workers_from_env
 
-from conftest import CountingLogistic
+from conftest import CountingLogistic, play_round, update_propensity
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
@@ -41,9 +40,9 @@ def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
 
 
 def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):
-    """simulate() written as a loop over the public play_round and empirical_moments."""
+    """simulate() as a loop of rounds on fresh buffers, p evaluated apart for records."""
     rng = np.random.default_rng(seed)
-    state = init_population(params, init, rng)
+    q = init_population(params, init, rng).propensities
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
     pending = sorted(snapshot_times)
     rows, snapshots = [], []
@@ -51,17 +50,18 @@ def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot
         t = n * params.tau
         is_record = n % record_stride == 0 or n == n_rounds
         if is_record:
-            a, b = empirical_moments(state, model)
+            p = model.prob(q)
+            a, b = float(p.mean()), float((p * (1.0 - p)).mean())
             while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
                 pending.pop(0)
-                snapshots.append((t, empirical_density(state, grid)))
+                snapshots.append((t, empirical_density(PopulationState(q, n), grid)))
         m_frac = math.nan
         if n < n_rounds:
-            state, outcome = play_round(state, params, model, rng)
-            m_frac = outcome.m / params.n_agents
+            q, _, m = play_round(q, params, model, rng)
+            m_frac = m / params.n_agents
         if is_record:
             rows.append((t, a, b, m_frac))
-    return np.array(rows), snapshots, state
+    return np.array(rows), snapshots, q
 
 
 class TestInitPopulation:
@@ -100,19 +100,19 @@ class TestInitPopulation:
 class TestPlayRound:
     def test_sole_saturated_entrant(self):
         params = GameParams(1, 1, 0.01, 100, BASIC)
-        state = PopulationState(np.array([40.0]), 0)
+        q = np.array([40.0])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            state, outcome = play_round(state, params, MODEL, rng)
-            assert outcome.m == 1
-            assert state.propensities[0] == 40.0
+            q, _, m = play_round(q, params, MODEL, rng)
+            assert m == 1
+            assert q[0] == 40.0
 
     def test_binomial_entrant_count_statistics(self):
         # fixed state, repeated draws: m ~ Binomial(1000, 0.5)
         params = make_params()
-        state = init_population(params, AllEqual(0.0), 1)
+        q = init_population(params, AllEqual(0.0), 1).propensities
         rng = np.random.default_rng(99)
-        ms = np.array([play_round(state, params, MODEL, rng)[1].m for _ in range(10_000)])
+        ms = np.array([play_round(q, params, MODEL, rng)[2] for _ in range(10_000)])
         sd_exact = np.sqrt(1000 * 0.25)  # 15.81
         assert abs(ms.mean() - 500.0) <= 4 * sd_exact / np.sqrt(10_000)
         assert abs(ms.std(ddof=1) - sd_exact) <= 0.05 * sd_exact
@@ -121,12 +121,11 @@ class TestPlayRound:
         q = np.array([-1.0, -0.2, 0.4, 1.3])
         params = GameParams(4, 2, 0.05, 10, FICT)
         law = enumerate_round(q, params, MODEL)
-        state = PopulationState(q.copy(), 0)
         rng = np.random.default_rng(123)
         n_rounds = 40_000
         counts = np.zeros(5)
         for _ in range(n_rounds):
-            counts[play_round(state, params, MODEL, rng)[1].m] += 1
+            counts[play_round(q, params, MODEL, rng)[2]] += 1
         expected = n_rounds * law.m_probs
         z = np.abs(counts - expected) / np.sqrt(expected * (1 - law.m_probs))
         assert np.max(z) < 4.0
@@ -135,60 +134,71 @@ class TestPlayRound:
         # fictitious rule from a common start: exactly two propensity values,
         # split by h, both computed from the same realized m
         params = make_params(n=200, c=100, rule=FICT)
-        state = init_population(params, AllEqual(0.0), 3)
-        new, outcome = play_round(state, params, MODEL, np.random.default_rng(3))
-        values = np.unique(new.propensities)
+        q = init_population(params, AllEqual(0.0), 3).propensities
+        new, _, m = play_round(q, params, MODEL, np.random.default_rng(3))
+        values = np.unique(new)
         assert values.size == 2
-        gain = params.payoff_scale * (params.capacity - outcome.m)
+        gain = params.payoff_scale * (params.capacity - m)
         assert values[1] == pytest.approx(gain, abs=1e-15)
         assert values[0] == pytest.approx(gain - params.payoff_scale, abs=1e-15)
 
     def test_outsiders_frozen_under_basic(self):
         params = make_params(n=200, c=100, rule=BASIC)
-        state = init_population(params, Gaussian(0.0, 1.0), 8)
-        new, outcome = play_round(state, params, MODEL, np.random.default_rng(8))
-        stayed = ~outcome.entered
-        assert np.array_equal(new.propensities[stayed], state.propensities[stayed])
-        assert outcome.m == int(outcome.entered.sum())
+        q = init_population(params, Gaussian(0.0, 1.0), 8).propensities
+        new, entered, m = play_round(q, params, MODEL, np.random.default_rng(8))
+        assert np.array_equal(new[~entered], q[~entered])
+        assert m == int(entered.sum())
 
-    @pytest.mark.parametrize("rule", [BASIC, FICT])
-    def test_input_state_unchanged(self, rule):
-        params = make_params(n=200, c=100, rule=rule)
-        state = init_population(params, Gaussian(0.0, 1.0), 4)
-        before = state.propensities.copy()
-        new, _ = play_round(state, params, MODEL, np.random.default_rng(4))
-        assert state.propensities.tobytes() == before.tobytes()
-        assert state.round_index == 0 and new.round_index == 1
-        assert not np.shares_memory(new.propensities, state.propensities)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rule=st.sampled_from([BASIC, FICT]),
+        n=st.integers(1, 80),
+        capacity_frac=st.floats(0.0, 1.0),
+        h=st.floats(1e-4, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_reference_rule(self, rule, n, capacity_frac, h, seed):
+        # every agent's new q is exactly the scalar rule's, given the
+        # decisions and the entrant count the vectorised round drew
+        params = GameParams(n, max(1, round(capacity_frac * n)), h, 100, rule)
+        rng = np.random.default_rng(seed)
+        q = rng.normal(0.0, 2.0, n)
+        new, entered, m = play_round(q, params, MODEL, rng)
+        assert m == int(entered.sum())
+        expected = [update_propensity(qi, bool(ei), m, params) for qi, ei in zip(q, entered)]
+        assert new.tolist() == expected
 
     def test_ratio_model_negative_propensity_aborts(self):
         # overcrowding drives propensities negative; must be a hard error.
         # small baseline makes entry near-certain, so m > c on round one
         params = GameParams(4, 1, 0.1, 10, BASIC)
-        state = init_population(params, AllEqual(0.05), 0)
+        q = init_population(params, AllEqual(0.05), 0).propensities
         model = ErevRothRatio(0.01)
         rng = np.random.default_rng(2)
         with pytest.raises(DomainError, match="nonnegative"):
             for _ in range(50):
-                state, _ = play_round(state, params, model, rng)
+                q, _, _ = play_round(q, params, model, rng)
+
+
+def record_moments(q):
+    """a and b as simulate records them, through abm._moments."""
+    p = MODEL.prob(np.asarray(q, dtype=float))
+    return _moments(p, np.empty_like(p))
 
 
 class TestEmpiricalMoments:
     def test_all_at_half(self):
-        state = PopulationState(np.zeros(10), 0)
-        a, b = empirical_moments(state, MODEL)
+        a, b = record_moments(np.zeros(10))
         assert a == pytest.approx(0.5, abs=1e-15)
         assert b == pytest.approx(0.25, abs=1e-15)
 
     def test_sorted_state(self):
-        state = PopulationState(np.concatenate([np.full(3, 40.0), np.full(7, -40.0)]), 0)
-        a, b = empirical_moments(state, MODEL)
+        a, b = record_moments(np.concatenate([np.full(3, 40.0), np.full(7, -40.0)]))
         assert a == pytest.approx(0.3, abs=1e-12)
         assert b <= 1e-12
 
     def test_two_agent_average(self):
-        state = PopulationState(np.array([logit(0.2), logit(0.6)]), 0)
-        a, b = empirical_moments(state, MODEL)
+        a, b = record_moments([logit(0.2), logit(0.6)])
         assert a == pytest.approx(0.4, abs=1e-12)
         assert b == pytest.approx(0.2, abs=1e-12)
 
@@ -220,6 +230,33 @@ class TestEmpiricalDensity:
         state = PopulationState(np.array([-5.0, 0.0, 7.0, 8.0]), 0)
         with pytest.warns(UserWarning, match="outside"):
             density = empirical_density(state, spec)
+        assert density.mass() == pytest.approx(1.0, abs=1e-12)
+        assert density.values[0] > 0 and density.values[-1] > 0
+
+    def test_points_at_the_top_edge_keep_their_mass(self):
+        # q_min + n_cells * dq rounds below q_max on this grid, so agents at
+        # or beyond q_max must still land in the last cell
+        spec = GridSpec(-4.362, 30.371, 1941)
+        state = PopulationState(np.array([0.0, spec.q_max, 40.0]), 0)
+        with pytest.warns(UserWarning, match="1 propensities outside"):
+            density = empirical_density(state, spec)
+        assert density.mass() == pytest.approx(1.0, abs=1e-12)
+        assert density.values[-1] == pytest.approx(2.0 / (3.0 * spec.dq), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q_min=st.floats(-50.0, 50.0),
+        width=st.floats(0.1, 100.0),
+        n_cells=st.integers(2, 3000),
+        beyond=st.floats(0.0, 10.0),
+    )
+    def test_unit_mass_with_points_at_and_beyond_both_ends(self, q_min, width, n_cells, beyond):
+        spec = GridSpec(q_min, q_min + width, n_cells)
+        ends = [spec.q_min, spec.q_max, spec.q_min - beyond, spec.q_max + beyond]
+        q = np.array(ends + [q_min + 0.5 * width])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            density = empirical_density(PopulationState(q, 0), spec)
         assert density.mass() == pytest.approx(1.0, abs=1e-12)
         assert density.values[0] > 0 and density.values[-1] > 0
 
@@ -293,8 +330,8 @@ class TestSimulate:
         s = result.series
         for column, values in zip(rows.T, (s.t, s.a, s.b, s.m_frac)):
             assert column.tobytes() == values.tobytes()
-        assert result.final.propensities.tobytes() == ref_final.propensities.tobytes()
-        assert result.final.round_index == ref_final.round_index == 30
+        assert result.final.propensities.tobytes() == ref_final.tobytes()
+        assert result.final.round_index == 30
         assert [t for t, _ in result.snapshots] == [t for t, _ in ref_snaps]
         for (_, got), (_, ref) in zip(result.snapshots, ref_snaps):
             assert got.values.tobytes() == ref.values.tobytes()

@@ -31,7 +31,6 @@ from entrydyn import (
     initial_learning_constant,
     initial_learning_constant_from_propensities,
     init_population,
-    play_round,
     poisson_binomial_pmf,
     solve,
     sorting_fit,
@@ -39,7 +38,7 @@ from entrydyn import (
     within_factor,
 )
 from entrydyn.abm import Gaussian
-from entrydyn.kinetic import coefficients, diffusion_coefficient, moments
+from entrydyn.kinetic import _Stencil, diffusion_coefficient
 from entrydyn.oracle import random_instance
 
 from conftest import (
@@ -49,6 +48,7 @@ from conftest import (
     MODEL,
     PDE_FICT_PARAMS,
     PDE_PARAMS,
+    play_round,
 )
 
 
@@ -90,14 +90,14 @@ def test_criterion_2_simulator_matches_exact_law():
     # three symmetric agents: simulated entrant counts against the
     # enumerated distribution {1/8, 3/8, 3/8, 1/8} at the 99.9% level
     params = GameParams(3, 2, 0.1, 10, LearningRule.BASIC_REINFORCEMENT)
-    state = init_population(params, AllEqual(0.0), 0)
-    law = enumerate_round(state.propensities, params, MODEL)
+    q = init_population(params, AllEqual(0.0), 0).propensities
+    law = enumerate_round(q, params, MODEL)
     rng = np.random.default_rng(BASE_SEED)
     n_rounds = 100_000
     start = time.perf_counter()
     counts = np.zeros(4)
     for _ in range(n_rounds):
-        counts[play_round(state, params, MODEL, rng)[1].m] += 1
+        counts[play_round(q, params, MODEL, rng)[2]] += 1
     wall = time.perf_counter() - start
     expected = n_rounds * law.m_probs
     statistic = float(np.sum((counts - expected) ** 2 / expected))
@@ -242,25 +242,27 @@ def test_criterion_8_sorted_equilibrium_is_stationary():
 
 
 def test_criterion_9_flux_coefficient_identities(pde_acceptance):
-    # at each saved snapshot: the propensity-dependent rule's transport
-    # satisfies mu = D p and v + D p' = r (kappa - a) p pointwise; the
-    # uniform rule's v and mu are propensity-independent
-    centers = GRID.centers()
-    p = MODEL.prob(centers)
-    dp = MODEL.dprob(centers)
+    # at each saved snapshot, on the faces the solver uses: the basic
+    # rule's transport satisfies mu = D p and v + D p' = r (kappa - a) p;
+    # the uniform rule's v and mu are propensity-independent
+    faces = GRID.interior_faces()
+    p = MODEL.prob(faces)
+    dp = MODEL.dprob(faces)
+    stencil = _Stencil(GRID, PDE_PARAMS, MODEL)
+    uniform = _Stencil(GRID, PDE_FICT_PARAMS, MODEL)
     worst_mu = 0.0
     worst_v = 0.0
     worst_uniform = 0.0
     for _, density in pde_acceptance.snapshots:
-        a, b = moments(density, MODEL)
-        v, mu = coefficients(a, b, PDE_PARAMS, MODEL, centers)
+        a, b = stencil.moments(density.values)
+        v, mu = stencil.face_coefficients(a, b)
         d_coef = diffusion_coefficient(a, b, PDE_PARAMS)
         drive = PDE_PARAMS.r * (PDE_PARAMS.kappa - a)
         scale = max(1.0, abs(d_coef), abs(drive))
         worst_mu = max(worst_mu, float(np.max(np.abs(mu - d_coef * p))) / scale)
         worst_v = max(worst_v, float(np.max(np.abs(v + d_coef * dp - drive * p))) / scale)
 
-        v_u, mu_u = coefficients(a, b, PDE_FICT_PARAMS, MODEL, centers)
+        v_u, mu_u = uniform.face_coefficients(a, b)
         worst_uniform = max(worst_uniform, float(np.ptp(v_u)), float(np.ptp(mu_u)))
 
     n_snaps = len(pde_acceptance.snapshots)

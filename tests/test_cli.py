@@ -150,6 +150,12 @@ class TestRunCommands:
         assert "density_t0" in script
         assert "pngcairo" in script
 
+    def test_pde_explicit_init_outside_grid_warns(self, tmp_path):
+        init = {"kind": "explicit", "values": [-20.0, 0.0, 0.5]}
+        cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out", init=init)
+        with pytest.warns(UserWarning, match="1 propensities outside"):
+            assert main(["pde", "--config", str(cfg)]) == 0
+
 
 class TestConfigRejection:
     def test_capacity_above_population(self, tmp_path, capsys):
@@ -288,6 +294,19 @@ class TestAnalyze:
         run_dir = tmp_path / "empty"
         run_dir.mkdir()
         assert main(["analyze", str(run_dir)]) == 2
+
+    @pytest.mark.parametrize(
+        "game",
+        [dict(GAME_PDE, n_agents="1000"), [], dict(GAME_PDE, n_agents=True, capacity=1)],
+        ids=["string-count", "list", "bool-count"],
+    )
+    def test_malformed_game_section_is_config_error(self, tmp_path, capsys, game):
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir)
+        write_json(run_dir / "run.json", {"config": {"game": game}, "learning_constant": 0.1})
+        assert main(["analyze", str(run_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (run_dir / "fits.json").exists()
 
 
 class TestCompare:

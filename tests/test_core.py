@@ -1,16 +1,20 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import entrydyn
 from entrydyn import (
     DomainError,
     ErevRothRatio,
     GameParams,
     LearningRule,
     Logistic,
-    payoff,
     predicted_time_scales,
-    update_propensity,
 )
+
+from conftest import payoff, update_propensity
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
@@ -196,3 +200,14 @@ class TestPredictedTimeScales:
             assert ts.sorting / ts.aggregate_learning == pytest.approx(2.0 / h, rel=1e-12)
             if h < 2.0:
                 assert ts.sorting > ts.aggregate_learning
+
+
+SUBMODULES = [m.name for m in pkgutil.iter_modules(entrydyn.__path__)]
+
+
+@pytest.mark.parametrize("name", ["", *SUBMODULES])
+def test_every_exported_name_resolves(name):
+    # a name left in __all__ after its definition is deleted fails only on
+    # `from module import *`, which nothing else in the suite runs
+    module = importlib.import_module(f"entrydyn.{name}" if name else "entrydyn")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

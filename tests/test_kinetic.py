@@ -18,18 +18,21 @@ from entrydyn import (
     two_spike_density,
 )
 from entrydyn.analysis import learning_window
-from entrydyn.kinetic import (
-    _Stencil,
-    advective_dt,
-    coefficients,
-    diffusion_coefficient,
-    moments,
-    step,
-)
+from entrydyn.kinetic import _Stencil, advective_dt, diffusion_coefficient, step
 
 from conftest import GRID, MODEL, PDE_FICT_PARAMS, PDE_PARAMS
 
 SORTED_GRID = GridSpec(-16.0, 16.0, 800)
+# interior faces at -5.7, -5.4, ..., 5.7
+FACE_GRID = GridSpec(-6.0, 6.0, 40)
+
+
+def moments(f: DensityGrid) -> tuple[float, float]:
+    return _Stencil(f.spec, PDE_PARAMS, MODEL).moments(f.values)
+
+
+def face_coefficients(a, b, params, spec=FACE_GRID):
+    return _Stencil(spec, params, MODEL).face_coefficients(a, b)
 
 
 class TestMoments:
@@ -38,51 +41,48 @@ class TestMoments:
         spec = GridSpec(-2.5, 2.5, 5)
         values = np.zeros(5)
         values[2] = 1.0 / spec.dq
-        a, b = moments(DensityGrid(spec, values), MODEL)
+        a, b = moments(DensityGrid(spec, values))
         assert a == 0.5
         assert b == 0.25
 
     def test_sorted_two_spike(self):
         f = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
-        a, b = moments(f, MODEL)
+        a, b = moments(f)
         assert a == pytest.approx(0.5, abs=1e-8)
         assert 0 < b <= 1e-6
 
     def test_uniform_density_is_balanced(self):
         spec = GridSpec(-8.0, 8.0, 400)
         f = DensityGrid(spec, np.full(400, 1.0 / 16.0))
-        a, b = moments(f, MODEL)
+        a, b = moments(f)
         assert a == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_non_logistic_model(self):
-        f = gaussian_density(GRID, 0.0, 1.0)
         with pytest.raises(ValueError, match="logistic"):
-            moments(f, ErevRothRatio(1.0))
+            _Stencil(GRID, PDE_PARAMS, ErevRothRatio(1.0))
 
 
 class TestCoefficients:
     def test_quiet_state_has_zero_flux(self):
         # a at capacity with no spread: no drive and no diffusion, either rule
-        q = np.linspace(-3, 3, 7)
         for params in (PDE_PARAMS, PDE_FICT_PARAMS):
-            v, mu = coefficients(params.kappa, 0.0, params, MODEL, q)
-            assert np.array_equal(v, np.zeros(7))
-            assert np.array_equal(mu, np.zeros(7))
+            v, mu = face_coefficients(params.kappa, 0.0, params)
+            assert np.array_equal(v, np.zeros(39))
+            assert np.array_equal(mu, np.zeros(39))
 
     def test_propensity_uniform_rule_by_hand(self):
         # r = 1000, kappa - a = 0.3: v = 300 everywhere,
         # mu = 0.5 * 1000 * (10 * 0.09 + 0.01 * 0.1) = 450.5
-        q = np.linspace(-5, 5, 11)
-        v, mu = coefficients(0.2, 0.1, PDE_FICT_PARAMS, MODEL, q)
+        v, mu = face_coefficients(0.2, 0.1, PDE_FICT_PARAMS)
         assert np.allclose(v, 300.0, atol=1e-10)
         assert np.allclose(mu, 450.5, atol=1e-10)
         assert np.ptp(v) == 0.0 and np.ptp(mu) == 0.0
 
     def test_propensity_dependent_rule_identity(self):
         # v + D p' = r (kappa - a) p pointwise; mu = D p
-        q = np.linspace(-6, 6, 41)
+        q = FACE_GRID.interior_faces()
         a, b = 0.34, 0.18
-        v, mu = coefficients(a, b, PDE_PARAMS, MODEL, q)
+        v, mu = face_coefficients(a, b, PDE_PARAMS)
         d_coef = diffusion_coefficient(a, b, PDE_PARAMS)
         drive = PDE_PARAMS.r * (PDE_PARAMS.kappa - a)
         assert np.max(np.abs(v + d_coef * MODEL.dprob(q) - drive * MODEL.prob(q))) <= 1e-9
@@ -90,9 +90,9 @@ class TestCoefficients:
 
     def test_settled_entry_fraction_leaves_pure_diffusion(self):
         # a = kappa: advection is the -D p' correction only, so v <= 0
-        q = np.linspace(-6, 6, 41)
+        q = FACE_GRID.interior_faces()
         b = 0.2
-        v, mu = coefficients(PDE_PARAMS.kappa, b, PDE_PARAMS, MODEL, q)
+        v, mu = face_coefficients(PDE_PARAMS.kappa, b, PDE_PARAMS)
         d_expected = 0.5 * PDE_PARAMS.r * PDE_PARAMS.payoff_scale * b
         assert np.all(v <= 0)
         assert np.allclose(mu, d_expected * MODEL.prob(q), atol=1e-12)
@@ -115,16 +115,20 @@ class TestStableDt:
         assert advective_dt(0.1, np.array([0.0]), 0.4, 0.7) == 0.7
 
 
+def _step_coefficients(f: DensityGrid, params: GameParams):
+    """The face v and mu that step() applies to f."""
+    stencil = _Stencil(f.spec, params, MODEL)
+    return stencil.face_coefficients(*stencil.moments(f.values))
+
+
 def _old_diffusive_limit(f: DensityGrid, params: GameParams) -> float:
     """dq^2 / (2 max mu): the step bound of an explicit diffusion update."""
-    a, b = moments(f, MODEL)
-    _, mu = coefficients(a, b, params, MODEL, f.spec.interior_faces())
+    _, mu = _step_coefficients(f, params)
     return f.spec.dq**2 / (2.0 * float(np.max(mu)))
 
 
 def _advective_limit(f: DensityGrid, params: GameParams) -> float:
-    a, b = moments(f, MODEL)
-    v, _ = coefficients(a, b, params, MODEL, f.spec.interior_faces())
+    v, _ = _step_coefficients(f, params)
     return advective_dt(f.spec.dq, v, 1.0, np.inf)
 
 
@@ -313,11 +317,10 @@ class TestSolve:
         assert fit.n_points >= 100
 
     def test_diffusion_overtakes_drift_as_entry_settles(self, pde_acceptance):
-        centers = GRID.centers()
         series = pde_acceptance.series
 
         def ratio(k: int) -> float:
-            v, mu = coefficients(series.a[k], series.b[k], PDE_PARAMS, MODEL, centers)
+            v, mu = face_coefficients(series.a[k], series.b[k], PDE_PARAMS, GRID)
             return float(np.max(np.abs(mu)) / np.max(np.abs(v)))
 
         early = ratio(0)
