@@ -187,6 +187,57 @@ class TestConfigRejection:
         err = capsys.readouterr().err
         assert "typo" in err and "init" in err
 
+    @pytest.mark.parametrize(
+        "init, key, model",
+        [
+            ({"kind": "gaussian", "mean": 0.0, "sd": 0.0}, "sd", None),
+            ({"kind": "gaussian", "mean": 0.0, "sd": -1.0}, "sd", None),
+            ({"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 0.0}, "sd", None),
+            ({"kind": "gaussian", "target_entry_fraction": 0.2, "sd": -1.0}, "sd", None),
+            ({"kind": "gaussian", "mean": 0.0}, "sd", None),
+            ({"kind": "gaussian", "mean": 0.0, "sd": "1"}, "sd", None),
+            ({"kind": "gaussian", "mean": 0.0, "target_entry_fraction": 0.2, "sd": 1.0}, "mean", None),
+            ({"kind": "gaussian", "sd": 1.0}, "mean", None),
+            ({"kind": "gaussian", "mean": "0", "sd": 1.0}, "mean", None),
+            ({"kind": "gaussian", "target_entry_fraction": 0.0, "sd": 1.0}, "target_entry_fraction", None),
+            ({"kind": "gaussian", "target_entry_fraction": 1.0, "sd": 1.0}, "target_entry_fraction", None),
+            ({"kind": "gaussian", "target_entry_fraction": 1.5, "sd": 1.0}, "target_entry_fraction", None),
+            (
+                {"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.0},
+                "target_entry_fraction",
+                {"kind": "erev_roth_ratio"},
+            ),
+            ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": "yes"}, "snap_to_lattice", None),
+            ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": 1}, "snap_to_lattice", None),
+            ({"kind": "two_spike", "q_low": 1.0, "q_high": 1.0, "mass_high": 0.5}, "q_low", None),
+            ({"kind": "two_spike", "q_low": 2.0, "q_high": 1.0, "mass_high": 0.5}, "q_low", None),
+            ({"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 1.5}, "mass_high", None),
+            ({"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": -0.1}, "mass_high", None),
+            ({"kind": "two_spike", "q_low": -1.0, "q_high": 1.0}, "mass_high", None),
+            ({"kind": "explicit", "values": []}, "values", None),
+            ({"kind": "explicit", "values": [0.1, 0.2]}, "values", None),
+            ({"kind": "explicit", "values": ["x"] * 40}, "values", None),
+            ({"kind": "explicit", "values": 0.1}, "values", None),
+            ({"kind": "all_equal"}, "value", None),
+            ({"kind": "all_equal", "value": "0"}, "value", None),
+            ({"kind": "all_equal", "value": True}, "value", None),
+            ({"kind": "all_equal", "value": 0.0, "sd": 1.0}, "sd", None),
+            ({"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 0.5, "mean": 0.0}, "mean", None),
+            ({"kind": "uniform", "value": 0.0}, "kind", None),
+            ({"value": 0.0}, "kind", None),
+            ({"kind": 3}, "kind", None),
+            ([{"kind": "all_equal", "value": 0.0}], "init", None),
+        ],
+    )
+    def test_bad_init_section_is_named(self, tmp_path, capsys, init, key, model):
+        overrides = {"init": init}
+        if model is not None:
+            overrides["model"] = model
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "init" in err and key in err
+
     def test_engine_subcommand_mismatch(self, tmp_path, capsys):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")
         assert main(["abm", "--config", str(cfg)]) == 2
