@@ -15,10 +15,8 @@ from .abm import (
     Explicit,
     Gaussian,
     InitialCondition,
-    PopulationState,
     SimulationResult,
     TwoSpike,
-    empirical_density,
     ensemble_run,
     init_population,
     simulate,
@@ -87,7 +85,6 @@ __all__ = [
     "Logistic",
     "ObservableSeries",
     "PdeResult",
-    "PopulationState",
     "ProbabilityModel",
     "RoundLaw",
     "RunConfig",
@@ -98,7 +95,6 @@ __all__ = [
     "aggregate_learning_fit",
     "compare_series",
     "default_grid",
-    "empirical_density",
     "ensemble_run",
     "enumerate_round",
     "expected_drift_check",

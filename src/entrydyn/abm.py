@@ -14,11 +14,12 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .core import GameParams, LearningRule, ProbabilityModel
-from .grid import DensityGrid, GridSpec, histogram_density
+from .grid import DensityGrid, GridSpec, gaussian_density, histogram_density, two_spike_density
 from .observables import ObservableSeries
 
 __all__ = [
@@ -26,33 +27,20 @@ __all__ = [
     "Explicit",
     "Gaussian",
     "InitialCondition",
-    "PopulationState",
     "SimulationResult",
     "TwoSpike",
-    "empirical_density",
     "ensemble_run",
     "init_population",
+    "initial_density",
     "simulate",
 ]
-
-
-@dataclass
-class PopulationState:
-    """Propensities of all agents after round_index completed rounds."""
-
-    propensities: np.ndarray
-    round_index: int = 0
-
-    def __post_init__(self) -> None:
-        self.propensities = np.asarray(self.propensities, dtype=float)
-        if self.propensities.ndim != 1 or self.propensities.size == 0:
-            raise ValueError("propensities must be a nonempty 1-d array")
 
 
 @dataclass(frozen=True)
 class AllEqual:
     """Every agent starts at the same propensity."""
 
+    kind: ClassVar[str] = "all_equal"
     value: float
 
 
@@ -64,15 +52,21 @@ class Gaussian:
     learning rules then preserve exactly.
     """
 
+    kind: ClassVar[str] = "gaussian"
     mean: float
     sd: float
     snap_to_lattice: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.sd > 0:
+            raise ValueError(f"sd must be positive, got {self.sd}")
 
 
 @dataclass(frozen=True)
 class Explicit:
     """Caller-provided propensities, one per agent."""
 
+    kind: ClassVar[str] = "explicit"
     values: tuple[float, ...]
 
 
@@ -80,9 +74,16 @@ class Explicit:
 class TwoSpike:
     """A sorted start: round(mass_high*N) agents at q_high, the rest at q_low."""
 
+    kind: ClassVar[str] = "two_spike"
     q_low: float
     q_high: float
     mass_high: float
+
+    def __post_init__(self) -> None:
+        if not self.q_low < self.q_high:
+            raise ValueError(f"q_low must be below q_high, got {self.q_low} >= {self.q_high}")
+        if not 0.0 <= self.mass_high <= 1.0:
+            raise ValueError(f"mass_high must lie in [0, 1], got {self.mass_high}")
 
 
 InitialCondition = AllEqual | Gaussian | Explicit | TwoSpike
@@ -92,14 +93,13 @@ def init_population(
     params: GameParams,
     init: InitialCondition,
     seed: int | np.random.Generator,
-) -> PopulationState:
+) -> np.ndarray:
+    """The agents' start propensities, one float per agent."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = params.n_agents
     if isinstance(init, AllEqual):
         q = np.full(n, float(init.value))
     elif isinstance(init, Gaussian):
-        if not init.sd >= 0:
-            raise ValueError(f"sd must be nonnegative, got {init.sd}")
         q = init.mean + init.sd * rng.standard_normal(n)
         if init.snap_to_lattice:
             h = params.payoff_scale
@@ -110,15 +110,30 @@ def init_population(
             raise ValueError(f"explicit init has {q.size} values for {n} agents")
         q = q.copy()
     elif isinstance(init, TwoSpike):
-        if not 0.0 <= init.mass_high <= 1.0:
-            raise ValueError(f"mass_high must lie in [0, 1], got {init.mass_high}")
         n_high = int(round(init.mass_high * n))
         q = np.concatenate(
             [np.full(n - n_high, float(init.q_low)), np.full(n_high, float(init.q_high))]
         )
     else:
         raise TypeError(f"unknown initial condition {init!r}")
-    return PopulationState(q, 0)
+    return q
+
+
+def initial_density(init: InitialCondition, spec: GridSpec) -> DensityGrid:
+    """The same start state as a unit-mass density on spec, for the density engine.
+
+    Point starts (all_equal, explicit) are binned exactly as the agent
+    engine's density snapshots bin its population.
+    """
+    if isinstance(init, AllEqual):
+        return histogram_density(spec, [init.value])
+    if isinstance(init, Gaussian):
+        return gaussian_density(spec, init.mean, init.sd)
+    if isinstance(init, Explicit):
+        return histogram_density(spec, init.values)
+    if isinstance(init, TwoSpike):
+        return two_spike_density(spec, init.q_low, init.q_high, init.mass_high)
+    raise TypeError(f"unknown initial condition {init!r}")
 
 
 def _play_round(
@@ -161,16 +176,11 @@ def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
     return float(p.mean()), float(work.mean())
 
 
-def empirical_density(state: PopulationState, spec: GridSpec) -> DensityGrid:
-    """Histogram density of the propensities, unit mass (grid.histogram_density)."""
-    return histogram_density(spec, state.propensities)
-
-
 @dataclass
 class SimulationResult:
     series: ObservableSeries
     snapshots: list[tuple[float, DensityGrid]] = field(default_factory=list)
-    final: PopulationState | None = None
+    final: np.ndarray | None = None
 
 
 def simulate(
@@ -204,7 +214,7 @@ def simulate(
         raise ValueError("snapshot_times given without a snapshot_grid")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q = init_population(params, init, rng).propensities
+    q = init_population(params, init, rng)
     p = np.empty_like(q)
     work = np.empty_like(q)
     entered = np.empty(q.shape, dtype=bool)
@@ -239,9 +249,7 @@ def simulate(
     series = ObservableSeries(
         t=np.array(rec_t), a=np.array(rec_a), b=np.array(rec_b), m_frac=np.array(rec_m)
     )
-    return SimulationResult(
-        series=series, snapshots=snapshots, final=PopulationState(q, n_rounds)
-    )
+    return SimulationResult(series=series, snapshots=snapshots, final=q)
 
 
 def _replica_series(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

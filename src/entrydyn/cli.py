@@ -99,10 +99,9 @@ def _cmd_abm(args: argparse.Namespace) -> int:
         out = out / "abm"
     out.mkdir(parents=True, exist_ok=True)
 
-    init = cfg.abm_init()
     # the start population serves c_p only; it is not kept through the run
     learning_constant = initial_learning_constant_from_propensities(
-        init_population(cfg.params, init, cfg.seed).propensities, cfg.model
+        init_population(cfg.params, cfg.init, cfg.seed), cfg.model
     )
 
     snapshot_names: dict[str, str] = {}
@@ -110,7 +109,7 @@ def _cmd_abm(args: argparse.Namespace) -> int:
         result = simulate(
             cfg.params,
             cfg.model,
-            init,
+            cfg.init,
             cfg.t_end,
             cfg.seed,
             record_stride=cfg.record_stride,
@@ -125,7 +124,7 @@ def _cmd_abm(args: argparse.Namespace) -> int:
         series = ensemble_run(
             cfg.params,
             cfg.model,
-            init,
+            cfg.init,
             cfg.t_end,
             n_replicas=cfg.replicas,
             base_seed=cfg.seed,

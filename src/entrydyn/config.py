@@ -4,27 +4,23 @@ The schema is strict on purpose: unknown keys anywhere are rejected and
 every diagnostic names the offending key, so a typo cannot silently fall
 back to a default. The resolved form (all defaults filled in) is what
 run.json echoes, and it parses back through load order unchanged.
+
+The init section parses straight into one of the `abm` initial-condition
+types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
+start from that one value: the agent engine draws its population from it
+and the density engine takes `abm.initial_density` of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-
-import numpy as np
+from typing import get_args
 
 from . import abm
 from .core import GameParams, LearningRule, Logistic, ErevRothRatio, ProbabilityModel
-from .grid import (
-    DensityGrid,
-    GridSpec,
-    default_grid,
-    gaussian_density,
-    gaussian_mean_for_entry_fraction,
-    histogram_density,
-    two_spike_density,
-)
+from .grid import DensityGrid, GridSpec, default_grid, gaussian_mean_for_entry_fraction
 
 
 class ConfigError(ValueError):
@@ -54,12 +50,12 @@ _MODEL_KEYS = {
     "logistic": {"kind", "scale", "center"},
     "erev_roth_ratio": {"kind", "baseline"},
 }
+_INIT_TYPES = {cls.kind: cls for cls in get_args(abm.InitialCondition)}
 _INIT_KEYS = {
-    "all_equal": {"kind", "value"},
-    "gaussian": {"kind", "mean", "target_entry_fraction", "sd", "snap_to_lattice"},
-    "explicit": {"kind", "values"},
-    "two_spike": {"kind", "q_low", "q_high", "mass_high"},
+    kind: {"kind", *(f.name for f in fields(cls))} for kind, cls in _INIT_TYPES.items()
 }
+# a gaussian may give its mean implicitly, as the start's expected entry fraction
+_INIT_KEYS["gaussian"].add("target_entry_fraction")
 _GRID_KEYS = {"q_min", "q_max", "n_cells"}
 _SOLVER_KEYS = {"output_interval", "cfl_safety"}
 
@@ -150,26 +146,19 @@ def _parse_model(raw: dict) -> ProbabilityModel:
         raise ConfigError(f"model: {exc}") from None
 
 
-def _parse_init(raw: dict, model: ProbabilityModel) -> dict:
-    """Validate the init section and resolve it to explicit numbers."""
-    section = _as_section(raw, "init")
-    kind = _as_str(_require(section, "kind", "init"), "init.kind")
-    if kind not in _INIT_KEYS:
-        raise ConfigError(f"init.kind: unknown initial condition {kind!r}")
-    _check_keys(section, _INIT_KEYS[kind], "init")
-    if kind == "all_equal":
-        return {"kind": kind, "value": _as_number(_require(section, "value", "init"), "init.value")}
-    if kind == "gaussian":
+def _init_fields(cls: type, section: dict, model: ProbabilityModel) -> dict:
+    """The init section's values for the fields of cls, type-checked and resolved."""
+    if cls is abm.Explicit:
+        values = _require(section, "values", "init")
+        # JSON gives a list, resolved() the dataclass's tuple
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError("init.values: expected a non-empty list of numbers")
+        return {"values": tuple(_as_number(v, "init.values") for v in values)}
+    if cls is abm.Gaussian:
         sd = _as_number(_require(section, "sd", "init"), "init.sd")
-        if not sd > 0:
-            raise ConfigError(f"init.sd: must be positive, got {sd}")
-        has_mean = "mean" in section
-        has_target = "target_entry_fraction" in section
-        if has_mean == has_target:
-            raise ConfigError(
-                "init: give exactly one of init.mean and init.target_entry_fraction"
-            )
-        if has_mean:
+        if ("mean" in section) == ("target_entry_fraction" in section):
+            raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
+        if "mean" in section:
             mean = _as_number(section["mean"], "init.mean")
         else:
             target = _as_number(section["target_entry_fraction"], "init.target_entry_fraction")
@@ -179,34 +168,32 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> dict:
                     "give init.mean instead"
                 )
             if not 0.0 < target < 1.0:
-                raise ConfigError(
-                    f"init.target_entry_fraction: must lie in (0, 1), got {target}"
-                )
+                raise ConfigError(f"init.target_entry_fraction: must lie in (0, 1), got {target}")
             mean = gaussian_mean_for_entry_fraction(model, sd, target)
-        return {
-            "kind": kind,
-            "mean": mean,
-            "sd": sd,
-            "snap_to_lattice": _as_bool(
-                section.get("snap_to_lattice", False), "init.snap_to_lattice"
-            ),
-        }
-    if kind == "explicit":
-        values = _require(section, "values", "init")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("init.values: expected a non-empty list of numbers")
-        return {
-            "kind": kind,
-            "values": [_as_number(v, "init.values") for v in values],
-        }
-    low = _as_number(_require(section, "q_low", "init"), "init.q_low")
-    high = _as_number(_require(section, "q_high", "init"), "init.q_high")
-    mass_high = _as_number(_require(section, "mass_high", "init"), "init.mass_high")
-    if not low < high:
-        raise ConfigError(f"init.q_low: must be below init.q_high, got {low} >= {high}")
-    if not 0.0 <= mass_high <= 1.0:
-        raise ConfigError(f"init.mass_high: must lie in [0, 1], got {mass_high}")
-    return {"kind": kind, "q_low": low, "q_high": high, "mass_high": mass_high}
+        snap = _as_bool(section.get("snap_to_lattice", False), "init.snap_to_lattice")
+        return {"mean": mean, "sd": sd, "snap_to_lattice": snap}
+    return {
+        f.name: _as_number(_require(section, f.name, "init"), f"init.{f.name}")
+        for f in fields(cls)
+    }
+
+
+def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
+    """Validate the init section and build its start state, with the mean resolved."""
+    section = _as_section(raw, "init")
+    kind = _as_str(_require(section, "kind", "init"), "init.kind")
+    if kind not in _INIT_TYPES:
+        raise ConfigError(f"init.kind: unknown initial condition {kind!r}")
+    _check_keys(section, _INIT_KEYS[kind], "init")
+    cls = _INIT_TYPES[kind]
+    # the fields are built inside the try because the gaussian mean solve
+    # is the first to see, and reject, a negative sd
+    try:
+        return cls(**_init_fields(cls, section, model))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"init: {exc}") from None
 
 
 def _parse_grid(raw: dict) -> GridSpec:
@@ -227,7 +214,7 @@ class RunConfig:
     engine: str
     params: GameParams
     model: ProbabilityModel
-    init: dict
+    init: abm.InitialCondition
     t_end: float
     seed: int
     replicas: int
@@ -238,33 +225,11 @@ class RunConfig:
     cfl_safety: float
     snapshot_times: tuple[float, ...]
 
-    def abm_init(self) -> abm.InitialCondition:
-        spec = self.init
-        kind = spec["kind"]
-        if kind == "all_equal":
-            return abm.AllEqual(spec["value"])
-        if kind == "gaussian":
-            return abm.Gaussian(spec["mean"], spec["sd"], spec["snap_to_lattice"])
-        if kind == "explicit":
-            return abm.Explicit(tuple(spec["values"]))
-        return abm.TwoSpike(spec["q_low"], spec["q_high"], spec["mass_high"])
-
     def initial_density(self) -> DensityGrid:
         """The init section realized as a unit-mass density on the pde grid."""
         if self.grid is None:
             raise ConfigError("grid: required for the pde engine")
-        spec = self.init
-        kind = spec["kind"]
-        if kind == "gaussian":
-            return gaussian_density(self.grid, spec["mean"], spec["sd"])
-        if kind == "two_spike":
-            return two_spike_density(self.grid, spec["q_low"], spec["q_high"], spec["mass_high"])
-        if kind == "explicit":
-            return histogram_density(self.grid, spec["values"])
-        centers = self.grid.centers()
-        values = np.zeros(self.grid.n_cells)
-        values[int(np.argmin(np.abs(centers - spec["value"])))] = 1.0 / self.grid.dq
-        return DensityGrid(self.grid, values)
+        return abm.initial_density(self.init, self.grid)
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""
@@ -283,7 +248,7 @@ class RunConfig:
                 "rule": self.params.rule.value,
             },
             "model": model,
-            "init": dict(self.init),
+            "init": {"kind": self.init.kind, **asdict(self.init)},
             "t_end": self.t_end,
             "seed": self.seed,
             "replicas": self.replicas,
@@ -369,11 +334,10 @@ def parse_config(raw: dict) -> RunConfig:
     if not 0 < cfl_safety <= 0.5:
         raise ConfigError(f"solver.cfl_safety: must lie in (0, 0.5], got {cfl_safety}")
 
-    if init["kind"] == "explicit" and engine in ("abm", "both"):
-        if len(init["values"]) != params.n_agents:
+    if isinstance(init, abm.Explicit) and engine in ("abm", "both"):
+        if len(init.values) != params.n_agents:
             raise ConfigError(
-                f"init.values: has {len(init['values'])} entries for "
-                f"{params.n_agents} agents"
+                f"init.values: has {len(init.values)} entries for {params.n_agents} agents"
             )
 
     return RunConfig(

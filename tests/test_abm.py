@@ -17,9 +17,7 @@ from entrydyn import (
     GridSpec,
     LearningRule,
     Logistic,
-    PopulationState,
     TwoSpike,
-    empirical_density,
     ensemble_run,
     enumerate_round,
     fit_exponential_decay,
@@ -27,6 +25,7 @@ from entrydyn import (
     simulate,
 )
 from entrydyn.abm import Gaussian, _moments, max_workers_from_env
+from entrydyn.grid import histogram_density
 
 from conftest import CountingLogistic, play_round, update_propensity
 
@@ -42,7 +41,7 @@ def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
 def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):
     """simulate() as a loop of rounds on fresh buffers, p evaluated apart for records."""
     rng = np.random.default_rng(seed)
-    q = init_population(params, init, rng).propensities
+    q = init_population(params, init, rng)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
     pending = sorted(snapshot_times)
     rows, snapshots = [], []
@@ -54,7 +53,7 @@ def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot
             a, b = float(p.mean()), float((p * (1.0 - p)).mean())
             while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
                 pending.pop(0)
-                snapshots.append((t, empirical_density(PopulationState(q, n), grid)))
+                snapshots.append((t, histogram_density(grid, q)))
         m_frac = math.nan
         if n < n_rounds:
             q, _, m = play_round(q, params, model, rng)
@@ -66,35 +65,32 @@ def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot
 
 class TestInitPopulation:
     def test_all_equal(self):
-        state = init_population(make_params(n=4, c=2), AllEqual(0.0), 0)
-        assert np.array_equal(state.propensities, np.zeros(4))
+        q = init_population(make_params(n=4, c=2), AllEqual(0.0), 0)
+        assert np.array_equal(q, np.zeros(4))
 
     def test_explicit(self):
-        state = init_population(make_params(n=2, c=1), Explicit((0.1, 0.2)), 0)
-        assert np.array_equal(state.propensities, [0.1, 0.2])
+        q = init_population(make_params(n=2, c=1), Explicit((0.1, 0.2)), 0)
+        assert np.array_equal(q, [0.1, 0.2])
 
     def test_explicit_wrong_length(self):
         with pytest.raises(ValueError):
             init_population(make_params(n=3, c=1), Explicit((0.1, 0.2)), 0)
 
-    def test_degenerate_gaussian(self):
-        state = init_population(make_params(n=5, c=2), Gaussian(0.0, 0.0), 0)
-        assert np.array_equal(state.propensities, np.zeros(5))
-
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            init_population(make_params(), Gaussian(0.0, -1.0), 0)
+    @pytest.mark.parametrize("sd", [0.0, -1.0])
+    def test_nonpositive_sd_rejected(self, sd):
+        with pytest.raises(ValueError, match="sd must be positive"):
+            Gaussian(0.0, sd)
 
     def test_lattice_snap(self):
         params = make_params(h=0.01)
-        state = init_population(params, Gaussian(0.3, 2.0, snap_to_lattice=True), 7)
-        steps = (state.propensities - 0.3) / params.payoff_scale
+        q = init_population(params, Gaussian(0.3, 2.0, snap_to_lattice=True), 7)
+        steps = (q - 0.3) / params.payoff_scale
         assert np.max(np.abs(steps - np.round(steps))) <= 1e-9
 
     def test_seed_reproducibility(self):
         a = init_population(make_params(), Gaussian(0.0, 1.0), 42)
         b = init_population(make_params(), Gaussian(0.0, 1.0), 42)
-        assert np.array_equal(a.propensities, b.propensities)
+        assert np.array_equal(a, b)
 
 
 class TestPlayRound:
@@ -110,7 +106,7 @@ class TestPlayRound:
     def test_binomial_entrant_count_statistics(self):
         # fixed state, repeated draws: m ~ Binomial(1000, 0.5)
         params = make_params()
-        q = init_population(params, AllEqual(0.0), 1).propensities
+        q = init_population(params, AllEqual(0.0), 1)
         rng = np.random.default_rng(99)
         ms = np.array([play_round(q, params, MODEL, rng)[2] for _ in range(10_000)])
         sd_exact = np.sqrt(1000 * 0.25)  # 15.81
@@ -134,7 +130,7 @@ class TestPlayRound:
         # fictitious rule from a common start: exactly two propensity values,
         # split by h, both computed from the same realized m
         params = make_params(n=200, c=100, rule=FICT)
-        q = init_population(params, AllEqual(0.0), 3).propensities
+        q = init_population(params, AllEqual(0.0), 3)
         new, _, m = play_round(q, params, MODEL, np.random.default_rng(3))
         values = np.unique(new)
         assert values.size == 2
@@ -144,7 +140,7 @@ class TestPlayRound:
 
     def test_outsiders_frozen_under_basic(self):
         params = make_params(n=200, c=100, rule=BASIC)
-        q = init_population(params, Gaussian(0.0, 1.0), 8).propensities
+        q = init_population(params, Gaussian(0.0, 1.0), 8)
         new, entered, m = play_round(q, params, MODEL, np.random.default_rng(8))
         assert np.array_equal(new[~entered], q[~entered])
         assert m == int(entered.sum())
@@ -172,7 +168,7 @@ class TestPlayRound:
         # overcrowding drives propensities negative; must be a hard error.
         # small baseline makes entry near-certain, so m > c on round one
         params = GameParams(4, 1, 0.1, 10, BASIC)
-        q = init_population(params, AllEqual(0.05), 0).propensities
+        q = init_population(params, AllEqual(0.05), 0)
         model = ErevRothRatio(0.01)
         rng = np.random.default_rng(2)
         with pytest.raises(DomainError, match="nonnegative"):
@@ -206,8 +202,8 @@ class TestEmpiricalMoments:
 class TestEmpiricalDensity:
     def test_point_mass(self):
         spec = GridSpec(-1.0, 1.0, 20)
-        state = PopulationState(np.full(50, 0.333), 0)
-        density = empirical_density(state, spec)
+        q = np.full(50, 0.333)
+        density = histogram_density(spec, q)
         k = int(np.argmin(np.abs(spec.centers() - 0.333)))
         assert density.values[k] == pytest.approx(1.0 / spec.dq, rel=1e-12)
         assert np.count_nonzero(density.values) == 1
@@ -215,21 +211,21 @@ class TestEmpiricalDensity:
     def test_unit_mass(self):
         spec = GridSpec(-6.0, 6.0, 37)
         rng = np.random.default_rng(4)
-        state = PopulationState(rng.normal(0, 1.5, 400), 0)
-        assert empirical_density(state, spec).mass() == pytest.approx(1.0, abs=1e-12)
+        q = rng.normal(0, 1.5, 400)
+        assert histogram_density(spec, q).mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_equal_cohorts(self):
         spec = GridSpec(0.0, 1.0, 10)
-        state = PopulationState(np.array([0.15] * 30 + [0.75] * 30), 0)
-        density = empirical_density(state, spec)
+        q = np.array([0.15] * 30 + [0.75] * 30)
+        density = histogram_density(spec, q)
         assert density.values[1] == pytest.approx(1.0 / (2 * spec.dq), rel=1e-12)
         assert density.values[7] == pytest.approx(1.0 / (2 * spec.dq), rel=1e-12)
 
     def test_out_of_range_mass_warns_and_clips(self):
         spec = GridSpec(-1.0, 1.0, 8)
-        state = PopulationState(np.array([-5.0, 0.0, 7.0, 8.0]), 0)
+        q = np.array([-5.0, 0.0, 7.0, 8.0])
         with pytest.warns(UserWarning, match="outside"):
-            density = empirical_density(state, spec)
+            density = histogram_density(spec, q)
         assert density.mass() == pytest.approx(1.0, abs=1e-12)
         assert density.values[0] > 0 and density.values[-1] > 0
 
@@ -237,9 +233,9 @@ class TestEmpiricalDensity:
         # q_min + n_cells * dq rounds below q_max on this grid, so agents at
         # or beyond q_max must still land in the last cell
         spec = GridSpec(-4.362, 30.371, 1941)
-        state = PopulationState(np.array([0.0, spec.q_max, 40.0]), 0)
+        q = np.array([0.0, spec.q_max, 40.0])
         with pytest.warns(UserWarning, match="1 propensities outside"):
-            density = empirical_density(state, spec)
+            density = histogram_density(spec, q)
         assert density.mass() == pytest.approx(1.0, abs=1e-12)
         assert density.values[-1] == pytest.approx(2.0 / (3.0 * spec.dq), rel=1e-12)
 
@@ -256,7 +252,7 @@ class TestEmpiricalDensity:
         q = np.array(ends + [q_min + 0.5 * width])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            density = empirical_density(PopulationState(q, 0), spec)
+            density = histogram_density(spec, q)
         assert density.mass() == pytest.approx(1.0, abs=1e-12)
         assert density.values[0] > 0 and density.values[-1] > 0
 
@@ -277,7 +273,7 @@ class TestSimulate:
     def test_lattice_preserved_over_run(self):
         params = make_params(n=100, c=50, h=0.01)
         result = simulate(params, MODEL, AllEqual(0.3), t_end=0.05, seed=5)
-        steps = (result.final.propensities - 0.3) / params.payoff_scale
+        steps = (result.final - 0.3) / params.payoff_scale
         assert np.max(np.abs(steps - np.round(steps))) <= 1e-6
 
     def test_observable_bounds_and_m_frac(self):
@@ -294,7 +290,7 @@ class TestSimulate:
         r1 = simulate(params, MODEL, Gaussian(0.0, 1.0), t_end=0.1, seed=9)
         r2 = simulate(params, MODEL, Gaussian(0.0, 1.0), t_end=0.1, seed=9)
         assert np.array_equal(r1.series.a, r2.series.a)
-        assert np.array_equal(r1.final.propensities, r2.final.propensities)
+        assert np.array_equal(r1.final, r2.final)
 
     def test_snapshots_at_requested_times(self):
         params = make_params(n=100, c=50)
@@ -330,8 +326,7 @@ class TestSimulate:
         s = result.series
         for column, values in zip(rows.T, (s.t, s.a, s.b, s.m_frac)):
             assert column.tobytes() == values.tobytes()
-        assert result.final.propensities.tobytes() == ref_final.tobytes()
-        assert result.final.round_index == 30
+        assert result.final.tobytes() == ref_final.tobytes()
         assert [t for t, _ in result.snapshots] == [t for t, _ in ref_snaps]
         for (_, got), (_, ref) in zip(result.snapshots, ref_snaps):
             assert got.values.tobytes() == ref.values.tobytes()
@@ -365,14 +360,14 @@ class TestSimulate:
         capacity_frac=st.floats(0.0, 1.0),
         h=st.floats(0.005, 0.5),
         mean=st.floats(-3.0, 3.0),
-        sd=st.floats(0.0, 3.0),
+        sd=st.floats(0.0, 3.0, exclude_min=True),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_snapped_population_stays_on_lattice(self, rule, n, capacity_frac, h, mean, sd, seed):
         params = GameParams(n, max(1, round(capacity_frac * n)), h, 100, rule)
         init = Gaussian(mean, sd, snap_to_lattice=True)
         result = simulate(params, MODEL, init, 0.2, seed)
-        steps = (result.final.propensities - mean) / h
+        steps = (result.final - mean) / h
         assert np.max(np.abs(steps - np.round(steps))) <= 1e-6
 
     def test_point_start_aggregate_learning(self):

@@ -90,7 +90,7 @@ def test_criterion_2_simulator_matches_exact_law():
     # three symmetric agents: simulated entrant counts against the
     # enumerated distribution {1/8, 3/8, 3/8, 1/8} at the 99.9% level
     params = GameParams(3, 2, 0.1, 10, LearningRule.BASIC_REINFORCEMENT)
-    q = init_population(params, AllEqual(0.0), 0).propensities
+    q = init_population(params, AllEqual(0.0), 0)
     law = enumerate_round(q, params, MODEL)
     rng = np.random.default_rng(BASE_SEED)
     n_rounds = 100_000
@@ -135,7 +135,7 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
     fit_pde, target_pde = aggregate_learning_fit(pde_acceptance.series, PDE_PARAMS, c_pde)
 
     start_pop = init_population(ABM_BASIC_PARAMS, Gaussian(init_mean, 1.5), BASE_SEED)
-    c_abm = initial_learning_constant_from_propensities(start_pop.propensities, MODEL)
+    c_abm = initial_learning_constant_from_propensities(start_pop, MODEL)
     fit_abm, target_abm = aggregate_learning_fit(
         abm_basic_ensemble, ABM_BASIC_PARAMS, c_abm
     )

@@ -5,8 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entrydyn import ObservableSeries, oracle, read_json, read_series, write_json, write_series
+from entrydyn import (
+    ObservableSeries,
+    oracle,
+    parse_config,
+    read_json,
+    read_series,
+    simulate,
+    write_json,
+    write_series,
+)
 from entrydyn.cli import main
 
 GAME_SMALL = {
@@ -155,6 +166,104 @@ class TestRunCommands:
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out", init=init)
         with pytest.warns(UserWarning, match="1 propensities outside"):
             assert main(["pde", "--config", str(cfg)]) == 0
+
+
+@st.composite
+def valid_configs(draw):
+    """Raw configs that parse: every init kind, both models where allowed."""
+    engine = draw(st.sampled_from(["abm", "pde", "both"]))
+    n = draw(st.integers(1, 30))
+    game = {
+        "n_agents": n,
+        "capacity": draw(st.integers(1, n)),
+        "payoff_scale": draw(st.floats(1e-3, 1.0)),
+        "rounds_per_unit": draw(st.integers(1, 200)),
+        "rule": draw(st.sampled_from(["basic_reinforcement", "fictitious_stochastic"])),
+    }
+    logistic = engine != "abm" or draw(st.booleans())
+    if logistic:
+        scale, center = draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0))
+        model = {"kind": "logistic", "scale": scale, "center": center}
+    else:
+        model = {"kind": "erev_roth_ratio", "baseline": draw(st.floats(0.5, 5.0))}
+    number = st.floats(-5.0, 5.0)
+    kind = draw(st.sampled_from(["all_equal", "gaussian", "explicit", "two_spike"]))
+    if kind == "all_equal":
+        init = {"kind": kind, "value": draw(number)}
+    elif kind == "gaussian":
+        init = {"kind": kind, "sd": draw(st.floats(0.1, 3.0))}
+        if logistic and draw(st.booleans()):
+            init["target_entry_fraction"] = draw(st.floats(0.05, 0.95))
+        else:
+            init["mean"] = draw(number)
+        if draw(st.booleans()):
+            init["snap_to_lattice"] = draw(st.booleans())
+    elif kind == "explicit":
+        init = {"kind": kind, "values": draw(st.lists(number, min_size=n, max_size=n))}
+    else:
+        low = draw(number)
+        init = {
+            "kind": kind,
+            "q_low": low,
+            "q_high": low + draw(st.floats(0.1, 5.0)),
+            "mass_high": draw(st.floats(0.0, 1.0)),
+        }
+    t_end = draw(st.floats(0.01, 10.0))
+    raw = {"engine": engine, "game": game, "model": model, "init": init, "t_end": t_end}
+    optional = {
+        "seed": st.integers(0, 2**64 - 1),
+        "replicas": st.integers(1, 8),
+        "record_stride": st.integers(1, 10),
+        "out_dir": st.text(min_size=1, max_size=8),
+        "grid": st.fixed_dictionaries(
+            {
+                "q_min": st.floats(-20.0, 0.0),
+                "q_max": st.floats(1.0, 20.0),
+                "n_cells": st.integers(2, 1000),
+            }
+        ),
+        "solver": st.fixed_dictionaries(
+            {"cfl_safety": st.floats(0.01, 0.5)}, optional={"output_interval": st.floats(1e-3, 1.0)}
+        ),
+        "snapshot_times": st.lists(st.floats(0.0, 10.0), max_size=4),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(strategy)
+    if raw.get("snapshot_times") and not logistic:
+        raw.setdefault("grid", {"q_min": 0.0, "q_max": 10.0, "n_cells": 50})
+    return raw
+
+
+class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=valid_configs())
+    def test_resolved_round_trip(self, raw):
+        cfg = parse_config(raw)
+        assert parse_config(cfg.resolved()) == cfg
+        # run.json holds the resolved form as JSON
+        assert parse_config(json.loads(json.dumps(cfg.resolved()))) == cfg
+
+    def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
+        # 0.0 is the face between cells 3 and 4 of this grid
+        cfg = parse_config(
+            {
+                "engine": "both",
+                "game": dict(GAME_SMALL),
+                "model": {"kind": "logistic"},
+                "init": {"kind": "all_equal", "value": 0.0},
+                "grid": {"q_min": -1.0, "q_max": 1.0, "n_cells": 8},
+                "t_end": 0.1,
+            }
+        )
+        result = simulate(
+            cfg.params, cfg.model, cfg.init, cfg.t_end, cfg.seed,
+            snapshot_times=(0.0,), snapshot_grid=cfg.grid,
+        )
+        (t0, agents), = result.snapshots
+        assert t0 == 0.0
+        density = cfg.initial_density()
+        assert np.flatnonzero(density.values).tolist() == np.flatnonzero(agents.values).tolist()
 
 
 class TestConfigRejection:
