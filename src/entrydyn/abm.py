@@ -136,25 +136,14 @@ def initial_density(init: InitialCondition, spec: GridSpec) -> DensityGrid:
     raise TypeError(f"unknown initial condition {init!r}")
 
 
-def _play_round(
-    q: np.ndarray,
-    p: np.ndarray,
-    params: GameParams,
-    rng: np.random.Generator,
-    work: np.ndarray,
-    entered: np.ndarray,
-) -> int:
-    """One round in place: draw entries against p, update q, return m.
+def _update(q: np.ndarray, entered: np.ndarray, params: GameParams, work: np.ndarray) -> int:
+    """Apply one round's learning rule to q in place and return m.
 
-    p must hold the entry probabilities of the pre-round q.  work (float)
-    and entered (bool) are caller-owned buffers of q's size; on return
-    entered holds the round's decisions and work is scratch.  The
-    arithmetic is that of q + gain * entered and
+    entered holds the round's decisions and work (float, q's size) is
+    scratch.  The arithmetic is that of q + gain * entered and
     q + gain - h * ~entered, operation for operation, so results are
     bit-identical to the allocating forms.
     """
-    rng.random(out=work)
-    np.less(work, p, out=entered)
     m = int(np.count_nonzero(entered))
     h = params.payoff_scale
     gain = h * (params.capacity - m)
@@ -201,10 +190,15 @@ def simulate(
     requests are realized at the first record time at or after the request
     (or at the final record for requests beyond t_end).
 
-    The run evaluates the probability model once per round, into a buffer
-    that both the record and the round's entry draws read, and updates
-    the propensities in place: no agent-sized float array is allocated
-    per round, except for a requested density snapshot.
+    A recorded round evaluates the probability model exactly once, into a
+    buffer that both the record and the round's entry draws read.  Other
+    rounds need p only through the draws u < p, and take them from
+    model.enters: for the logistic model that compares u with a fast
+    vectorised p and recomputes p exactly only for the agents whose draw
+    lies within core._TIE (2**-40) of it, so the decisions, and every
+    output, are bit-identical to comparing with the exact p.  Propensities
+    are updated in place: no agent-sized float array is allocated per
+    round, except for a requested density snapshot.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -230,8 +224,8 @@ def simulate(
     for n in range(n_rounds + 1):
         t = n * params.tau
         is_record = (n % record_stride == 0) or (n == n_rounds)
-        model.prob(q, out=p)
         if is_record:
+            model.prob(q, out=p)
             a, b = _moments(p, work)
             rec_t.append(t)
             rec_a.append(a)
@@ -240,7 +234,13 @@ def simulate(
                 pending.pop(0)
                 snapshots.append((t, histogram_density(snapshot_grid, q)))
         if n < n_rounds:
-            m = _play_round(q, p, params, rng, work, entered)
+            rng.random(out=work)
+            if is_record:
+                np.less(work, p, out=entered)
+            else:
+                # p is free on this round and serves as the scratch array
+                model.enters(q, work, entered, p)
+            m = _update(q, entered, params, work)
             if is_record:
                 rec_m.append(m / params.n_agents)
         elif is_record:

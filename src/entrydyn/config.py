@@ -14,6 +14,7 @@ and the density engine takes `abm.initial_density` of it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args
@@ -75,7 +76,14 @@ def _require(section: dict, key: str, where: str):
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # Python's JSON reader accepts NaN and Infinity, and reads 1e400 as inf
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, where: str) -> int:

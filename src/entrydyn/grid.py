@@ -124,15 +124,17 @@ def histogram_density(spec: GridSpec, points) -> DensityGrid:
 
 
 def two_spike_density(spec: GridSpec, q_low: float, q_high: float, mass_high: float) -> DensityGrid:
-    """All mass in the two cells nearest q_low and q_high (a sorted state)."""
+    """All mass in the two cells holding q_low and q_high (a sorted state).
+
+    Each spike goes to the cell histogram_density bins it into, so a spike
+    on a cell face starts in the same cell as the agent engine's snapshot.
+    """
     if not 0.0 <= mass_high <= 1.0:
         raise ValueError(f"mass_high must lie in [0, 1], got {mass_high}")
     if not (spec.q_min < q_low < q_high < spec.q_max):
         raise ValueError("spike positions must be distinct interior points")
     values = np.zeros(spec.n_cells)
-    centers = spec.centers()
-    k_low = int(np.argmin(np.abs(centers - q_low)))
-    k_high = int(np.argmin(np.abs(centers - q_high)))
+    k_low, k_high = (int(np.argmax(histogram_density(spec, [q]).values)) for q in (q_low, q_high))
     if k_low == k_high:
         raise ValueError("spike positions fall in the same cell; refine the grid")
     values[k_low] = (1.0 - mass_high) / spec.dq

@@ -30,7 +30,7 @@ from entrydyn import (
     simulate,
     solve,
 )
-from entrydyn.abm import Gaussian, _play_round
+from entrydyn.abm import Gaussian, _update
 
 MODEL = Logistic(scale=1.0, center=0.0)
 GRID = GridSpec(-12.0, 12.0, 800)
@@ -75,12 +75,12 @@ REPLICAS = 8
 
 @dataclass(frozen=True)
 class CountingLogistic(Logistic):
-    """Logistic that records whether each prob call wrote into a buffer."""
+    """Logistic that records each prob call as (number of propensities, wrote into a buffer)."""
 
     calls: list = field(default_factory=list, compare=False)
 
     def prob(self, q, out=None):
-        self.calls.append(out is not None)
+        self.calls.append((np.size(q), out is not None))
         return super().prob(q, out=out)
 
 
@@ -111,9 +111,14 @@ def update_propensity(q: float, entered: bool, m: int, params: GameParams) -> fl
 
 
 def play_round(q, params, model, rng):
-    """abm._play_round on a copy of q with fresh buffers: (new q, entered, m)."""
-    q_next, entered = np.array(q, dtype=float), np.empty(len(q), dtype=bool)
-    m = _play_round(q_next, model.prob(q_next), params, rng, np.empty_like(q_next), entered)
+    """One round on a copy of q, drawn against the exact p: (new q, entered, m).
+
+    The decisions are u < model.prob(q) on fresh arrays, and abm._update
+    applies the rule, so this is the reference for simulate's draws.
+    """
+    q_next = np.array(q, dtype=float)
+    entered = rng.random(q_next.size) < model.prob(q_next)
+    m = _update(q_next, entered, params, np.empty_like(q_next))
     return q_next, entered, m
 
 

@@ -24,6 +24,7 @@ from entrydyn import (
     init_population,
     simulate,
 )
+from entrydyn import core
 from entrydyn.abm import Gaussian, _moments, max_workers_from_env
 from entrydyn.grid import histogram_density
 
@@ -308,15 +309,8 @@ class TestSimulate:
         for _, density in result.snapshots:
             assert density.mass() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("record_stride", [1, 3])
-    @pytest.mark.parametrize(
-        "model, init",
-        [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
-        ids=["logistic", "ratio"],
-    )
-    @pytest.mark.parametrize("rule", [BASIC, FICT])
-    def test_bit_identical_to_play_round_loop(self, rule, model, init, record_stride):
-        params = make_params(n=400, c=200, rule=rule)
+    @staticmethod
+    def assert_matches_play_round_loop(params, model, init, record_stride):
         grid = GridSpec(-8.0, 8.0, 64)
         snaps = (0.0, 0.1, 0.5)
         result = simulate(params, model, init, 0.3, 11, record_stride, snaps, grid)
@@ -332,12 +326,36 @@ class TestSimulate:
             assert got.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("record_stride", [1, 3])
+    @pytest.mark.parametrize(
+        "model, init",
+        [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
+        ids=["logistic", "ratio"],
+    )
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_bit_identical_to_play_round_loop(self, rule, model, init, record_stride):
+        params = make_params(n=400, c=200, rule=rule)
+        self.assert_matches_play_round_loop(params, model, init, record_stride)
+
+    @pytest.mark.parametrize("model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"])
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_forced_exact_recheck_is_bit_identical(self, monkeypatch, rule, model):
+        # every |u - p~| is at most 1, so every agent of every non-record
+        # round takes its decision from the exact path
+        monkeypatch.setattr(core, "_TIE", 1.0)
+        params = make_params(n=400, c=200, rule=rule)
+        self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
+
+    @pytest.mark.parametrize("record_stride", [1, 3])
     def test_one_probability_evaluation_per_round(self, record_stride):
+        # the exact p of the whole population is evaluated, into simulate's
+        # buffer, once per record and never on other rounds, which draw
+        # through model.enters
         model = CountingLogistic()
         params = make_params(n=50, c=25)
-        simulate(params, model, Gaussian(0.0, 1.0), 0.12, 2, record_stride)
-        assert len(model.calls) == 12 + 1
-        assert all(model.calls)
+        result = simulate(params, model, Gaussian(0.0, 1.0), 0.12, 2, record_stride)
+        n_records = len(result.series)
+        assert n_records == (13 if record_stride == 1 else 5)
+        assert [call for call in model.calls if call[0] == 50] == [(50, True)] * n_records
 
     def test_round_loop_allocates_no_agent_arrays(self):
         # the run holds q, p and work (8 bytes per agent each) and entered

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -244,14 +245,15 @@ class TestConfig:
         # run.json holds the resolved form as JSON
         assert parse_config(json.loads(json.dumps(cfg.resolved()))) == cfg
 
-    def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
-        # 0.0 is the face between cells 3 and 4 of this grid
+    @staticmethod
+    def start_cells(init):
+        """Occupied cells of the pde start and of the agents' t = 0 snapshot on an 8-cell grid."""
         cfg = parse_config(
             {
                 "engine": "both",
                 "game": dict(GAME_SMALL),
                 "model": {"kind": "logistic"},
-                "init": {"kind": "all_equal", "value": 0.0},
+                "init": init,
                 "grid": {"q_min": -1.0, "q_max": 1.0, "n_cells": 8},
                 "t_end": 0.1,
             }
@@ -262,8 +264,18 @@ class TestConfig:
         )
         (t0, agents), = result.snapshots
         assert t0 == 0.0
-        density = cfg.initial_density()
-        assert np.flatnonzero(density.values).tolist() == np.flatnonzero(agents.values).tolist()
+        return np.flatnonzero(cfg.initial_density().values).tolist(), np.flatnonzero(agents.values).tolist()
+
+    def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
+        # 0.0 is the face between cells 3 and 4 of this grid
+        pde, agents = self.start_cells({"kind": "all_equal", "value": 0.0})
+        assert pde == agents
+
+    def test_two_spike_start_on_cell_faces_is_the_same_cells_for_both_engines(self):
+        # -0.5 and 0.5 are the faces below cells 2 and 6 of this grid
+        init = {"kind": "two_spike", "q_low": -0.5, "q_high": 0.5, "mass_high": 0.5}
+        pde, agents = self.start_cells(init)
+        assert pde == agents == [2, 6]
 
 
 class TestConfigRejection:
@@ -346,6 +358,38 @@ class TestConfigRejection:
         assert main(["abm", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "init" in err and key in err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"init": {"kind": "all_equal", "value": math.nan}}, "init.value", id="nan-start"),
+            pytest.param({"init": {"kind": "gaussian", "mean": -math.inf, "sd": 1.0}}, "init.mean", id="inf-mean"),
+            pytest.param({"init": {"kind": "gaussian", "mean": 0.0, "sd": math.inf}}, "init.sd", id="inf-sd"),
+            pytest.param(
+                {"init": {"kind": "explicit", "values": [0.0] * 39 + [math.nan]}}, "init.values", id="nan-value"
+            ),
+            pytest.param(
+                {"init": {"kind": "two_spike", "q_low": -1.0, "q_high": math.inf, "mass_high": 0.5}},
+                "init.q_high",
+                id="inf-spike",
+            ),
+            pytest.param({"t_end": math.inf}, "t_end", id="inf-t_end"),
+            pytest.param({"t_end": 10**400}, "t_end", id="huge-int-t_end"),
+            pytest.param({"game": dict(GAME_SMALL, payoff_scale=math.inf)}, "game.payoff_scale", id="inf-h"),
+            pytest.param({"model": {"kind": "logistic", "center": math.nan}}, "model.center", id="nan-center"),
+            pytest.param(
+                {"grid": {"q_min": -8.0, "q_max": math.inf, "n_cells": 100}}, "grid.q_max", id="inf-grid"
+            ),
+            pytest.param({"snapshot_times": [math.nan]}, "snapshot_times", id="nan-snapshot"),
+        ],
+    )
+    def test_non_finite_number_is_named(self, tmp_path, capsys, overrides, key):
+        # json.dumps writes NaN and Infinity, which Python's JSON reader reads back
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_engine_subcommand_mismatch(self, tmp_path, capsys):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")

@@ -1,10 +1,14 @@
 import importlib
+import math
 import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrydyn
+from entrydyn import core
 from entrydyn import (
     DomainError,
     ErevRothRatio,
@@ -109,13 +113,76 @@ class TestProbabilityModels:
         assert np.all(np.diff(p) > 0)
         assert np.all(p >= 0) and np.all(p <= 1)
 
-    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), ErevRothRatio(1.5)])
+    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), ErevRothRatio(1.5), Logistic()])
     def test_prob_into_out_is_bit_identical(self, model):
         q = np.random.default_rng(12).uniform(0.0, 9.0, 257)
         buf = np.full_like(q, np.nan)
         result = model.prob(q, out=buf)
         assert result is buf
         assert buf.tobytes() == model.prob(q).tobytes()
+
+
+# the edges of exp's range, the centre and NaN, in units of the logistic's argument
+EXTREME_ARGS = [745.0, -745.0, 709.8, -709.8, 0.0, -0.0, math.inf, -math.inf, math.nan]
+LOGISTICS = st.builds(
+    Logistic,
+    scale=st.sampled_from([1.0, 0.7, 3.0, 0.05]),
+    center=st.sampled_from([0.0, -0.4, 2.5, 300.0]),
+)
+
+
+class TestEnters:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.one_of(LOGISTICS, st.builds(ErevRothRatio, st.floats(0.1, 10.0))),
+        agents=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-800.0, 800.0), st.sampled_from(EXTREME_ARGS)),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.one_of(st.none(), st.integers(-6, 6)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_equals_u_less_than_prob(self, model, agents):
+        # u is either a uniform draw or p moved by a few ulps, so the draws
+        # land inside the band where the fast and exact p can disagree
+        args = np.array([a for a, _, _ in agents])
+        if isinstance(model, Logistic):
+            q = model.center + model.scale * args
+        else:
+            # inf / (inf + baseline) is NaN with a warning on both paths
+            q = np.abs(np.where(np.isinf(args), 745.0, args))
+        p = model.prob(q)
+        u = np.array([
+            draw if ulps is None or np.isnan(pi) else pi + ulps * np.spacing(pi)
+            for pi, (_, draw, ulps) in zip(p, agents)
+        ])
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        out = np.empty(q.shape, dtype=bool)
+        assert model.enters(q, u, out, np.empty_like(q)) is out
+        assert out.tolist() == (u < p).tolist()
+
+    @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, -0.4)], ids=["standard", "affine"])
+    def test_fast_logistic_is_far_inside_the_tie_band(self, model):
+        q = model.center + model.scale * np.concatenate(
+            [np.linspace(-800.0, 800.0, 1_600_001), EXTREME_ARGS[:-1]]
+        )
+        fast = model._fast_prob(q, out=np.empty_like(q))
+        assert np.max(np.abs(fast - model.prob(q))) <= core._TIE / 1000
+
+    @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, -0.4)], ids=["standard", "affine"])
+    def test_exact_where_the_fast_logistic_errs(self, model):
+        # u = min(p, p~) puts the draw between the two values wherever they
+        # differ, so a decision taken from p~ alone would be wrong there
+        q = model.center + model.scale * np.linspace(-40.0, 40.0, 200_001)
+        p, fast = model.prob(q), model._fast_prob(q, out=np.empty_like(q))
+        u = np.minimum(np.minimum(p, fast), np.nextafter(1.0, 0.0))
+        fast_wrong = (u < fast) != (u < p)
+        assert np.count_nonzero(fast_wrong) > 100
+        out = model.enters(q, u, np.empty(q.shape, dtype=bool), np.empty_like(q))
+        assert np.array_equal(out, u < p)
 
 
 class TestPayoff:
