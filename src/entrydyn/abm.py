@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -258,13 +257,13 @@ def _replica_series(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return series.t, series.a, series.b, series.m_frac
 
 
-def max_workers_from_env(default: int = 1) -> int:
-    """Worker cap from ENTRYDYN_THREADS; invalid or unset values give default."""
+def max_workers_from_env() -> int:
+    """Worker cap from ENTRYDYN_THREADS; invalid or unset values give 1."""
     raw = os.environ.get("ENTRYDYN_THREADS", "")
     try:
         value = int(raw)
     except ValueError:
-        return default
+        return 1
     return max(1, value)
 
 
@@ -277,24 +276,17 @@ def ensemble_run(
     base_seed: int,
     record_stride: int = 1,
     n_workers: int = 1,
-    seeds: Sequence[int] | None = None,
 ) -> ObservableSeries:
     """Pointwise mean of n_replicas independent runs, replica i seeded base_seed + i.
 
     With two or more replicas the series carries the per-time standard
     errors of a and b (sample sd / sqrt(R)).  Results are identical for any
     worker count because replicas are keyed by seed, not by schedule.
-    An explicit seeds list (length n_replicas) overrides the base_seed
-    derivation; duplicate seeds are allowed and give duplicate replicas.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if seeds is None:
-        seeds = [base_seed + i for i in range(n_replicas)]
-    elif len(seeds) != n_replicas:
-        raise ValueError(f"seeds has {len(seeds)} entries for {n_replicas} replicas")
     jobs = [
-        (params, model, init, t_end, seed, record_stride) for seed in seeds
+        (params, model, init, t_end, base_seed + i, record_stride) for i in range(n_replicas)
     ]
     if n_workers > 1 and n_replicas > 1:
         with ProcessPoolExecutor(max_workers=min(n_workers, n_replicas)) as pool:

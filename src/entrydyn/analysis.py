@@ -122,10 +122,14 @@ def aggregate_learning_fit(
     """Fitted decay rate of |a - kappa| plus the predicted rate c_p * r.
 
     learning_constant is c_p = E[p' p] measured from the initial state.
+    A predicted rate that is not positive leaves no decay to compare with.
     """
+    predicted = learning_constant * params.r
+    if not predicted > 0:
+        raise FitError(f"predicted rate c_p * r = {predicted:g} is not positive")
     window = learning_window(series.t, series.a, params.kappa)
     fit = fit_exponential_decay(series.t, series.a, params.kappa, window)
-    return fit, learning_constant * params.r
+    return fit, predicted
 
 
 def sorting_fit(
@@ -210,8 +214,8 @@ def compare_series(
     def restrict(t: np.ndarray) -> np.ndarray:
         return t[(t >= lo - 1e-12) & (t <= hi + 1e-12)]
 
-    t1, t2 = restrict(first.t), restrict(second.t)
-    base = t1 if t1.size <= t2.size else t2
+    # the series that starts at lo has a record in the overlap; the other may have none
+    base = min((t for t in (restrict(first.t), restrict(second.t)) if t.size), key=len)
     y1 = np.interp(base, first.t, x1)
     y2 = np.interp(base, second.t, x2)
     diff = np.abs(y1 - y2)

@@ -26,7 +26,7 @@ from .analysis import (
     sorting_fit,
     within_factor,
 )
-from .config import ConfigError, RunConfig, _parse_game, load_config
+from .config import ConfigError, RunConfig, _as_number, _parse_game, load_config
 from .core import DomainError, GameParams, predicted_time_scales
 from .kinetic import SolverOptions, solve
 from .oracle import (
@@ -94,6 +94,8 @@ def _cmd_abm(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     if cfg.engine not in ("abm", "both"):
         raise ConfigError(f"engine: config selects {cfg.engine!r}; this subcommand runs abm")
+    if cfg.snapshot_times and cfg.replicas > 1:
+        raise ConfigError("snapshot_times: supported only for single-replica abm runs")
     out = Path(cfg.out_dir)
     if cfg.engine == "both":
         out = out / "abm"
@@ -119,8 +121,6 @@ def _cmd_abm(args: argparse.Namespace) -> int:
         series = result.series
         snapshot_names = _write_snapshots(out, result.snapshots)
     else:
-        if cfg.snapshot_times:
-            raise ConfigError("snapshot_times: supported only for single-replica abm runs")
         series = ensemble_run(
             cfg.params,
             cfg.model,
@@ -129,7 +129,7 @@ def _cmd_abm(args: argparse.Namespace) -> int:
             n_replicas=cfg.replicas,
             base_seed=cfg.seed,
             record_stride=cfg.record_stride,
-            n_workers=min(cfg.replicas, max_workers_from_env(1)),
+            n_workers=min(cfg.replicas, max_workers_from_env()),
         )
 
     runio.write_series(out / "series.csv", series)
@@ -170,14 +170,16 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_run_dir(run_dir: Path) -> tuple[dict, GameParams]:
+def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
+    """The game and the learning constant c_p of a finished run."""
     path = run_dir / "run.json"
     payload = runio.read_json(path)
     try:
         params = _parse_game(payload["config"]["game"])
+        learning_constant = _as_number(payload["learning_constant"], "learning_constant")
     except (KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: not a usable run record ({exc})") from None
-    return payload, params
+    return params, learning_constant
 
 
 def _fit_entry(fit, predicted: float, factor: float) -> dict:
@@ -196,10 +198,7 @@ def _fit_entry(fit, predicted: float, factor: float) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    payload, params = _load_run_dir(run_dir)
-    learning_constant = payload.get("learning_constant")
-    if learning_constant is None:
-        raise ConfigError(f"{run_dir / 'run.json'}: missing learning_constant")
+    params, learning_constant = _load_run_dir(run_dir)
     series = runio.read_series(run_dir / "series.csv")
 
     fits: dict = {"factor": args.factor, "epsilon": args.epsilon}

@@ -5,22 +5,27 @@ every diagnostic names the offending key, so a typo cannot silently fall
 back to a default. The resolved form (all defaults filled in) is what
 run.json echoes, and it parses back through load order unchanged.
 
-The init section parses straight into one of the `abm` initial-condition
-types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
-start from that one value: the agent engine draws its population from it
-and the density engine takes `abm.initial_density` of it.
+The game, model, grid and init sections each parse through the dataclass
+they build: its fields are the section's keys, a field without a default
+is a required key, and the field's annotation picks the reader of its
+value. The init section parses straight into one of the `abm`
+initial-condition types (`AllEqual`, `Gaussian`, `Explicit`,
+`TwoSpike`), and both engines start from that one value: the agent
+engine draws its population from it and the density engine takes
+`abm.initial_density` of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_type_hints
 
 from . import abm
-from .core import GameParams, LearningRule, Logistic, ErevRothRatio, ProbabilityModel
+from .core import GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec, default_grid, gaussian_mean_for_entry_fraction
 
 
@@ -46,18 +51,8 @@ _TOP_KEYS = {
 # top-level scalars that command-line flags may override
 OVERRIDABLE_KEYS = ("seed", "t_end", "replicas", "out_dir")
 
-_GAME_KEYS = {"n_agents", "capacity", "payoff_scale", "rounds_per_unit", "rule"}
-_MODEL_KEYS = {
-    "logistic": {"kind", "scale", "center"},
-    "erev_roth_ratio": {"kind", "baseline"},
-}
+_MODEL_TYPES = {cls.kind: cls for cls in get_args(ProbabilityModel)}
 _INIT_TYPES = {cls.kind: cls for cls in get_args(abm.InitialCondition)}
-_INIT_KEYS = {
-    kind: {"kind", *(f.name for f in fields(cls))} for kind, cls in _INIT_TYPES.items()
-}
-# a gaussian may give its mean implicitly, as the start's expected entry fraction
-_INIT_KEYS["gaussian"].add("target_entry_fraction")
-_GRID_KEYS = {"q_min", "q_max", "n_cells"}
 _SOLVER_KEYS = {"output_interval", "cfl_safety"}
 
 
@@ -92,6 +87,14 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_exact_int(value, where: str) -> int:
+    """An integer that a float holds exactly: the game and grid counts all become floats."""
+    number = _as_int(value, where)
+    if abs(number) > 2**53:
+        raise ConfigError(f"{where}: must not exceed 2**53 in magnitude")
+    return number
+
+
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: expected true/false, got {value!r}")
@@ -104,117 +107,121 @@ def _as_str(value, where: str) -> str:
     return value
 
 
+def _as_numbers(value, where: str) -> tuple[float, ...]:
+    # JSON gives a list, resolved() the dataclass's tuple
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{where}: expected a non-empty list of numbers")
+    return tuple(_as_number(v, where) for v in value)
+
+
+def _as_rule(value, where: str) -> LearningRule:
+    name = _as_str(value, where)
+    try:
+        return LearningRule(name)
+    except ValueError:
+        names = ", ".join(r.value for r in LearningRule)
+        raise ConfigError(f"{where}: {name!r} is not one of {names}") from None
+
+
 def _as_section(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected an object, got {value!r}")
     return value
 
 
+# the reader of a config value, by the annotation of the field it fills
+_READERS = {
+    int: _as_exact_int,
+    float: _as_number,
+    bool: _as_bool,
+    tuple[float, ...]: _as_numbers,
+}
+# resolving a class's string annotations costs about 60 us; the classes are fixed
+_annotations = cache(get_type_hints)
+
+
+def _field_names(cls: type, *extra: str) -> set[str]:
+    """The keys a config section for cls may hold: its fields, and extra."""
+    return {f.name for f in fields(cls)} | set(extra)
+
+
+def _kind(section: dict, types: dict[str, type], where: str, what: str) -> type:
+    kind = _as_str(_require(section, "kind", where), f"{where}.kind")
+    if kind not in types:
+        raise ConfigError(f"{where}.kind: unknown {what} {kind!r}")
+    return types[kind]
+
+
+def _build(cls: type, section: dict, where: str, **given):
+    """cls from the section's values for its fields, read by annotation.
+
+    given holds fields already read; fields the section omits take their
+    dataclass defaults, and a field without one is a required key.
+    """
+    types = _annotations(cls)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in values:
+            continue
+        if f.name in section:
+            values[f.name] = _READERS[types[f.name]](section[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{where}.{f.name}: required key is missing")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _parse_game(raw: dict) -> GameParams:
     section = _as_section(raw, "game")
-    _check_keys(section, _GAME_KEYS, "game")
-    rule_name = _as_str(_require(section, "rule", "game"), "game.rule")
-    try:
-        rule = LearningRule(rule_name)
-    except ValueError:
-        names = ", ".join(r.value for r in LearningRule)
-        raise ConfigError(f"game.rule: {rule_name!r} is not one of {names}") from None
-    try:
-        return GameParams(
-            n_agents=_as_int(_require(section, "n_agents", "game"), "game.n_agents"),
-            capacity=_as_int(_require(section, "capacity", "game"), "game.capacity"),
-            payoff_scale=_as_number(
-                _require(section, "payoff_scale", "game"), "game.payoff_scale"
-            ),
-            rounds_per_unit=_as_int(
-                _require(section, "rounds_per_unit", "game"), "game.rounds_per_unit"
-            ),
-            rule=rule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"game: {exc}") from None
+    _check_keys(section, _field_names(GameParams), "game")
+    # the rule is read before any number, so a bad rule is the first fault named
+    rule = _as_rule(_require(section, "rule", "game"), "game.rule")
+    return _build(GameParams, section, "game", rule=rule)
 
 
 def _parse_model(raw: dict) -> ProbabilityModel:
     section = _as_section(raw, "model")
-    kind = _as_str(_require(section, "kind", "model"), "model.kind")
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"model.kind: unknown model {kind!r}")
-    _check_keys(section, _MODEL_KEYS[kind], "model")
-    try:
-        if kind == "logistic":
-            return Logistic(
-                scale=_as_number(section.get("scale", 1.0), "model.scale"),
-                center=_as_number(section.get("center", 0.0), "model.center"),
-            )
-        return ErevRothRatio(
-            baseline=_as_number(section.get("baseline", 1.0), "model.baseline")
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-
-
-def _init_fields(cls: type, section: dict, model: ProbabilityModel) -> dict:
-    """The init section's values for the fields of cls, type-checked and resolved."""
-    if cls is abm.Explicit:
-        values = _require(section, "values", "init")
-        # JSON gives a list, resolved() the dataclass's tuple
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError("init.values: expected a non-empty list of numbers")
-        return {"values": tuple(_as_number(v, "init.values") for v in values)}
-    if cls is abm.Gaussian:
-        sd = _as_number(_require(section, "sd", "init"), "init.sd")
-        if ("mean" in section) == ("target_entry_fraction" in section):
-            raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
-        if "mean" in section:
-            mean = _as_number(section["mean"], "init.mean")
-        else:
-            target = _as_number(section["target_entry_fraction"], "init.target_entry_fraction")
-            if not isinstance(model, Logistic):
-                raise ConfigError(
-                    "init.target_entry_fraction: only solvable for the logistic model; "
-                    "give init.mean instead"
-                )
-            if not 0.0 < target < 1.0:
-                raise ConfigError(f"init.target_entry_fraction: must lie in (0, 1), got {target}")
-            mean = gaussian_mean_for_entry_fraction(model, sd, target)
-        snap = _as_bool(section.get("snap_to_lattice", False), "init.snap_to_lattice")
-        return {"mean": mean, "sd": sd, "snap_to_lattice": snap}
-    return {
-        f.name: _as_number(_require(section, f.name, "init"), f"init.{f.name}")
-        for f in fields(cls)
-    }
+    cls = _kind(section, _MODEL_TYPES, "model", "model")
+    _check_keys(section, _field_names(cls, "kind"), "model")
+    return _build(cls, section, "model")
 
 
 def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     """Validate the init section and build its start state, with the mean resolved."""
     section = _as_section(raw, "init")
-    kind = _as_str(_require(section, "kind", "init"), "init.kind")
-    if kind not in _INIT_TYPES:
-        raise ConfigError(f"init.kind: unknown initial condition {kind!r}")
-    _check_keys(section, _INIT_KEYS[kind], "init")
-    cls = _INIT_TYPES[kind]
-    # the fields are built inside the try because the gaussian mean solve
-    # is the first to see, and reject, a negative sd
+    cls = _kind(section, _INIT_TYPES, "init", "initial condition")
+    if cls is not abm.Gaussian:
+        _check_keys(section, _field_names(cls, "kind"), "init")
+        return _build(cls, section, "init")
+    # a gaussian may give its mean implicitly, as the start's expected entry fraction
+    _check_keys(section, _field_names(cls, "kind", "target_entry_fraction"), "init")
+    sd = _as_number(_require(section, "sd", "init"), "init.sd")
+    if ("mean" in section) == ("target_entry_fraction" in section):
+        raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
+    if "mean" in section:
+        return _build(cls, section, "init")
+    target = _as_number(section["target_entry_fraction"], "init.target_entry_fraction")
+    if not isinstance(model, Logistic):
+        raise ConfigError(
+            "init.target_entry_fraction: only solvable for the logistic model; "
+            "give init.mean instead"
+        )
+    if not 0.0 < target < 1.0:
+        raise ConfigError(f"init.target_entry_fraction: must lie in (0, 1), got {target}")
     try:
-        return cls(**_init_fields(cls, section, model))
-    except ConfigError:
-        raise
+        # the mean solve is the first to see, and reject, a negative sd
+        mean = gaussian_mean_for_entry_fraction(model, sd, target)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from None
+    return _build(cls, section, "init", mean=mean)
 
 
 def _parse_grid(raw: dict) -> GridSpec:
     section = _as_section(raw, "grid")
-    _check_keys(section, _GRID_KEYS, "grid")
-    try:
-        return GridSpec(
-            q_min=_as_number(_require(section, "q_min", "grid"), "grid.q_min"),
-            q_max=_as_number(_require(section, "q_max", "grid"), "grid.q_max"),
-            n_cells=_as_int(_require(section, "n_cells", "grid"), "grid.n_cells"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    _check_keys(section, _field_names(GridSpec), "grid")
+    return _build(GridSpec, section, "grid")
 
 
 @dataclass(frozen=True)
@@ -241,21 +248,10 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""
-        model: dict = {}
-        if isinstance(self.model, Logistic):
-            model = {"kind": "logistic", "scale": self.model.scale, "center": self.model.center}
-        else:
-            model = {"kind": "erev_roth_ratio", "baseline": self.model.baseline}
         out: dict = {
             "engine": self.engine,
-            "game": {
-                "n_agents": self.params.n_agents,
-                "capacity": self.params.capacity,
-                "payoff_scale": self.params.payoff_scale,
-                "rounds_per_unit": self.params.rounds_per_unit,
-                "rule": self.params.rule.value,
-            },
-            "model": model,
+            "game": {**asdict(self.params), "rule": self.params.rule.value},
+            "model": {"kind": self.model.kind, **asdict(self.model)},
             "init": {"kind": self.init.kind, **asdict(self.init)},
             "t_end": self.t_end,
             "seed": self.seed,
@@ -265,11 +261,7 @@ class RunConfig:
             "snapshot_times": list(self.snapshot_times),
         }
         if self.grid is not None:
-            out["grid"] = {
-                "q_min": self.grid.q_min,
-                "q_max": self.grid.q_max,
-                "n_cells": self.grid.n_cells,
-            }
+            out["grid"] = asdict(self.grid)
         solver: dict = {"cfl_safety": self.cfl_safety}
         if self.output_interval is not None:
             solver["output_interval"] = self.output_interval

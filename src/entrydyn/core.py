@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit
@@ -65,7 +66,8 @@ class GameParams:
     payoff_scale    h, payoff and learning step per unit of unfilled capacity
     rounds_per_unit M, rounds per unit of model time
     rule            learning rule applied between rounds
-    outside_payoff  v, payoff for staying out; fixed to zero
+
+    The outside payoff, for staying out, is fixed at 0.
     """
 
     n_agents: int
@@ -73,7 +75,6 @@ class GameParams:
     payoff_scale: float
     rounds_per_unit: int
     rule: LearningRule
-    outside_payoff: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -90,8 +91,6 @@ class GameParams:
             raise ValueError(
                 f"rounds_per_unit must be positive, got {self.rounds_per_unit}"
             )
-        if self.outside_payoff != 0.0:
-            raise ValueError("outside_payoff is fixed to zero in this model")
         if not isinstance(self.rule, LearningRule):
             raise TypeError(f"rule must be a LearningRule, got {self.rule!r}")
 
@@ -119,6 +118,7 @@ class Logistic:
     p'(q) = p(1-p)/scale is exposed because the mean-field solver needs it.
     """
 
+    kind: ClassVar[str] = "logistic"
     scale: float = 1.0
     center: float = 0.0
 
@@ -199,7 +199,8 @@ class ErevRothRatio:
     Negative propensities are a hard domain error; callers must not clamp.
     """
 
-    baseline: float
+    kind: ClassVar[str] = "erev_roth_ratio"
+    baseline: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.baseline > 0:

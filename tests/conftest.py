@@ -95,9 +95,10 @@ def _check_entrant_count(entered: bool, m: int, params: GameParams) -> None:
 def payoff(entered: bool, m: int, params: GameParams) -> float:
     """Payoff to one agent given its entry decision and the round's entrant count."""
     _check_entrant_count(entered, m, params)
+    # staying out pays the outside payoff, fixed at 0
     if not entered:
-        return params.outside_payoff
-    return params.outside_payoff + params.payoff_scale * (params.capacity - m)
+        return 0.0
+    return params.payoff_scale * (params.capacity - m)
 
 
 def update_propensity(q: float, entered: bool, m: int, params: GameParams) -> float:

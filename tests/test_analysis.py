@@ -214,6 +214,17 @@ class TestCompareSeries:
         with pytest.raises(ValueError, match="missing"):
             compare_series(series, series, column="m_frac")
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_series_without_a_record_in_the_overlap(self, swap):
+        # the overlap is [0.2, 0.8]: only the second series has records in it
+        first = ObservableSeries(t=np.array([0.0, 1.0]), a=np.array([0.0, 1.0]), b=np.zeros(2))
+        t = np.array([0.2, 0.5, 0.8])
+        second = ObservableSeries(t=t, a=t + 0.01, b=np.zeros(3))
+        pair = (second, first) if swap else (first, second)
+        result = compare_series(*pair, column="a")
+        assert result.n_points == 3
+        assert result.sup_norm == pytest.approx(0.01, abs=1e-12)
+
     def test_disjoint_spans_rejected(self):
         base = decay_series(t_end=1.0)
         late = ObservableSeries(t=base.t + 5.0, a=base.a, b=base.b)

@@ -278,7 +278,49 @@ class TestConfig:
         assert pde == agents == [2, 6]
 
 
+# one valid section of each kind; each key is spoiled in turn below
+SECTIONS = [
+    ("game", dict(GAME_SMALL)),
+    ("model", {"kind": "logistic", "scale": 1.0, "center": 0.0}),
+    ("model", {"kind": "erev_roth_ratio", "baseline": 1.0}),
+    ("grid", {"q_min": -8.0, "q_max": 8.0, "n_cells": 100}),
+    ("init", {"kind": "all_equal", "value": 0.5}),
+    ("init", {"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": False}),
+    ("init", {"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.0}),
+    ("init", {"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 0.5}),
+    ("init", {"kind": "explicit", "values": [0.1] * GAME_SMALL["n_agents"]}),
+]
+# a gaussian needs one of mean and target_entry_fraction: test_bad_init_section_is_named
+# covers dropping either
+OPTIONAL_KEYS = {"scale", "center", "baseline", "snap_to_lattice", "mean", "target_entry_fraction"}
+
+
+def spoiled_sections():
+    """Each section with one key given a value of the wrong type, or dropped if required."""
+    for name, section in SECTIONS:
+        for key, value in section.items():
+            if key == "kind":
+                continue
+            label = f"{section.get('kind', name)}.{key}"
+            bad = "yes" if isinstance(value, bool) else 3 if isinstance(value, str) else "1"
+            yield pytest.param(name, {**section, key: bad}, f"{name}.{key}", id=f"{label}-type")
+            if key not in OPTIONAL_KEYS:
+                dropped = {k: v for k, v in section.items() if k != key}
+                yield pytest.param(name, dropped, f"{name}.{key}", id=f"{label}-missing")
+
+
 class TestConfigRejection:
+    @pytest.mark.parametrize("name, section, key", spoiled_sections())
+    def test_bad_key_is_named_once(self, tmp_path, capsys, name, section, key):
+        overrides = {name: section}
+        if section.get("kind") == "erev_roth_ratio":
+            overrides["init"] = {"kind": "all_equal", "value": 1.0}
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count(key) == 1, err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_above_population(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "c.json",
@@ -391,6 +433,39 @@ class TestConfigRejection:
         assert key in err and "finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"game": dict(GAME_SMALL, n_agents=10**400)}, "game.n_agents", id="n_agents"),
+            pytest.param({"game": dict(GAME_SMALL, capacity=10**400)}, "game.capacity", id="capacity"),
+            pytest.param(
+                {"game": dict(GAME_SMALL, rounds_per_unit=10**400)}, "game.rounds_per_unit", id="rounds"
+            ),
+            pytest.param(
+                {"grid": {"q_min": -8.0, "q_max": 8.0, "n_cells": 10**400}}, "grid.n_cells", id="n_cells"
+            ),
+        ],
+    )
+    def test_integer_beyond_float_precision_is_named(self, tmp_path, capsys, overrides, key):
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "2**53" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_bound_is_2_to_the_53(self):
+        raw = {
+            "engine": "abm",
+            "game": dict(GAME_SMALL, n_agents=2**53),
+            "model": {"kind": "logistic"},
+            "init": {"kind": "all_equal", "value": 0.0},
+            "t_end": 0.1,
+        }
+        assert parse_config(raw).params.n_agents == 2**53
+        raw["game"]["n_agents"] = 2**53 + 1
+        with pytest.raises(ValueError, match=r"game\.n_agents: must not exceed 2\*\*53"):
+            parse_config(raw)
+
     def test_engine_subcommand_mismatch(self, tmp_path, capsys):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")
         assert main(["abm", "--config", str(cfg)]) == 2
@@ -406,6 +481,7 @@ class TestConfigRejection:
         )
         assert main(["abm", "--config", str(cfg)]) == 2
         assert "snapshot" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["abm", "--config", str(tmp_path / "nope.json")]) == 2
@@ -493,6 +569,30 @@ class TestAnalyze:
         assert "error" in fits["sorting"]
         assert fits["pass"] is None
         assert "fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("learning_constant", [0.0, -0.1])
+    def test_nonpositive_predicted_rate_is_a_fit_error(self, tmp_path, capsys, learning_constant):
+        # a series that decays cleanly, against a run record predicting no decay
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir)
+        record = read_json(run_dir / "run.json")
+        write_json(run_dir / "run.json", dict(record, learning_constant=learning_constant))
+        assert main(["analyze", str(run_dir)]) == 3
+        fits = read_json(run_dir / "fits.json")
+        assert "not positive" in fits["aggregate_learning"]["error"]
+        assert fits["aggregate_learning"]["predicted_rate"] == learning_constant * 1000.0
+        assert fits["pass"] is None
+        assert "aggregate-learning fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("learning_constant", ["0.1", None, [0.1]])
+    def test_non_numeric_learning_constant_is_config_error(self, tmp_path, capsys, learning_constant):
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir)
+        record = read_json(run_dir / "run.json")
+        write_json(run_dir / "run.json", dict(record, learning_constant=learning_constant))
+        assert main(["analyze", str(run_dir)]) == 2
+        assert "learning_constant" in capsys.readouterr().err
+        assert not (run_dir / "fits.json").exists()
 
     def test_missing_run_json_is_config_error(self, tmp_path):
         run_dir = tmp_path / "empty"

@@ -55,8 +55,6 @@ class TestGameParams:
             make_params(h=-0.01)
         with pytest.raises(ValueError):
             make_params(m=0)
-        with pytest.raises(ValueError):
-            GameParams(10, 5, 0.1, 10, BASIC, outside_payoff=0.5)
 
     def test_rule_must_be_enum(self):
         with pytest.raises(TypeError):
