@@ -21,19 +21,6 @@ from .core import GameParams, LearningRule, ProbabilityModel
 from .grid import DensityGrid, GridSpec, gaussian_density, histogram_density, two_spike_density
 from .observables import ObservableSeries
 
-__all__ = [
-    "AllEqual",
-    "Explicit",
-    "Gaussian",
-    "InitialCondition",
-    "SimulationResult",
-    "TwoSpike",
-    "ensemble_run",
-    "init_population",
-    "initial_density",
-    "simulate",
-]
-
 
 @dataclass(frozen=True)
 class AllEqual:

@@ -14,25 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameParams, ProbabilityModel
+from .core import GameParams, ProbabilityModel, aggregate_learning_rate, predicted_time_scales, sorting_rate
 from .grid import DensityGrid
 from .observables import ObservableSeries
-
-__all__ = [
-    "ComparisonResult",
-    "DecayFit",
-    "FitError",
-    "MIN_FIT_POINTS",
-    "aggregate_learning_fit",
-    "compare_series",
-    "fit_exponential_decay",
-    "initial_learning_constant",
-    "initial_learning_constant_from_propensities",
-    "learning_window",
-    "moment_ode_a",
-    "sorting_fit",
-    "within_factor",
-]
 
 MIN_FIT_POINTS = 5
 
@@ -124,7 +108,7 @@ def aggregate_learning_fit(
     learning_constant is c_p = E[p' p] measured from the initial state.
     A predicted rate that is not positive leaves no decay to compare with.
     """
-    predicted = learning_constant * params.r
+    predicted = aggregate_learning_rate(params, learning_constant)
     if not predicted > 0:
         raise FitError(f"predicted rate c_p * r = {predicted:g} is not positive")
     window = learning_window(series.t, series.a, params.kappa)
@@ -148,7 +132,7 @@ def sorting_fit(
     else:
         crossed = np.nonzero(gap < epsilon * gap[0])[0]
         if crossed.size == 0:
-            needed = 3.0 * 2.0 / (params.r * params.payoff_scale)
+            needed = 3.0 * predicted_time_scales(params).sorting
             raise FitError(
                 "aggregate learning never completed within the series "
                 f"(|a - kappa| stayed above {epsilon:.0%} of its start); "
@@ -156,7 +140,7 @@ def sorting_fit(
             )
         t_open = float(t[crossed[0]])
     fit = fit_exponential_decay(t, series.b, 0.0, (t_open, float(t[-1])))
-    predicted = params.r * params.payoff_scale / 2.0
+    predicted = sorting_rate(params)
     return fit, predicted
 
 
@@ -170,7 +154,8 @@ def within_factor(rate: float, predicted: float, factor: float = 2.0) -> bool:
 def moment_ode_a(t, a0: float, params: GameParams, learning_constant: float) -> np.ndarray:
     """Closed-form entry fraction a(t) = kappa + (a0 - kappa) e^{-c_p r t}."""
     t = np.asarray(t, dtype=float)
-    return params.kappa + (a0 - params.kappa) * np.exp(-learning_constant * params.r * t)
+    rate = aggregate_learning_rate(params, learning_constant)
+    return params.kappa + (a0 - params.kappa) * np.exp(-rate * t)
 
 
 def initial_learning_constant(density: DensityGrid, model: ProbabilityModel) -> float:

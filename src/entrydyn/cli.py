@@ -10,7 +10,9 @@ failure inside a run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .analysis import (
     within_factor,
 )
 from .config import ConfigError, RunConfig, _as_number, _parse_game, load_config
-from .core import DomainError, GameParams, predicted_time_scales
+from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
 from .kinetic import SolverOptions, solve
 from .oracle import (
     MAX_AGENTS,
@@ -40,6 +42,25 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+
+def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
+    """argparse type: a float in [low, high), or (low, high) unless closed; NaN is in neither.
+
+    argparse names the flag of a bad value, and main exits 2 before the subcommand runs.
+    """
+    interval = f"{'[' if closed else '('}{low:g}, {high:g})"
+
+    def number(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (low <= value < high if closed else low < value < high):
+            raise argparse.ArgumentTypeError(f"expected a number in {interval}, got {text!r}")
+        return value
+
+    return number
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -81,8 +102,8 @@ def _run_payload(
         },
         "learning_constant": learning_constant,
         "predicted_rates": {
-            "aggregate_learning": learning_constant * p.r,
-            "sorting": p.r * p.payoff_scale / 2.0,
+            "aggregate_learning": aggregate_learning_rate(p, learning_constant),
+            "sorting": sorting_rate(p),
         },
         "seed": cfg.seed,
         "n_records": n_records,
@@ -170,15 +191,20 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
-    """The game and the learning constant c_p of a finished run."""
-    path = run_dir / "run.json"
-    payload = runio.read_json(path)
+@contextmanager
+def _run_record(path: Path):
+    """The payload of a run.json; a missing or mistyped field read from it is a ConfigError."""
     try:
-        params = _parse_game(payload["config"]["game"])
-        learning_constant = _as_number(payload["learning_constant"], "learning_constant")
+        yield runio.read_json(path)
     except (KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: not a usable run record ({exc})") from None
+
+
+def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
+    """The game and the learning constant c_p of a finished run."""
+    with _run_record(run_dir / "run.json") as record:
+        params = _parse_game(record["config"]["game"])
+        learning_constant = _as_number(record["learning_constant"], "learning_constant")
     return params, learning_constant
 
 
@@ -211,7 +237,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fit_al = None
         fits["aggregate_learning"] = {
             "error": str(exc),
-            "predicted_rate": learning_constant * params.r,
+            "predicted_rate": aggregate_learning_rate(params, learning_constant),
         }
         errors.append(f"aggregate-learning fit: {exc}")
 
@@ -222,7 +248,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fit_s = None
         fits["sorting"] = {
             "error": str(exc),
-            "predicted_rate": params.r * params.payoff_scale / 2.0,
+            "predicted_rate": sorting_rate(params),
         }
         errors.append(f"sorting fit: {exc}")
 
@@ -230,7 +256,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ratio = fit_s.tau / fit_al.tau
         fits["time_scale_separation"] = {
             "fitted_ratio": ratio,
-            "predicted_ratio": 2.0 / params.payoff_scale,
+            "predicted_ratio": predicted_time_scales(params).separation,
             "minimum": args.min_ratio,
             "pass": ratio >= args.min_ratio,
         }
@@ -298,8 +324,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"max_agents: must be >= 1, got {args.max_agents}")
     if args.instances < 1:
         raise ConfigError(f"instances: must be >= 1, got {args.instances}")
-    if args.tolerance < 0:
-        raise ConfigError(f"tolerance: must be >= 0, got {args.tolerance}")
 
     rng = np.random.default_rng(args.seed)
     worst_law = 0.0
@@ -339,7 +363,8 @@ def _cmd_make_plots(args: argparse.Namespace) -> int:
     kappa = None
     run_json = run_dir / "run.json"
     if run_json.is_file():
-        kappa = runio.read_json(run_json).get("derived", {}).get("kappa")
+        with _run_record(run_json) as record:
+            kappa = _as_number(record["derived"]["kappa"], "derived.kappa")
 
     lines = [_PLOT_HEADER]
     lines.append("set output 'entry_fraction.png'")
@@ -396,9 +421,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="fit decay time scales from a finished run")
     p_an.add_argument("run_dir", help="directory holding series.csv and run.json")
-    p_an.add_argument("--factor", type=float, default=2.0, help="pass band around predicted rates")
-    p_an.add_argument("--epsilon", type=float, default=0.05, help="learning-completion threshold")
-    p_an.add_argument("--min-ratio", type=float, default=20.0, help="required fitted time-scale ratio")
+    p_an.add_argument("--factor", type=_number_in(1.0), default=2.0, help="pass band around predicted rates")
+    p_an.add_argument(
+        "--epsilon", type=_number_in(0.0, 1.0, closed=False), default=0.05, help="learning-completion threshold"
+    )
+    p_an.add_argument(
+        "--min-ratio", type=_number_in(0.0, closed=False), default=20.0, help="required fitted time-scale ratio"
+    )
     p_an.add_argument("--out", default=None, help="directory for fits.json (default: run_dir)")
     p_an.set_defaults(handler=_cmd_analyze)
 
@@ -406,7 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("first", help="first series.csv")
     p_cmp.add_argument("second", help="second series.csv")
     p_cmp.add_argument("--column", choices=("a", "b"), default="a", help="column checked by --max-sup")
-    p_cmp.add_argument("--max-sup", type=float, default=None, help="fail (exit 1) if sup-norm exceeds this")
+    p_cmp.add_argument(
+        "--max-sup", type=_number_in(0.0), default=None, help="fail (exit 1) if sup-norm exceeds this"
+    )
     p_cmp.add_argument("--out", default=None, help="directory for compare.json (default: .)")
     p_cmp.set_defaults(handler=_cmd_compare)
 
@@ -414,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--instances", type=int, default=1000)
     p_or.add_argument("--max-agents", type=int, default=MAX_AGENTS)
     p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--tolerance", type=float, default=1e-12)
+    p_or.add_argument("--tolerance", type=_number_in(0.0), default=1e-12)
     p_or.set_defaults(handler=_cmd_oracle_check)
 
     p_plot = sub.add_parser("make-plots", help="emit a gnuplot script for a finished run")

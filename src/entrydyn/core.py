@@ -28,17 +28,6 @@ from scipy.special import expit
 # 2 * _TIE, so the exact path runs about once in 5e5 rounds at N = 10^6.
 _TIE = 2.0**-40
 
-__all__ = [
-    "DomainError",
-    "ErevRothRatio",
-    "GameParams",
-    "LearningRule",
-    "Logistic",
-    "ProbabilityModel",
-    "TimeScales",
-    "predicted_time_scales",
-]
-
 
 class DomainError(ValueError):
     """A propensity left the domain of the active probability model."""
@@ -246,10 +235,12 @@ class TimeScales:
 
     aggregate_learning  1/r: decay of the entry-fraction gap |a - kappa|
     sorting             2/(r*h): decay of the sorting coefficient b
+    separation          2/h: sorting over aggregate_learning
     """
 
     aggregate_learning: float
     sorting: float
+    separation: float
 
 
 def predicted_time_scales(params: GameParams) -> TimeScales:
@@ -257,4 +248,15 @@ def predicted_time_scales(params: GameParams) -> TimeScales:
     return TimeScales(
         aggregate_learning=1.0 / r,
         sorting=2.0 / (r * params.payoff_scale),
+        separation=2.0 / params.payoff_scale,
     )
+
+
+def aggregate_learning_rate(params: GameParams, learning_constant: float) -> float:
+    """Predicted decay rate c_p * r of |a - kappa|, c_p = E[p'(q) p(q)] at the start."""
+    return learning_constant * params.r
+
+
+def sorting_rate(params: GameParams) -> float:
+    """Predicted decay rate r*h/2 of the sorting coefficient b."""
+    return params.r * params.payoff_scale / 2.0

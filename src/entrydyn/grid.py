@@ -15,16 +15,6 @@ from scipy.optimize import brentq
 
 from .core import Logistic, ProbabilityModel
 
-__all__ = [
-    "DensityGrid",
-    "GridSpec",
-    "default_grid",
-    "gaussian_density",
-    "gaussian_mean_for_entry_fraction",
-    "histogram_density",
-    "two_spike_density",
-]
-
 # Nodes for Gauss-Hermite quadrature of E[g(Q)], Q standard normal.
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
@@ -79,9 +69,6 @@ class DensityGrid:
 
     def mass(self) -> float:
         return float(self.values.sum() * self.spec.dq)
-
-    def copy(self) -> "DensityGrid":
-        return DensityGrid(self.spec, self.values.copy())
 
 
 def default_grid(model: Logistic, half_width_scales: float = 12.0, n_cells: int = 800) -> GridSpec:

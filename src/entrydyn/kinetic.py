@@ -52,15 +52,6 @@ from .core import GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec
 from .observables import ObservableSeries
 
-__all__ = [
-    "PdeResult",
-    "SolverOptions",
-    "advective_dt",
-    "diffusion_coefficient",
-    "solve",
-    "step",
-]
-
 MASS_TOLERANCE = 1e-8
 NEGATIVITY_TOLERANCE = -1e-12
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObservableSeries"]
-
 _BOUND_SLOP = 1e-9
 
 

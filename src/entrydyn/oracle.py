@@ -18,11 +18,6 @@ import numpy as np
 
 from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel
 
-__all__ = [
-    "MAX_AGENTS", "DriftCheck", "RoundLaw", "enumerate_round",
-    "expected_drift_check", "poisson_binomial_pmf", "random_instance",
-]
-
 MAX_AGENTS = 12
 
 

@@ -83,22 +83,6 @@ def write_density(path: str | Path, density: DensityGrid) -> Path:
     return path
 
 
-def read_density(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "q,f":
-        raise ValueError(f"{path}: expected header 'q,f'")
-    q: list[float] = []
-    f: list[float] = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        q_part, f_part = line.split(",")
-        q.append(float(q_part))
-        f.append(float(f_part))
-    return np.asarray(q), np.asarray(f)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}

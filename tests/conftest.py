@@ -17,20 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from entrydyn import (
-    GameParams,
-    GridSpec,
-    LearningRule,
-    Logistic,
-    SolverOptions,
-    TwoSpike,
-    ensemble_run,
-    gaussian_density,
-    gaussian_mean_for_entry_fraction,
-    simulate,
-    solve,
-)
-from entrydyn.abm import Gaussian, _update
+from entrydyn.abm import Gaussian, TwoSpike, _update, ensemble_run, simulate
+from entrydyn.core import GameParams, LearningRule, Logistic
+from entrydyn.grid import GridSpec, gaussian_density, gaussian_mean_for_entry_fraction
+from entrydyn.kinetic import SolverOptions, solve
 
 MODEL = Logistic(scale=1.0, center=0.0)
 GRID = GridSpec(-12.0, 12.0, 800)

@@ -8,25 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logit
 
-from entrydyn import (
+from entrydyn import core
+from entrydyn.abm import (
     AllEqual,
-    DomainError,
-    ErevRothRatio,
     Explicit,
-    GameParams,
-    GridSpec,
-    LearningRule,
-    Logistic,
+    Gaussian,
     TwoSpike,
+    _moments,
     ensemble_run,
-    enumerate_round,
-    fit_exponential_decay,
     init_population,
+    max_workers_from_env,
     simulate,
 )
-from entrydyn import core
-from entrydyn.abm import Gaussian, _moments, max_workers_from_env
-from entrydyn.grid import histogram_density
+from entrydyn.analysis import fit_exponential_decay
+from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
+from entrydyn.grid import GridSpec, histogram_density
+from entrydyn.oracle import enumerate_round
 
 from conftest import CountingLogistic, play_round, update_propensity
 

@@ -15,31 +15,25 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from entrydyn import (
-    AllEqual,
-    GameParams,
-    GridSpec,
-    LearningRule,
-    ObservableSeries,
-    SolverOptions,
-    TwoSpike,
+from entrydyn.abm import AllEqual, Gaussian, TwoSpike, ensemble_run, init_population
+from entrydyn.analysis import (
     aggregate_learning_fit,
     compare_series,
-    ensemble_run,
-    enumerate_round,
-    expected_drift_check,
     initial_learning_constant,
     initial_learning_constant_from_propensities,
-    init_population,
-    poisson_binomial_pmf,
-    solve,
     sorting_fit,
-    two_spike_density,
     within_factor,
 )
-from entrydyn.abm import Gaussian
-from entrydyn.kinetic import _Stencil, diffusion_coefficient
-from entrydyn.oracle import random_instance
+from entrydyn.core import GameParams, LearningRule
+from entrydyn.grid import GridSpec, two_spike_density
+from entrydyn.kinetic import SolverOptions, _Stencil, diffusion_coefficient, solve
+from entrydyn.observables import ObservableSeries
+from entrydyn.oracle import (
+    enumerate_round,
+    expected_drift_check,
+    poisson_binomial_pmf,
+    random_instance,
+)
 
 from conftest import (
     ABM_BASIC_PARAMS,

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from entrydyn import (
+from entrydyn.analysis import (
     FitError,
-    GameParams,
-    LearningRule,
-    Logistic,
-    ObservableSeries,
+    MIN_FIT_POINTS,
     aggregate_learning_fit,
     compare_series,
     fit_exponential_decay,
-    gaussian_density,
     initial_learning_constant,
     initial_learning_constant_from_propensities,
+    learning_window,
     moment_ode_a,
     sorting_fit,
     within_factor,
 )
-from entrydyn.analysis import MIN_FIT_POINTS, learning_window
+from entrydyn.core import GameParams, LearningRule, Logistic
+from entrydyn.grid import gaussian_density
+from entrydyn.observables import ObservableSeries
 
 from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
 

@@ -9,17 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrydyn import (
-    ObservableSeries,
-    oracle,
-    parse_config,
-    read_json,
-    read_series,
-    simulate,
-    write_json,
-    write_series,
-)
+from entrydyn import oracle
+from entrydyn.abm import simulate
 from entrydyn.cli import main
+from entrydyn.config import parse_config
+from entrydyn.observables import ObservableSeries
+from entrydyn.runio import read_json, read_series, write_json, write_series
 
 GAME_SMALL = {
     "n_agents": 40,
@@ -683,9 +678,80 @@ class TestOracleCheck:
         assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("oracle-check", "--tolerance", "nan"),
+        ("oracle-check", "--tolerance", "-1e-12"),
+        ("analyze", "--factor", "nan"),
+        ("analyze", "--factor", "0.5"),
+        ("analyze", "--factor", "inf"),
+        ("analyze", "--epsilon", "nan"),
+        ("analyze", "--epsilon", "-1"),
+        ("analyze", "--epsilon", "0"),
+        ("analyze", "--epsilon", "1"),
+        ("analyze", "--min-ratio", "nan"),
+        ("analyze", "--min-ratio", "0"),
+        ("analyze", "--min-ratio", "two"),
+        ("compare", "--max-sup", "nan"),
+        ("compare", "--max-sup", "-1"),
+        ("compare", "--max-sup", "1e400"),
+    ],
+)
+def test_bad_numeric_flag_exits_2_before_any_write(tmp_path, capsys, command, flag, value):
+    run_dir = tmp_path / "run"
+    TestAnalyze.synthetic_run(run_dir)
+    out = tmp_path / "out"
+    series = str(run_dir / "series.csv")
+    args = {
+        "oracle-check": ["oracle-check", "--instances", "5"],
+        "analyze": ["analyze", str(run_dir), "--out", str(out)],
+        "compare": ["compare", series, series, "--out", str(out)],
+    }[command]
+    assert main(args + [flag, value]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (run_dir / "fits.json").exists()
+
+
 class TestMakePlots:
     def test_missing_series_is_config_error(self, tmp_path):
         assert main(["make-plots", str(tmp_path / "missing")]) == 2
+
+    @staticmethod
+    def run_dir_with(tmp_path, record):
+        t = np.linspace(0.0, 1.0, 20)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        write_series(run_dir / "series.csv", ObservableSeries(t=t, a=t, b=t / 4))
+        write_json(run_dir / "run.json", record)
+        return run_dir
+
+    def test_kappa_is_drawn_as_the_reference_line(self, tmp_path):
+        run_dir = self.run_dir_with(tmp_path, {"derived": {"kappa": 0.25}})
+        assert main(["make-plots", str(run_dir)]) == 0
+        assert ", 0.25 with lines" in (run_dir / "plots.gp").read_text()
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ([0.5], "list indices"),
+            ({"derived": [0.5]}, "list indices"),
+            ({"derived": {"kappa": "0.5); system('true'"}}, "derived.kappa"),
+            ({"derived": {"kappa": None}}, "derived.kappa"),
+            ({"derived": {"kappa": True}}, "derived.kappa"),
+            ({"derived": {}}, "kappa"),
+            ({}, "derived"),
+        ],
+        ids=["list-record", "list-derived", "string", "null", "bool", "no-kappa", "no-derived"],
+    )
+    def test_malformed_run_record_is_config_error(self, tmp_path, capsys, record, key):
+        run_dir = self.run_dir_with(tmp_path, record)
+        assert main(["make-plots", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'run.json'}: not a usable run record" in err
+        assert key in err
+        assert not (run_dir / "plots.gp").exists()
 
     def test_out_flag(self, tmp_path):
         t = np.linspace(0.0, 1.0, 20)

@@ -1,15 +1,17 @@
-import importlib
 import math
-import pkgutil
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import entrydyn
 from entrydyn import core
-from entrydyn import (
+from entrydyn.core import (
     DomainError,
     ErevRothRatio,
     GameParams,
@@ -263,16 +265,47 @@ class TestPredictedTimeScales:
             p = make_params(n=n, c=c, h=h, m=m)
             ts = predicted_time_scales(p)
             assert ts.sorting / ts.aggregate_learning == pytest.approx(2.0 / h, rel=1e-12)
+            assert ts.separation == 2.0 / h
             if h < 2.0:
                 assert ts.sorting > ts.aggregate_learning
 
 
-SUBMODULES = [m.name for m in pkgutil.iter_modules(entrydyn.__path__)]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("name", ["", *SUBMODULES])
-def test_every_exported_name_resolves(name):
-    # a name left in __all__ after its definition is deleted fails only on
-    # `from module import *`, which nothing else in the suite runs
-    module = importlib.import_module(f"entrydyn.{name}" if name else "entrydyn")
-    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+def test_readme_library_example_runs():
+    # the modules are the API; an example that imports a name from a module
+    # that does not define it fails here rather than for the reader
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(example, f"{README.name} (Library use)", "exec"), {})
+
+
+def test_each_module_imports_on_its_own():
+    # one interpreter, numpy and scipy loaded once; before each submodule
+    # every entrydyn module is dropped, so none leans on a sibling that the
+    # package or an earlier import happened to load
+    script = """
+import importlib, pkgutil, sys
+import numpy, scipy.linalg.lapack, scipy.optimize, scipy.special
+import entrydyn
+names = [m.name for m in pkgutil.iter_modules(entrydyn.__path__)]
+for name in names:
+    for key in [k for k in sys.modules if k.split(".")[0] == "entrydyn"]:
+        del sys.modules[key]
+    importlib.import_module("entrydyn." + name)
+print(" ".join(names))
+"""
+    src = str(Path(core.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = set(done.stdout.split())
+    assert imported >= {"abm", "analysis", "cli", "config", "core", "grid"}
+    assert imported >= {"kinetic", "observables", "oracle", "runio"}

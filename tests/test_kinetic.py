@@ -3,22 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrydyn import (
-    DensityGrid,
-    ErevRothRatio,
-    GameParams,
-    GridSpec,
-    LearningRule,
-    SolverOptions,
+from entrydyn.analysis import (
     fit_exponential_decay,
-    gaussian_density,
     initial_learning_constant,
-    solve,
+    learning_window,
     sorting_fit,
-    two_spike_density,
 )
-from entrydyn.analysis import learning_window
-from entrydyn.kinetic import _Stencil, advective_dt, diffusion_coefficient, step
+from entrydyn.core import ErevRothRatio, GameParams, LearningRule
+from entrydyn.grid import DensityGrid, GridSpec, gaussian_density, two_spike_density
+from entrydyn.kinetic import (
+    SolverOptions,
+    _Stencil,
+    advective_dt,
+    diffusion_coefficient,
+    solve,
+    step,
+)
 
 from conftest import GRID, MODEL, PDE_FICT_PARAMS, PDE_PARAMS
 

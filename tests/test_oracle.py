@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from entrydyn import (
-    DomainError,
-    ErevRothRatio,
-    GameParams,
-    LearningRule,
-    Logistic,
+from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
+from entrydyn.oracle import (
+    MAX_AGENTS,
     RoundLaw,
+    _patterns,
     enumerate_round,
     expected_drift_check,
     poisson_binomial_pmf,
+    random_instance,
 )
-from entrydyn.oracle import MAX_AGENTS, _patterns, random_instance
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
