@@ -30,7 +30,8 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, _as_number, _parse_game, load_config
 from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
-from .kinetic import SolverOptions, solve
+from .kinetic import solve
+from .observables import ObservableSeries
 from .oracle import (
     MAX_AGENTS,
     expected_drift_check,
@@ -63,35 +64,78 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
     return number
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "seed": args.seed,
-        "t_end": args.t_end,
-        "replicas": args.replicas,
-        "out_dir": args.out,
+def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
+    """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
+    # the start population serves c_p only; it is not kept through the run
+    learning_constant = initial_learning_constant_from_propensities(
+        init_population(cfg.game, cfg.init, cfg.seed), cfg.model
+    )
+    if cfg.replicas > 1:
+        series = ensemble_run(
+            cfg.game,
+            cfg.model,
+            cfg.init,
+            cfg.t_end,
+            n_replicas=cfg.replicas,
+            base_seed=cfg.seed,
+            record_stride=cfg.record_stride,
+            n_workers=min(cfg.replicas, max_workers_from_env()),
+        )
+        return learning_constant, series, [], {}
+    result = simulate(
+        cfg.game,
+        cfg.model,
+        cfg.init,
+        cfg.t_end,
+        cfg.seed,
+        record_stride=cfg.record_stride,
+        snapshot_times=cfg.snapshot_times,
+        snapshot_grid=cfg.grid,
+    )
+    return learning_constant, result.series, result.snapshots, {}
+
+
+def _pde_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
+    """c_p, the series and the snapshots of a density run, and its step statistics."""
+    f0 = cfg.initial_density()
+    learning_constant = initial_learning_constant(f0, cfg.model)
+    result = solve(f0, cfg.game, cfg.model, cfg.t_end, cfg.solver, cfg.snapshot_times)
+    stats = {
+        "mass_residual": result.max_mass_residual,
+        "n_steps": result.n_steps,
+        "dt_min": result.dt_min,
+        "dt_max": result.dt_max,
     }
+    return learning_constant, result.series, result.snapshots, stats
 
 
-def _write_snapshots(out: Path, snapshots) -> dict[str, str]:
-    names: dict[str, str] = {}
+def _cmd_run(args: argparse.Namespace) -> int:
+    """The abm and pde subcommands: one engine's run of a config, written to its out dir."""
+    engine = args.command
+    overrides = {"seed": args.seed, "t_end": args.t_end, "replicas": args.replicas, "out_dir": args.out}
+    cfg = load_config(args.config, overrides)
+    if cfg.engine not in (engine, "both"):
+        raise ConfigError(f"engine: config selects {cfg.engine!r}; this subcommand runs {engine}")
+    if engine == "abm" and cfg.snapshot_times and cfg.replicas > 1:
+        raise ConfigError("snapshot_times: supported only for single-replica abm runs")
+    out = Path(cfg.out_dir)
+    if cfg.engine == "both":
+        out = out / engine
+    out.mkdir(parents=True, exist_ok=True)
+
+    run = _abm_run if engine == "abm" else _pde_run
+    learning_constant, series, snapshots, stats = run(cfg)
+
+    runio.write_series(out / "series.csv", series)
+    snapshot_names: dict[str, str] = {}
     for t, density in snapshots:
         name = runio.density_filename(t)
         runio.write_density(out / name, density)
-        names[f"{t:.10g}"] = name
-    return names
-
-
-def _run_payload(
-    command: str,
-    cfg: RunConfig,
-    learning_constant: float,
-    n_records: int,
-    snapshot_names: dict[str, str],
-) -> dict:
-    p = cfg.params
+        snapshot_names[f"{t:.10g}"] = name
+    p = cfg.game
     scales = predicted_time_scales(p)
-    return {
-        "command": command,
+    payload = {
+        "command": engine,
         "config": cfg.resolved(),
         "derived": {
             "kappa": p.kappa,
@@ -106,88 +150,12 @@ def _run_payload(
             "sorting": sorting_rate(p),
         },
         "seed": cfg.seed,
-        "n_records": n_records,
+        "n_records": len(series),
         "snapshots": snapshot_names,
+        **stats,
     }
-
-
-def _cmd_abm(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    if cfg.engine not in ("abm", "both"):
-        raise ConfigError(f"engine: config selects {cfg.engine!r}; this subcommand runs abm")
-    if cfg.snapshot_times and cfg.replicas > 1:
-        raise ConfigError("snapshot_times: supported only for single-replica abm runs")
-    out = Path(cfg.out_dir)
-    if cfg.engine == "both":
-        out = out / "abm"
-    out.mkdir(parents=True, exist_ok=True)
-
-    # the start population serves c_p only; it is not kept through the run
-    learning_constant = initial_learning_constant_from_propensities(
-        init_population(cfg.params, cfg.init, cfg.seed), cfg.model
-    )
-
-    snapshot_names: dict[str, str] = {}
-    if cfg.replicas == 1:
-        result = simulate(
-            cfg.params,
-            cfg.model,
-            cfg.init,
-            cfg.t_end,
-            cfg.seed,
-            record_stride=cfg.record_stride,
-            snapshot_times=cfg.snapshot_times,
-            snapshot_grid=cfg.grid,
-        )
-        series = result.series
-        snapshot_names = _write_snapshots(out, result.snapshots)
-    else:
-        series = ensemble_run(
-            cfg.params,
-            cfg.model,
-            cfg.init,
-            cfg.t_end,
-            n_replicas=cfg.replicas,
-            base_seed=cfg.seed,
-            record_stride=cfg.record_stride,
-            n_workers=min(cfg.replicas, max_workers_from_env()),
-        )
-
-    runio.write_series(out / "series.csv", series)
-    payload = _run_payload("abm", cfg, learning_constant, len(series), snapshot_names)
     runio.write_json(out / "run.json", payload)
     print(f"wrote {out / 'series.csv'} ({len(series)} records)")
-    return EXIT_OK
-
-
-def _cmd_pde(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    if cfg.engine not in ("pde", "both"):
-        raise ConfigError(f"engine: config selects {cfg.engine!r}; this subcommand runs pde")
-    out = Path(cfg.out_dir)
-    if cfg.engine == "both":
-        out = out / "pde"
-    out.mkdir(parents=True, exist_ok=True)
-
-    f0 = cfg.initial_density()
-    learning_constant = initial_learning_constant(f0, cfg.model)
-    options = SolverOptions(
-        t_end=cfg.t_end,
-        output_interval=cfg.output_interval,
-        cfl_safety=cfg.cfl_safety,
-        snapshot_times=cfg.snapshot_times,
-    )
-    result = solve(f0, cfg.params, cfg.model, options)
-
-    runio.write_series(out / "series.csv", result.series)
-    snapshot_names = _write_snapshots(out, result.snapshots)
-    payload = _run_payload("pde", cfg, learning_constant, len(result.series), snapshot_names)
-    payload["mass_residual"] = result.max_mass_residual
-    payload["n_steps"] = result.n_steps
-    payload["dt_min"] = result.dt_min
-    payload["dt_max"] = result.dt_max
-    runio.write_json(out / "run.json", payload)
-    print(f"wrote {out / 'series.csv'} ({len(result.series)} records)")
     return EXIT_OK
 
 
@@ -413,11 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_abm = sub.add_parser("abm", help="run the agent-based engine from a config")
     _add_run_flags(p_abm)
-    p_abm.set_defaults(handler=_cmd_abm)
+    p_abm.set_defaults(handler=_cmd_run)
 
     p_pde = sub.add_parser("pde", help="run the mean-field density engine from a config")
     _add_run_flags(p_pde)
-    p_pde.set_defaults(handler=_cmd_pde)
+    p_pde.set_defaults(handler=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="fit decay time scales from a finished run")
     p_an.add_argument("run_dir", help="directory holding series.csv and run.json")

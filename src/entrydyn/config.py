@@ -5,21 +5,23 @@ every diagnostic names the offending key, so a typo cannot silently fall
 back to a default. The resolved form (all defaults filled in) is what
 run.json echoes, and it parses back through load order unchanged.
 
-The game, model, grid and init sections each parse through the dataclass
-they build: its fields are the section's keys, a field without a default
-is a required key, and the field's annotation picks the reader of its
-value. The init section parses straight into one of the `abm`
-initial-condition types (`AllEqual`, `Gaussian`, `Explicit`,
-`TwoSpike`), and both engines start from that one value: the agent
-engine draws its population from it and the density engine takes
-`abm.initial_density` of it.
+`RunConfig` mirrors the document: its fields are the top-level keys.
+The game, model, grid, init and solver sections each parse through the
+dataclass they build: its fields are the section's keys, a field without
+a default is a required key, and the field's annotation picks the reader
+of its value. `resolved()` writes the same dataclasses back out. The
+init section parses straight into one of the `abm` initial-condition
+types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
+start from that one value: the agent engine draws its population from it
+and the density engine takes `abm.initial_density` of it.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -27,6 +29,7 @@ from typing import get_args, get_type_hints
 from . import abm
 from .core import GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec, default_grid, gaussian_mean_for_entry_fraction
+from .kinetic import SolverOptions
 
 
 class ConfigError(ValueError):
@@ -34,26 +37,11 @@ class ConfigError(ValueError):
 
 
 _ENGINES = ("abm", "pde", "both")
-_TOP_KEYS = {
-    "engine",
-    "game",
-    "model",
-    "init",
-    "t_end",
-    "seed",
-    "replicas",
-    "record_stride",
-    "out_dir",
-    "grid",
-    "solver",
-    "snapshot_times",
-}
 # top-level scalars that command-line flags may override
 OVERRIDABLE_KEYS = ("seed", "t_end", "replicas", "out_dir")
 
 _MODEL_TYPES = {cls.kind: cls for cls in get_args(ProbabilityModel)}
 _INIT_TYPES = {cls.kind: cls for cls in get_args(abm.InitialCondition)}
-_SOLVER_KEYS = {"output_interval", "cfl_safety"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -62,9 +50,14 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _key(where: str, key: str) -> str:
+    """The name of key in diagnostics: bare at the top level (where == ""), else dotted."""
+    return f"{where}.{key}" if where else key
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
-        raise ConfigError(f"{where}.{key}: required key is missing")
+        raise ConfigError(f"{_key(where, key)}: required key is missing")
     return section[key]
 
 
@@ -133,6 +126,7 @@ def _as_section(value, where: str) -> dict:
 _READERS = {
     int: _as_exact_int,
     float: _as_number,
+    float | None: _as_number,
     bool: _as_bool,
     tuple[float, ...]: _as_numbers,
 }
@@ -164,9 +158,9 @@ def _build(cls: type, section: dict, where: str, **given):
         if f.name in values:
             continue
         if f.name in section:
-            values[f.name] = _READERS[types[f.name]](section[f.name], f"{where}.{f.name}")
+            values[f.name] = _READERS[types[f.name]](section[f.name], _key(where, f.name))
         elif f.default is MISSING:
-            raise ConfigError(f"{where}.{f.name}: required key is missing")
+            raise ConfigError(f"{_key(where, f.name)}: required key is missing")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -218,16 +212,39 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     return _build(cls, section, "init", mean=mean)
 
 
-def _parse_grid(raw: dict) -> GridSpec:
-    section = _as_section(raw, "grid")
-    _check_keys(section, _field_names(GridSpec), "grid")
-    return _build(GridSpec, section, "grid")
+def _parse_section(cls: type, raw: dict, where: str):
+    """A section without a kind: cls built from exactly its fields."""
+    section = _as_section(raw, where)
+    _check_keys(section, _field_names(cls), where)
+    return _build(cls, section, where)
+
+
+def _dump(value):
+    """value as config JSON: a dataclass as its kind, if it has one, and its fields.
+
+    None fields are left out, as the parser reads an absent key as its
+    default; an enum becomes its value and a tuple a list.
+    """
+    if is_dataclass(value):
+        out = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if item is not None:
+                out[f.name] = _dump(item)
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config document: one field per top-level key."""
+
     engine: str
-    params: GameParams
+    game: GameParams
     model: ProbabilityModel
     init: abm.InitialCondition
     t_end: float
@@ -236,8 +253,7 @@ class RunConfig:
     record_stride: int
     out_dir: str
     grid: GridSpec | None
-    output_interval: float | None
-    cfl_safety: float
+    solver: SolverOptions
     snapshot_times: tuple[float, ...]
 
     def initial_density(self) -> DensityGrid:
@@ -248,63 +264,41 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""
-        out: dict = {
-            "engine": self.engine,
-            "game": {**asdict(self.params), "rule": self.params.rule.value},
-            "model": {"kind": self.model.kind, **asdict(self.model)},
-            "init": {"kind": self.init.kind, **asdict(self.init)},
-            "t_end": self.t_end,
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "record_stride": self.record_stride,
-            "out_dir": self.out_dir,
-            "snapshot_times": list(self.snapshot_times),
-        }
-        if self.grid is not None:
-            out["grid"] = asdict(self.grid)
-        solver: dict = {"cfl_safety": self.cfl_safety}
-        if self.output_interval is not None:
-            solver["output_interval"] = self.output_interval
-        out["solver"] = solver
-        return out
+        return _dump(self)
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected an object, got {raw!r}")
-    _check_keys(raw, _TOP_KEYS, "the top level")
+    _check_keys(raw, _field_names(RunConfig), "the top level")
 
-    engine = _as_str(_require(raw, "engine", "top level"), "engine")
+    engine = _as_str(_require(raw, "engine", ""), "engine")
     if engine not in _ENGINES:
         raise ConfigError(f"engine: expected one of {', '.join(_ENGINES)}, got {engine!r}")
 
-    params = _parse_game(_require(raw, "game", "top level"))
-    model = _parse_model(_require(raw, "model", "top level"))
-    init = _parse_init(_require(raw, "init", "top level"), model)
+    game = _parse_game(_require(raw, "game", ""))
+    model = _parse_model(_require(raw, "model", ""))
+    init = _parse_init(_require(raw, "init", ""), model)
 
-    t_end = _as_number(_require(raw, "t_end", "top level"), "t_end")
+    t_end = _as_number(_require(raw, "t_end", ""), "t_end")
     if not t_end > 0:
         raise ConfigError(f"t_end: must be positive, got {t_end}")
 
     seed = _as_int(raw.get("seed", 0), "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
-    replicas = _as_int(raw.get("replicas", 1), "replicas")
+    # the two counts size loops and job lists: bounded like the game's integers
+    replicas = _as_exact_int(raw.get("replicas", 1), "replicas")
     if replicas < 1:
         raise ConfigError(f"replicas: must be >= 1, got {replicas}")
-    record_stride = _as_int(raw.get("record_stride", 1), "record_stride")
+    record_stride = _as_exact_int(raw.get("record_stride", 1), "record_stride")
     if record_stride < 1:
         raise ConfigError(f"record_stride: must be >= 1, got {record_stride}")
     out_dir = _as_str(raw.get("out_dir", "out"), "out_dir")
 
-    needs_grid = engine in ("pde", "both")
     if engine != "abm" and not isinstance(model, Logistic):
         raise ConfigError("engine: the pde engine supports only the logistic model")
-    grid: GridSpec | None = None
-    if "grid" in raw:
-        grid = _parse_grid(raw["grid"])
-    elif needs_grid:
-        grid = default_grid(model)
+    grid = _parse_section(GridSpec, raw["grid"], "grid") if "grid" in raw else None
 
     snapshot_times_raw = raw.get("snapshot_times", [])
     if not isinstance(snapshot_times_raw, list):
@@ -315,34 +309,23 @@ def parse_config(raw: dict) -> RunConfig:
     for t in snapshot_times:
         if t < 0:
             raise ConfigError(f"snapshot_times: must be nonnegative, got {t}")
-    if snapshot_times and grid is None:
-        if isinstance(model, Logistic):
-            grid = default_grid(model)
-        else:
+    # the pde engine and snapshots need a grid; the logistic model has a default one
+    if grid is None and (engine != "abm" or snapshot_times):
+        if not isinstance(model, Logistic):
             raise ConfigError("grid: required to bin snapshots for this model")
+        grid = default_grid(model)
 
-    solver = _as_section(raw.get("solver", {}), "solver")
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    output_interval = None
-    if "output_interval" in solver:
-        output_interval = _as_number(solver["output_interval"], "solver.output_interval")
-        if not output_interval > 0:
-            raise ConfigError(
-                f"solver.output_interval: must be positive, got {output_interval}"
-            )
-    cfl_safety = _as_number(solver.get("cfl_safety", 0.4), "solver.cfl_safety")
-    if not 0 < cfl_safety <= 0.5:
-        raise ConfigError(f"solver.cfl_safety: must lie in (0, 0.5], got {cfl_safety}")
+    solver = _parse_section(SolverOptions, raw.get("solver", {}), "solver")
 
     if isinstance(init, abm.Explicit) and engine in ("abm", "both"):
-        if len(init.values) != params.n_agents:
+        if len(init.values) != game.n_agents:
             raise ConfigError(
-                f"init.values: has {len(init.values)} entries for {params.n_agents} agents"
+                f"init.values: has {len(init.values)} entries for {game.n_agents} agents"
             )
 
     return RunConfig(
         engine=engine,
-        params=params,
+        game=game,
         model=model,
         init=init,
         t_end=t_end,
@@ -351,8 +334,7 @@ def parse_config(raw: dict) -> RunConfig:
         record_stride=record_stride,
         out_dir=out_dir,
         grid=grid,
-        output_interval=output_interval,
-        cfl_safety=cfl_safety,
+        solver=solver,
         snapshot_times=snapshot_times,
     )
 

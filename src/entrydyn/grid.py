@@ -71,10 +71,10 @@ class DensityGrid:
         return float(self.values.sum() * self.spec.dq)
 
 
-def default_grid(model: Logistic, half_width_scales: float = 12.0, n_cells: int = 800) -> GridSpec:
-    """Grid wide enough that p < 1e-6 at q_min and 1-p < 1e-6 at q_max."""
-    half = half_width_scales * model.scale
-    return GridSpec(model.center - half, model.center + half, n_cells)
+def default_grid(model: Logistic) -> GridSpec:
+    """800 cells over 12 scales either side of the center, where p and 1 - p fall below 1e-5."""
+    half = 12.0 * model.scale
+    return GridSpec(model.center - half, model.center + half, 800)
 
 
 def gaussian_density(spec: GridSpec, mean: float, sd: float) -> DensityGrid:

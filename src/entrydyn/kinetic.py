@@ -58,7 +58,7 @@ NEGATIVITY_TOLERANCE = -1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Run controls for solve().
+    """Step controls for solve(); the config's solver section.
 
     output_interval  spacing of records in time units (defaults to tau)
     cfl_safety       fraction of the advective CFL bound dq / max|v| used
@@ -67,14 +67,10 @@ class SolverOptions:
                      nonnegative.  Diffusion is implicit and sets no bound.
     """
 
-    t_end: float
     output_interval: float | None = None
     cfl_safety: float = 0.4
-    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.output_interval is not None and not self.output_interval > 0:
             raise ValueError(
                 f"output_interval must be positive, got {self.output_interval}"
@@ -208,13 +204,19 @@ def solve(
     f0: DensityGrid,
     params: GameParams,
     model: ProbabilityModel,
-    options: SolverOptions,
+    t_end: float,
+    options: SolverOptions = SolverOptions(),
+    snapshot_times: tuple[float, ...] = (),
 ) -> PdeResult:
     """Advance the density to t_end, recording observables on a uniform grid.
 
-    Raises RuntimeError if mass conservation (1e-8) or positivity (-1e-12)
-    is breached; both would mean the scheme itself is broken, not the input.
+    Density snapshots are taken at the first record time at or after each
+    of snapshot_times (at t_end for times beyond it).  Raises RuntimeError
+    if mass conservation (1e-8) or positivity (-1e-12) is breached; both
+    would mean the scheme itself is broken, not the input.
     """
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     stencil = _Stencil(f0.spec, params, model)
     mass0 = f0.mass()
     if abs(mass0 - 1.0) > MASS_TOLERANCE:
@@ -232,13 +234,13 @@ def solve(
     dt_bound = interval
     n_steps, dt_min, dt_max = 0, math.inf, 0.0
     rec_t, rec_a, rec_b = [0.0], [a], [b]
-    pending = sorted(options.snapshot_times)
+    pending = sorted(snapshot_times)
     snapshots: list[tuple[float, DensityGrid]] = []
     while pending and pending[0] <= 0.0:
         pending.pop(0)
         snapshots.append((0.0, DensityGrid(f0.spec, f.copy())))
 
-    record_times = _record_times(options.t_end, interval)
+    record_times = _record_times(t_end, interval)
     for t_next in record_times:
         while t < t_next - 1e-15:
             remaining = t_next - t

@@ -132,13 +132,9 @@ def acceptance_f0(init_mean):
 @pytest.fixture(scope="session")
 def pde_acceptance(acceptance_f0, walls):
     """Basic-rule PDE on the acceptance scenario out to 3 sorting times."""
-    options = SolverOptions(
-        t_end=0.6,
-        output_interval=0.001,
-        snapshot_times=(0.0, 0.06, 0.3),
-    )
+    options = SolverOptions(output_interval=0.001)
     start = time.perf_counter()
-    result = solve(acceptance_f0, PDE_PARAMS, MODEL, options)
+    result = solve(acceptance_f0, PDE_PARAMS, MODEL, 0.6, options, (0.0, 0.06, 0.3))
     walls["pde_acceptance"] = time.perf_counter() - start
     return result
 
@@ -146,9 +142,9 @@ def pde_acceptance(acceptance_f0, walls):
 @pytest.fixture(scope="session")
 def pde_fict_short(acceptance_f0, walls):
     """Fictitious-rule PDE over the early-agreement window [0, 5*tau_al]."""
-    options = SolverOptions(t_end=0.005, output_interval=0.001)
+    options = SolverOptions(output_interval=0.001)
     start = time.perf_counter()
-    result = solve(acceptance_f0, PDE_FICT_PARAMS, MODEL, options)
+    result = solve(acceptance_f0, PDE_FICT_PARAMS, MODEL, 0.005, options)
     walls["pde_fict_short"] = time.perf_counter() - start
     return result
 

@@ -211,7 +211,7 @@ def test_criterion_8_sorted_equilibrium_is_stationary():
     spec = GridSpec(-16.0, 16.0, 800)
     f0 = two_spike_density(spec, -15.0, 15.0, 0.5)
     pde = solve(
-        f0, PDE_PARAMS, MODEL, SolverOptions(t_end=0.2, output_interval=0.01)
+        f0, PDE_PARAMS, MODEL, 0.2, SolverOptions(output_interval=0.01)
     )
     pde_drift = float(np.max(np.abs(pde.series.a - PDE_PARAMS.kappa)))
     pde_b = float(np.max(pde.series.b))

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,12 +256,57 @@ class TestConfig:
             }
         )
         result = simulate(
-            cfg.params, cfg.model, cfg.init, cfg.t_end, cfg.seed,
+            cfg.game, cfg.model, cfg.init, cfg.t_end, cfg.seed,
             snapshot_times=(0.0,), snapshot_grid=cfg.grid,
         )
         (t0, agents), = result.snapshots
         assert t0 == 0.0
         return np.flatnonzero(cfg.initial_density().values).tolist(), np.flatnonzero(agents.values).tolist()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "engine": "pde",
+                "game": dict(GAME_PDE),
+                "model": {"kind": "logistic", "scale": 1.0, "center": 0.0},
+                "init": {"kind": "gaussian", "mean": -1.5, "sd": 1.5, "snap_to_lattice": False},
+                "t_end": 0.6,
+                "seed": 7,
+                "replicas": 8,
+                "record_stride": 1,
+                "out_dir": "out",
+                "grid": {"q_min": -12.0, "q_max": 12.0, "n_cells": 800},
+                "solver": {"output_interval": 0.001, "cfl_safety": 0.4},
+                "snapshot_times": [0.0, 0.3],
+            },
+            {
+                "engine": "abm",
+                "game": dict(GAME_SMALL),
+                "model": {"kind": "erev_roth_ratio", "baseline": 2.0},
+                "init": {"kind": "explicit", "values": [1.0] * GAME_SMALL["n_agents"]},
+                "t_end": 0.1,
+                "seed": 2**64 - 1,
+                "replicas": 2,
+                "record_stride": 3,
+                "out_dir": "abm",
+                "solver": {"cfl_safety": 0.4},
+                "snapshot_times": [],
+            },
+        ],
+        ids=["pde", "abm-without-snapshots"],
+    )
+    def test_resolved_is_the_fully_written_document(self, doc):
+        # run.json's config block: kind inside model and init, a set
+        # output_interval kept, and no grid where no engine needs one
+        assert parse_config(doc).resolved() == doc
+
+    def test_readme_config_block_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        cfg = parse_config(json.loads(block))
+        assert parse_config(cfg.resolved()) == cfg
 
     def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
         # 0.0 is the face between cells 3 and 4 of this grid
@@ -273,8 +320,23 @@ class TestConfig:
         assert pde == agents == [2, 6]
 
 
-# one valid section of each kind; each key is spoiled in turn below
+# a valid document with every top-level key; its top-level keys and each
+# section below are spoiled in turn
+TOP_LEVEL = {
+    "engine": "abm",
+    "game": dict(GAME_SMALL),
+    "model": {"kind": "logistic"},
+    "init": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+    "t_end": 0.1,
+    "seed": 5,
+    "replicas": 1,
+    "record_stride": 1,
+    "out_dir": "out",
+    "snapshot_times": [],
+}
+# one valid section of each kind; name None is the top level itself
 SECTIONS = [
+    (None, TOP_LEVEL),
     ("game", dict(GAME_SMALL)),
     ("model", {"kind": "logistic", "scale": 1.0, "center": 0.0}),
     ("model", {"kind": "erev_roth_ratio", "baseline": 1.0}),
@@ -284,10 +346,15 @@ SECTIONS = [
     ("init", {"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.0}),
     ("init", {"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 0.5}),
     ("init", {"kind": "explicit", "values": [0.1] * GAME_SMALL["n_agents"]}),
+    ("solver", {"output_interval": 0.01, "cfl_safety": 0.4}),
 ]
 # a gaussian needs one of mean and target_entry_fraction: test_bad_init_section_is_named
 # covers dropping either
-OPTIONAL_KEYS = {"scale", "center", "baseline", "snap_to_lattice", "mean", "target_entry_fraction"}
+OPTIONAL_KEYS = {
+    "scale", "center", "baseline", "snap_to_lattice", "mean", "target_entry_fraction",
+    "seed", "replicas", "record_stride", "out_dir", "snapshot_times",
+    "output_interval", "cfl_safety",
+}
 
 
 def spoiled_sections():
@@ -296,21 +363,26 @@ def spoiled_sections():
         for key, value in section.items():
             if key == "kind":
                 continue
-            label = f"{section.get('kind', name)}.{key}"
+            # top-level keys are named bare, section keys as section.key
+            where = f"{name}.{key}" if name else key
+            label = f"{section.get('kind', name or 'top')}.{key}"
             bad = "yes" if isinstance(value, bool) else 3 if isinstance(value, str) else "1"
-            yield pytest.param(name, {**section, key: bad}, f"{name}.{key}", id=f"{label}-type")
+            yield pytest.param(name, {**section, key: bad}, where, id=f"{label}-type")
             if key not in OPTIONAL_KEYS:
                 dropped = {k: v for k, v in section.items() if k != key}
-                yield pytest.param(name, dropped, f"{name}.{key}", id=f"{label}-missing")
+                yield pytest.param(name, dropped, where, id=f"{label}-missing")
 
 
 class TestConfigRejection:
     @pytest.mark.parametrize("name, section, key", spoiled_sections())
-    def test_bad_key_is_named_once(self, tmp_path, capsys, name, section, key):
-        overrides = {name: section}
+    def test_bad_key_is_named_once(self, tmp_path, capsys, monkeypatch, name, section, key):
+        # out_dir "out" is relative: a run that got as far as writing would make tmp_path/out
+        monkeypatch.chdir(tmp_path)
+        doc = section if name is None else {**TOP_LEVEL, name: section}
         if section.get("kind") == "erev_roth_ratio":
-            overrides["init"] = {"kind": "all_equal", "value": 1.0}
-        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), **overrides)
+            doc["init"] = {"kind": "all_equal", "value": 1.0}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
         assert main(["abm", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and err.count(key) == 1, err
@@ -456,10 +528,27 @@ class TestConfigRejection:
             "init": {"kind": "all_equal", "value": 0.0},
             "t_end": 0.1,
         }
-        assert parse_config(raw).params.n_agents == 2**53
+        assert parse_config(raw).game.n_agents == 2**53
         raw["game"]["n_agents"] = 2**53 + 1
         with pytest.raises(ValueError, match=r"game\.n_agents: must not exceed 2\*\*53"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("key", ["replicas", "record_stride"])
+    def test_run_counts_are_bounded_by_2_to_the_53(self, key):
+        # parse_config only: a config that parsed here would start a run that long
+        raw = {
+            "engine": "abm",
+            "game": dict(GAME_SMALL),
+            "model": {"kind": "logistic"},
+            "init": {"kind": "all_equal", "value": 0.0},
+            "t_end": 0.1,
+            key: 2**53,
+        }
+        assert getattr(parse_config(raw), key) == 2**53
+        for value in (2**53 + 1, 10**400):
+            raw[key] = value
+            with pytest.raises(ValueError, match=rf"^{key}: must not exceed 2\*\*53"):
+                parse_config(raw)
 
     def test_engine_subcommand_mismatch(self, tmp_path, capsys):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")

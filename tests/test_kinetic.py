@@ -235,24 +235,24 @@ class TestSolve:
         f = gaussian_density(GRID, 0.0, 1.0)
         bad = DensityGrid(GRID, 2.0 * f.values)
         with pytest.raises(ValueError, match="mass"):
-            solve(bad, PDE_PARAMS, MODEL, SolverOptions(t_end=0.01))
+            solve(bad, PDE_PARAMS, MODEL, 0.01)
 
     def test_rejects_non_logistic_model(self):
         f = gaussian_density(GRID, 0.0, 1.0)
         with pytest.raises(ValueError, match="logistic"):
-            solve(f, PDE_PARAMS, ErevRothRatio(1.0), SolverOptions(t_end=0.01))
+            solve(f, PDE_PARAMS, ErevRothRatio(1.0), 0.01)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError, match="cfl_safety"):
-            SolverOptions(t_end=0.1, cfl_safety=0.6)
+            SolverOptions(cfl_safety=0.6)
         with pytest.raises(ValueError, match="t_end"):
-            SolverOptions(t_end=0.0)
+            solve(gaussian_density(GRID, 0.0, 1.0), PDE_PARAMS, MODEL, 0.0)
         with pytest.raises(ValueError, match="output_interval"):
-            SolverOptions(t_end=0.1, output_interval=-0.01)
+            SolverOptions(output_interval=-0.01)
 
     def test_sorted_start_stays_sorted(self):
         f0 = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
-        result = solve(f0, PDE_PARAMS, MODEL, SolverOptions(t_end=0.02, output_interval=0.005))
+        result = solve(f0, PDE_PARAMS, MODEL, 0.02, SolverOptions(output_interval=0.005))
         assert np.max(np.abs(result.series.a - 0.5)) <= 1e-7
         assert np.max(result.series.b) <= 1e-6
         assert result.max_mass_residual <= 1e-12
@@ -281,7 +281,8 @@ class TestSolve:
                 acceptance_f0,
                 PDE_FICT_PARAMS,
                 MODEL,
-                SolverOptions(t_end=0.01, output_interval=0.001, cfl_safety=safety),
+                0.01,
+                SolverOptions(output_interval=0.001, cfl_safety=safety),
             )
             for safety in (0.4, 0.1)
         ]
@@ -331,6 +332,6 @@ class TestSolve:
     def test_grid_refinement_converges(self, init_mean, pde_acceptance):
         coarse_spec = GridSpec(-12.0, 12.0, 400)
         f0 = gaussian_density(coarse_spec, init_mean, 1.5)
-        coarse = solve(f0, PDE_PARAMS, MODEL, SolverOptions(t_end=0.1, output_interval=0.01))
+        coarse = solve(f0, PDE_PARAMS, MODEL, 0.1, SolverOptions(output_interval=0.01))
         k = int(np.argmin(np.abs(pde_acceptance.series.t - 0.1)))
         assert abs(coarse.series.a[-1] - pde_acceptance.series.a[k]) <= 1e-3
