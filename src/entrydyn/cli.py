@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -176,69 +177,47 @@ def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
     return params, learning_constant
 
 
-def _fit_entry(fit, predicted: float, factor: float) -> dict:
-    return {
-        "rate": fit.rate,
-        "tau": fit.tau,
-        "log_amplitude": fit.log_amplitude,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-        "window": [fit.window[0], fit.window[1]],
-        "predicted_rate": predicted,
-        "ratio": fit.rate / predicted,
-        "pass": within_factor(fit.rate, predicted, factor),
-    }
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     params, learning_constant = _load_run_dir(run_dir)
     series = runio.read_series(run_dir / "series.csv")
 
-    fits: dict = {"factor": args.factor, "epsilon": args.epsilon}
+    fits: dict = {"factor": args.factor, "epsilon": args.epsilon, "pass": None}
     errors = []
-
-    try:
-        fit_al, target_al = aggregate_learning_fit(series, params, learning_constant)
-        fits["aggregate_learning"] = _fit_entry(fit_al, target_al, args.factor)
-    except FitError as exc:
-        fit_al = None
-        fits["aggregate_learning"] = {
-            "error": str(exc),
-            "predicted_rate": aggregate_learning_rate(params, learning_constant),
+    measurements = (
+        (
+            "aggregate_learning",
+            aggregate_learning_rate(params, learning_constant),
+            lambda: aggregate_learning_fit(series, params, learning_constant),
+        ),
+        ("sorting", sorting_rate(params), lambda: sorting_fit(series, params, epsilon=args.epsilon)),
+    )
+    for name, predicted, measure in measurements:
+        try:
+            fit, _ = measure()
+        except FitError as exc:
+            fits[name] = {"error": str(exc), "predicted_rate": predicted}
+            errors.append(f"{name.replace('_', '-')} fit: {exc}")
+            continue
+        fits[name] = {
+            **asdict(fit),
+            "tau": fit.tau,
+            "predicted_rate": predicted,
+            "ratio": fit.rate / predicted,
+            "pass": within_factor(fit.rate, predicted, args.factor),
         }
-        errors.append(f"aggregate-learning fit: {exc}")
 
-    try:
-        fit_s, target_s = sorting_fit(series, params, epsilon=args.epsilon)
-        fits["sorting"] = _fit_entry(fit_s, target_s, args.factor)
-    except FitError as exc:
-        fit_s = None
-        fits["sorting"] = {
-            "error": str(exc),
-            "predicted_rate": sorting_rate(params),
-        }
-        errors.append(f"sorting fit: {exc}")
-
-    if fit_al is not None and fit_s is not None:
-        ratio = fit_s.tau / fit_al.tau
+    if not errors:
+        ratio = fits["sorting"]["tau"] / fits["aggregate_learning"]["tau"]
         fits["time_scale_separation"] = {
             "fitted_ratio": ratio,
             "predicted_ratio": predicted_time_scales(params).separation,
             "minimum": args.min_ratio,
             "pass": ratio >= args.min_ratio,
         }
-
-    verdicts = [
-        entry["pass"]
-        for entry in (
-            fits.get("aggregate_learning"),
-            fits.get("sorting"),
-            fits.get("time_scale_separation"),
+        fits["pass"] = all(
+            fits[name]["pass"] for name in ("aggregate_learning", "sorting", "time_scale_separation")
         )
-        if entry is not None and "pass" in entry
-    ]
-    fits["pass"] = bool(verdicts) and all(verdicts) if not errors else None
 
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,15 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     first = runio.read_series(args.first)
     second = runio.read_series(args.second)
-    fields: dict = {}
-    for column in ("a", "b"):
-        res = compare_series(first, second, column=column)
-        fields[column] = {
-            "sup_norm": res.sup_norm,
-            "rmse": res.rmse,
-            "t_at_max": res.t_at_max,
-            "n_points": res.n_points,
-        }
+    fields = {column: asdict(compare_series(first, second, column=column)) for column in ("a", "b")}
     payload: dict = {"first": str(args.first), "second": str(args.second), "fields": fields}
 
     passed = True
@@ -439,9 +410,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except FitError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -297,7 +297,7 @@ def parse_config(raw: dict) -> RunConfig:
     out_dir = _as_str(raw.get("out_dir", "out"), "out_dir")
 
     if engine != "abm" and not isinstance(model, Logistic):
-        raise ConfigError("engine: the pde engine supports only the logistic model")
+        raise ConfigError("engine: the density solver supports only the logistic model")
     grid = _parse_section(GridSpec, raw["grid"], "grid") if "grid" in raw else None
 
     snapshot_times_raw = raw.get("snapshot_times", [])

@@ -236,9 +236,10 @@ def solve(
     rec_t, rec_a, rec_b = [0.0], [a], [b]
     pending = sorted(snapshot_times)
     snapshots: list[tuple[float, DensityGrid]] = []
-    while pending and pending[0] <= 0.0:
+    # the same placement rule as at every later record, and as simulate's
+    while pending and pending[0] <= t + 1e-12:
         pending.pop(0)
-        snapshots.append((0.0, DensityGrid(f0.spec, f.copy())))
+        snapshots.append((t, DensityGrid(f0.spec, f.copy())))
 
     record_times = _record_times(t_end, interval)
     for t_next in record_times:

@@ -9,7 +9,7 @@ standard errors of a and b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,18 +26,15 @@ class ObservableSeries:
     stderr_b: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        n = self.t.shape[0]
-        for name in ("a", "b", "m_frac", "stderr_a", "stderr_b"):
-            col = getattr(self, name)
-            if col is None:
+        n = np.shape(self.t)[0]
+        for f in fields(self):
+            col = getattr(self, f.name)
+            if col is None and f.default is None:
                 continue
             col = np.asarray(col, dtype=float)
-            setattr(self, name, col)
+            setattr(self, f.name, col)
             if col.shape != (n,):
-                raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
+                raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
         if n == 0:
             raise ValueError("series must contain at least one record")
         if np.any(np.diff(self.t) <= 0):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,47 +17,37 @@ import numpy as np
 from .grid import DensityGrid
 from .observables import ObservableSeries
 
-SERIES_COLUMNS = ("t", "a", "b", "m_frac", "stderr_a", "stderr_b")
-
 
 def format_float(x: float) -> str:
     return repr(float(x))
 
 
 def write_series(path: str | Path, series: ObservableSeries) -> Path:
-    """series.csv: t,a,b plus whichever optional columns the series carries."""
+    """series.csv: one column per ObservableSeries field the series carries, in field order."""
     path = Path(path)
-    columns: list[tuple[str, np.ndarray]] = [
-        ("t", series.t),
-        ("a", series.a),
-        ("b", series.b),
-    ]
-    if series.m_frac is not None:
-        columns.append(("m_frac", series.m_frac))
-    if series.stderr_a is not None:
-        columns.append(("stderr_a", series.stderr_a))
-    if series.stderr_b is not None:
-        columns.append(("stderr_b", series.stderr_b))
-    lines = [",".join(name for name, _ in columns)]
-    arrays = [values for _, values in columns]
-    for row in zip(*arrays):
+    names = [f.name for f in fields(series) if getattr(series, f.name) is not None]
+    lines = [",".join(names)]
+    for row in zip(*(getattr(series, name) for name in names)):
         lines.append(",".join(format_float(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def read_series(path: str | Path) -> ObservableSeries:
+    """A series.csv as written: every column a field, every field without a default present."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty series file")
     header = lines[0].split(",")
-    unknown = [name for name in header if name not in SERIES_COLUMNS]
+    columns = fields(ObservableSeries)
+    known = {f.name for f in columns}
+    unknown = [name for name in header if name not in known]
     if unknown:
         raise ValueError(f"{path}: unknown column {unknown[0]!r}")
-    for required in ("t", "a", "b"):
-        if required not in header:
-            raise ValueError(f"{path}: missing column {required!r}")
+    for f in columns:
+        if f.default is MISSING and f.name not in header:
+            raise ValueError(f"{path}: missing column {f.name!r}")
     data: dict[str, list[float]] = {name: [] for name in header}
     for i, line in enumerate(lines[1:], start=2):
         if not line:

@@ -306,6 +306,17 @@ class TestSimulate:
         for _, density in result.snapshots:
             assert density.mass() == pytest.approx(1.0, abs=1e-12)
 
+    def test_snapshot_within_1e_12_of_start_is_taken_at_start(self):
+        # solve places a request at the record within 1e-12 of it, t = 0 included
+        params = make_params(n=100, c=50)
+        grid = GridSpec(-8.0, 8.0, 100)
+        result = simulate(
+            params, MODEL, Gaussian(0.0, 1.0), 0.02, 10, snapshot_times=(5e-13, 0.01), snapshot_grid=grid
+        )
+        assert [t for t, _ in result.snapshots] == [0.0, 0.01]
+        start = histogram_density(grid, init_population(params, Gaussian(0.0, 1.0), 10))
+        assert result.snapshots[0][1].values.tobytes() == start.values.tobytes()
+
     @staticmethod
     def assert_matches_play_round_loop(params, model, init, record_stride):
         grid = GridSpec(-8.0, 8.0, 64)
@@ -433,6 +444,19 @@ class TestEnsembleRun:
         parallel = ensemble_run(params, MODEL, Gaussian(0.0, 1.0), 0.05, 4, base_seed=5, n_workers=4)
         assert np.array_equal(serial.a, parallel.a)
         assert np.array_equal(serial.stderr_a, parallel.stderr_a)
+
+
+    def test_one_replica_is_the_plain_run(self):
+        params = make_params(n=50, c=25)
+        series = ensemble_run(params, MODEL, Gaussian(0.0, 1.0), 0.05, 1, base_seed=7, record_stride=2)
+        plain = simulate(params, MODEL, Gaussian(0.0, 1.0), 0.05, 7, record_stride=2).series
+        for name in ("t", "a", "b", "m_frac"):
+            assert getattr(series, name).tobytes() == getattr(plain, name).tobytes()
+        assert series.stderr_a is None and series.stderr_b is None
+
+    def test_zero_replicas_rejected(self):
+        with pytest.raises(ValueError, match="n_replicas must be >= 1, got 0"):
+            ensemble_run(make_params(n=50, c=25), MODEL, Gaussian(0.0, 1.0), 0.05, 0, base_seed=0)
 
 
 def test_max_workers_from_env(monkeypatch):

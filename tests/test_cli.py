@@ -48,6 +48,11 @@ def write_cfg(path, **overrides):
     return path
 
 
+def header(run_dir):
+    """The column names of a run's series.csv: its first line."""
+    return (run_dir / "series.csv").read_text().splitlines()[0]
+
+
 def pde_cfg(path, out_dir, **overrides):
     cfg = {
         "engine": "pde",
@@ -68,6 +73,7 @@ class TestRunCommands:
     def test_abm_minimal_run(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.json.in", out_dir=str(tmp_path / "out"))
         assert main(["abm", "--config", str(cfg)]) == 0
+        assert header(tmp_path / "out") == "t,a,b,m_frac"
         series = read_series(tmp_path / "out" / "series.csv")
         assert np.all(np.diff(series.t) > 0)
         payload = read_json(tmp_path / "out" / "run.json")
@@ -88,9 +94,10 @@ class TestRunCommands:
         assert payload["config"]["seed"] == 123
         assert payload["config"]["t_end"] == 0.04
         assert payload["config"]["replicas"] == 2
+        # replicas > 1 carry spread columns
+        assert header(out) == "t,a,b,m_frac,stderr_a,stderr_b"
         series = read_series(out / "series.csv")
         assert series.t[-1] == pytest.approx(0.04)
-        assert series.stderr_a is not None  # replicas > 1 carry spread columns
 
     def test_abm_determinism_across_worker_counts(self, tmp_path, monkeypatch):
         cfg = write_cfg(
@@ -129,6 +136,7 @@ class TestRunCommands:
         assert payload["n_steps"] == 4
         assert payload["dt_min"] == pytest.approx(0.005)
         assert payload["dt_max"] == pytest.approx(0.005)
+        assert header(tmp_path / "out") == "t,a,b"
         series = read_series(tmp_path / "out" / "series.csv")
         assert np.max(np.abs(series.a - 0.5)) <= 1e-6
         assert np.max(series.b) <= 1e-6
@@ -358,7 +366,8 @@ OPTIONAL_KEYS = {
 
 
 def spoiled_sections():
-    """Each section with one key given a value of the wrong type, or dropped if required."""
+    """Each section with one key given a value of the wrong type, or dropped if required;
+    then each of REJECTED_DOCUMENTS."""
     for name, section in SECTIONS:
         for key, value in section.items():
             if key == "kind":
@@ -371,6 +380,27 @@ def spoiled_sections():
             if key not in OPTIONAL_KEYS:
                 dropped = {k: v for k, v in section.items() if k != key}
                 yield pytest.param(name, dropped, where, id=f"{label}-missing")
+    for label, doc, where in REJECTED_DOCUMENTS:
+        yield pytest.param(None, doc, where, id=label)
+
+
+RATIO_START = {"model": {"kind": "erev_roth_ratio"}, "init": {"kind": "all_equal", "value": 1.0}}
+# documents rejected for a value rather than a type, then files that hold no JSON
+# object: a string is written as the file's text, and such errors name the file
+REJECTED_DOCUMENTS = [
+    ("game.rule-unknown", {**TOP_LEVEL, "game": dict(GAME_SMALL, rule="best_response")}, "game.rule"),
+    ("engine-unknown", {**TOP_LEVEL, "engine": "ode"}, "engine"),
+    ("t_end-zero", {**TOP_LEVEL, "t_end": 0.0}, "t_end"),
+    ("seed-negative", {**TOP_LEVEL, "seed": -1}, "seed"),
+    ("seed-2**64", {**TOP_LEVEL, "seed": 2**64}, "seed"),
+    ("replicas-zero", {**TOP_LEVEL, "replicas": 0}, "replicas"),
+    ("record_stride-zero", {**TOP_LEVEL, "record_stride": 0}, "record_stride"),
+    ("pde-ratio-model", {**TOP_LEVEL, **RATIO_START, "engine": "pde"}, "engine"),
+    ("snapshot_times-negative", {**TOP_LEVEL, "snapshot_times": [0.0, -0.01]}, "snapshot_times"),
+    ("ratio-snapshots-without-grid", {**TOP_LEVEL, **RATIO_START, "snapshot_times": [0.0]}, "grid"),
+    ("not-json", '{"engine": "abm",}', "c.json"),
+    ("not-an-object", [TOP_LEVEL], "c.json"),
+]
 
 
 class TestConfigRejection:
@@ -379,11 +409,10 @@ class TestConfigRejection:
         # out_dir "out" is relative: a run that got as far as writing would make tmp_path/out
         monkeypatch.chdir(tmp_path)
         doc = section if name is None else {**TOP_LEVEL, name: section}
-        if section.get("kind") == "erev_roth_ratio":
+        if name == "model" and section["kind"] == "erev_roth_ratio":
             doc["init"] = {"kind": "all_equal", "value": 1.0}
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["abm", "--config", str(cfg)]) == 2
+        Path("c.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["abm", "--config", "c.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and err.count(key) == 1, err
         assert not (tmp_path / "out").exists()
@@ -589,6 +618,12 @@ class TestConfigRejection:
         assert "domain error" in capsys.readouterr().err
 
 
+FIT_KEYS = {
+    "rate", "log_amplitude", "r_squared", "window", "n_points",
+    "tau", "predicted_rate", "ratio", "pass",
+}
+
+
 class TestAnalyze:
     @staticmethod
     def synthetic_run(run_dir, learning_constant=0.1, rate_b=4.0):
@@ -614,6 +649,9 @@ class TestAnalyze:
         assert main(["analyze", str(run_dir)]) == 0
         fits = read_json(run_dir / "fits.json")
         assert fits["pass"] is True
+        # DecayFit's fields, then tau and the comparison with the prediction
+        for name in ("aggregate_learning", "sorting"):
+            assert set(fits[name]) == FIT_KEYS
         assert fits["aggregate_learning"]["rate"] == pytest.approx(100.0, rel=1e-6)
         assert fits["aggregate_learning"]["ratio"] == pytest.approx(1.0, rel=1e-6)
         assert fits["sorting"]["rate"] == pytest.approx(4.0, rel=1e-6)
@@ -649,8 +687,9 @@ class TestAnalyze:
         )
         assert main(["analyze", str(run_dir)]) == 3
         fits = read_json(run_dir / "fits.json")
-        assert "error" in fits["aggregate_learning"]
-        assert "error" in fits["sorting"]
+        for name in ("aggregate_learning", "sorting"):
+            assert set(fits[name]) == {"error", "predicted_rate"}
+        assert "time_scale_separation" not in fits
         assert fits["pass"] is None
         assert "fit" in capsys.readouterr().err
 
@@ -714,6 +753,9 @@ class TestCompare:
         code = main(["compare", first, first, "--out", str(tmp_path)])
         assert code == 0
         payload = read_json(tmp_path / "compare.json")
+        # ComparisonResult's fields
+        for column in ("a", "b"):
+            assert set(payload["fields"][column]) == {"sup_norm", "rmse", "t_at_max", "n_points"}
         assert payload["fields"]["a"]["sup_norm"] == 0.0
         assert payload["fields"]["b"]["rmse"] == 0.0
 
@@ -747,6 +789,11 @@ class TestOracleCheck:
 
     def test_agent_cap_enforced(self):
         assert main(["oracle-check", "--instances", "5", "--max-agents", "13"]) == 2
+
+    @pytest.mark.parametrize("flag, key", [("--max-agents", "max_agents"), ("--instances", "instances")])
+    def test_zero_count_is_config_error(self, capsys, flag, key):
+        assert main(["oracle-check", "--instances", "5", flag, "0"]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be >= 1, got 0\n"
 
     def test_zero_tolerance_fails(self):
         assert main(["oracle-check", "--instances", "20", "--tolerance", "0"]) == 1

@@ -257,6 +257,13 @@ class TestSolve:
         assert np.max(result.series.b) <= 1e-6
         assert result.max_mass_residual <= 1e-12
 
+    def test_snapshot_within_1e_12_of_start_is_taken_at_start(self):
+        # simulate places a request at the record within 1e-12 of it, t = 0 included
+        f0 = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
+        result = solve(f0, PDE_PARAMS, MODEL, 0.02, SolverOptions(output_interval=0.01), (5e-13, 0.01))
+        assert [t for t, _ in result.snapshots] == [0.0, 0.01]
+        assert result.snapshots[0][1].values.tobytes() == f0.values.tobytes()
+
     def test_record_grid_and_snapshots(self, pde_acceptance):
         series = pde_acceptance.series
         assert series.t[0] == 0.0
