@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import GameParams, LearningRule, ProbabilityModel
 from .grid import DensityGrid, GridSpec, gaussian_density, histogram_density, two_spike_density
-from .observables import ObservableSeries
+from .observables import ObservableSeries, Recorder
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,7 @@ def simulate(
 
     Records always include round 0 and the final round.  The m_frac column
     holds the realized entrant fraction of the round played at each record
-    time; the final record has no following round and gets NaN.  Snapshot
-    requests are realized at the first record time at or after the request
-    (or at the final record for requests beyond t_end).
+    time; the final record has no following round and gets NaN.
 
     A recorded round evaluates the probability model exactly once, into a
     buffer that both the record and the round's entry draws read.  Other
@@ -199,26 +197,15 @@ def simulate(
     work = np.empty_like(q)
     entered = np.empty(q.shape, dtype=bool)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
-    pending = sorted(snapshot_times)
-
-    rec_t: list[float] = []
-    rec_a: list[float] = []
-    rec_b: list[float] = []
-    rec_m: list[float] = []
-    snapshots: list[tuple[float, DensityGrid]] = []
+    recorder = Recorder(snapshot_times)
+    m_frac: list[float] = []
 
     for n in range(n_rounds + 1):
-        t = n * params.tau
         is_record = (n % record_stride == 0) or (n == n_rounds)
         if is_record:
             model.prob(q, out=p)
             a, b = _moments(p, work)
-            rec_t.append(t)
-            rec_a.append(a)
-            rec_b.append(b)
-            while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
-                pending.pop(0)
-                snapshots.append((t, histogram_density(snapshot_grid, q)))
+            recorder.record(n * params.tau, a, b, lambda: histogram_density(snapshot_grid, q), n == n_rounds)
         if n < n_rounds:
             rng.random(out=work)
             if is_record:
@@ -228,20 +215,16 @@ def simulate(
                 model.enters(q, work, entered, p)
             m = _update(q, entered, params, work)
             if is_record:
-                rec_m.append(m / params.n_agents)
-        elif is_record:
-            rec_m.append(math.nan)
+                m_frac.append(m / params.n_agents)
+    m_frac.append(math.nan)
 
-    series = ObservableSeries(
-        t=np.array(rec_t), a=np.array(rec_a), b=np.array(rec_b), m_frac=np.array(rec_m)
-    )
-    return SimulationResult(series=series, snapshots=snapshots, final=q)
+    series = recorder.series(m_frac=m_frac)
+    return SimulationResult(series=series, snapshots=recorder.snapshots, final=q)
 
 
-def _replica_series(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _replica_series(args) -> ObservableSeries:
     params, model, init, t_end, seed, record_stride = args
-    series = simulate(params, model, init, t_end, seed, record_stride).series
-    return series.t, series.a, series.b, series.m_frac
+    return simulate(params, model, init, t_end, seed, record_stride).series
 
 
 def max_workers_from_env() -> int:
@@ -281,18 +264,13 @@ def ensemble_run(
     else:
         results = [_replica_series(job) for job in jobs]
 
-    t = results[0][0]
-    a_all = np.stack([res[1] for res in results])
-    b_all = np.stack([res[2] for res in results])
-    m_all = np.stack([res[3] for res in results])
     if n_replicas == 1:
-        return ObservableSeries(t=t, a=a_all[0], b=b_all[0], m_frac=m_all[0])
+        return results[0]
+    stacked = {name: np.stack([getattr(s, name) for s in results]) for name in ("a", "b", "m_frac")}
     scale = 1.0 / math.sqrt(n_replicas)
     return ObservableSeries(
-        t=t,
-        a=a_all.mean(axis=0),
-        b=b_all.mean(axis=0),
-        m_frac=m_all.mean(axis=0),
-        stderr_a=a_all.std(axis=0, ddof=1) * scale,
-        stderr_b=b_all.std(axis=0, ddof=1) * scale,
+        t=results[0].t,
+        **{name: column.mean(axis=0) for name, column in stacked.items()},
+        stderr_a=stacked["a"].std(axis=0, ddof=1) * scale,
+        stderr_b=stacked["b"].std(axis=0, ddof=1) * scale,
     )

@@ -120,18 +120,17 @@ class Logistic:
 
         With out (a float array shaped like q) the result is computed in
         place into out and out is returned; the values are bit-identical to
-        the allocating call.
+        the allocating call.  A scalar q gives a numpy float.
         """
         z = np.asarray(q, dtype=float)
         if self._is_standard():
             return expit(z, out=out)
         if out is None:
-            # operator form: numpy reuses the temporary of z - center, so
-            # this allocates one array fewer than ufunc calls on a named z
-            return expit((z - self.center) / self.scale)
+            out = np.empty_like(z)
         np.subtract(z, self.center, out=out)
         out /= self.scale
-        return expit(out, out=out)
+        expit(out, out=out)
+        return out if out.ndim else out[()]
 
     def enters(self, q, u, out, work):
         """Entry decisions u < prob(q) into out (bool, q's shape), bit-identically.

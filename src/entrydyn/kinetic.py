@@ -50,7 +50,7 @@ from scipy.linalg.lapack import dptsv
 
 from .core import GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec
-from .observables import ObservableSeries
+from .observables import ObservableSeries, Recorder
 
 MASS_TOLERANCE = 1e-8
 NEGATIVITY_TOLERANCE = -1e-12
@@ -189,8 +189,9 @@ class PdeResult:
 
 
 def _record_times(t_end: float, interval: float) -> list[float]:
+    """0, interval, 2 interval, ... below t_end, then t_end itself."""
     n_out = max(1, math.ceil(t_end / interval - 1e-9))
-    times = [k * interval for k in range(1, n_out)]
+    times = [k * interval for k in range(n_out)]
     times.append(t_end)
     return times
 
@@ -210,10 +211,8 @@ def solve(
 ) -> PdeResult:
     """Advance the density to t_end, recording observables on a uniform grid.
 
-    Density snapshots are taken at the first record time at or after each
-    of snapshot_times (at t_end for times beyond it).  Raises RuntimeError
-    if mass conservation (1e-8) or positivity (-1e-12) is breached; both
-    would mean the scheme itself is broken, not the input.
+    Raises RuntimeError if mass conservation (1e-8) or positivity (-1e-12)
+    is breached; both would mean the scheme itself is broken, not the input.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -225,7 +224,7 @@ def solve(
     interval = options.output_interval if options.output_interval is not None else params.tau
     f = f0.values.copy()
     t = 0.0
-    max_residual = abs(mass0 - 1.0)
+    max_residual = 0.0
     dq = f0.spec.dq
 
     a, b = stencil.moments(f)
@@ -233,16 +232,8 @@ def solve(
     da = db = 0.0
     dt_bound = interval
     n_steps, dt_min, dt_max = 0, math.inf, 0.0
-    rec_t, rec_a, rec_b = [0.0], [a], [b]
-    pending = sorted(snapshot_times)
-    snapshots: list[tuple[float, DensityGrid]] = []
-    # the same placement rule as at every later record, and as simulate's
-    while pending and pending[0] <= t + 1e-12:
-        pending.pop(0)
-        snapshots.append((t, DensityGrid(f0.spec, f.copy())))
-
-    record_times = _record_times(t_end, interval)
-    for t_next in record_times:
+    recorder = Recorder(snapshot_times)
+    for t_next in _record_times(t_end, interval):
         while t < t_next - 1e-15:
             remaining = t_next - t
             # coefficients at the step's midpoint, its length predicted by
@@ -269,17 +260,11 @@ def solve(
         max_residual = max(max_residual, residual)
         if residual > MASS_TOLERANCE:
             raise RuntimeError(f"mass residual {residual:g} at t={t:g}")
-        rec_t.append(t)
-        rec_a.append(a)
-        rec_b.append(b)
-        while pending and (pending[0] <= t + 1e-12 or t_next == record_times[-1]):
-            pending.pop(0)
-            snapshots.append((t, DensityGrid(f0.spec, f.copy())))
+        recorder.record(t, a, b, lambda: DensityGrid(f0.spec, f.copy()), t == t_end)
 
-    series = ObservableSeries(t=np.array(rec_t), a=np.array(rec_a), b=np.array(rec_b))
     return PdeResult(
-        series=series,
-        snapshots=snapshots,
+        series=recorder.series(),
+        snapshots=recorder.snapshots,
         final=DensityGrid(f0.spec, f),
         max_mass_residual=max_residual,
         n_steps=n_steps,

@@ -42,9 +42,11 @@ def read_series(path: str | Path) -> ObservableSeries:
     header = lines[0].split(",")
     columns = fields(ObservableSeries)
     known = {f.name for f in columns}
-    unknown = [name for name in header if name not in known]
-    if unknown:
-        raise ValueError(f"{path}: unknown column {unknown[0]!r}")
+    for i, name in enumerate(header):
+        if name not in known:
+            raise ValueError(f"{path}: unknown column {name!r}")
+        if name in header[:i]:
+            raise ValueError(f"{path}: repeated column {name!r}")
     for f in columns:
         if f.default is MISSING and f.name not in header:
             raise ValueError(f"{path}: missing column {f.name!r}")
@@ -57,8 +59,10 @@ def read_series(path: str | Path) -> ObservableSeries:
             raise ValueError(f"{path}:{i}: expected {len(header)} fields, got {len(parts)}")
         for name, part in zip(header, parts):
             data[name].append(float(part))
-    kwargs = {name: np.asarray(vals) for name, vals in data.items()}
-    return ObservableSeries(**kwargs)
+    try:
+        return ObservableSeries(**{name: np.asarray(vals) for name, vals in data.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def density_filename(t: float) -> str:

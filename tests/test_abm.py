@@ -22,7 +22,8 @@ from entrydyn.abm import (
 )
 from entrydyn.analysis import fit_exponential_decay
 from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
-from entrydyn.grid import GridSpec, histogram_density
+from entrydyn.grid import GridSpec, gaussian_density, histogram_density
+from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.oracle import enumerate_round
 
 from conftest import CountingLogistic, play_round, update_propensity
@@ -316,6 +317,26 @@ class TestSimulate:
         assert [t for t, _ in result.snapshots] == [0.0, 0.01]
         start = histogram_density(grid, init_population(params, Gaussian(0.0, 1.0), 10))
         assert result.snapshots[0][1].values.tobytes() == start.values.tobytes()
+
+    def test_snapshot_placement_matches_solve(self):
+        # the same records on both engines, so the same requests land at the same times
+        params = make_params(n=100, c=50)
+        grid = GridSpec(-8.0, 8.0, 100)
+        tau = params.tau
+        requests = (0.0, 5e-13, 2 * tau - 1e-13, 2.5 * tau, 3 * tau, 3 * tau, 1.0)
+        agents = simulate(params, MODEL, Gaussian(0.0, 1.0), 5 * tau, 4, 1, requests, grid)
+        density = solve(
+            gaussian_density(grid, 0.0, 1.0),
+            params,
+            MODEL,
+            5 * tau,
+            SolverOptions(output_interval=tau),
+            requests,
+        )
+        assert agents.series.t.tobytes() == density.series.t.tobytes()
+        times = [t for t, _ in agents.snapshots]
+        assert times == [t for t, _ in density.snapshots]
+        assert times == [k * tau for k in (0, 0, 2, 3, 3, 3, 5)]
 
     @staticmethod
     def assert_matches_play_round_loop(params, model, init, record_stride):

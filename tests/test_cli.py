@@ -779,6 +779,12 @@ class TestCompare:
         first, _ = self.series_pair(tmp_path)
         assert main(["compare", first, str(tmp_path / "nope.csv")]) == 2
 
+    def test_non_finite_series_is_config_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,a,b\n0.0,0.5,0.1\nnan,0.4,0.1\n0.2,nan,0.1\n")
+        assert main(["compare", str(path), str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "compare.json").exists()
+
 
 class TestOracleCheck:
     def test_passes_at_default_tolerance(self, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from entrydyn import core
 from entrydyn.core import (
@@ -120,6 +121,14 @@ class TestProbabilityModels:
         result = model.prob(q, out=buf)
         assert result is buf
         assert buf.tobytes() == model.prob(q).tobytes()
+
+    def test_logistic_prob_is_the_operator_form_bit_for_bit(self):
+        model = Logistic(0.7, -0.4)
+        q = np.random.default_rng(13).uniform(-30.0, 30.0, 257)
+        assert model.prob(q).tobytes() == expit((q + 0.4) / 0.7).tobytes()
+        scalar = model.prob(1.9)
+        assert type(scalar) is np.float64
+        assert scalar.tobytes() == expit((1.9 + 0.4) / 0.7).tobytes()
 
 
 # the edges of exp's range, the centre and NaN, in units of the logistic's argument
@@ -279,6 +288,14 @@ def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library use\n", 1)[1]
     example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(example, f"{README.name} (Library use)", "exec"), {})
+
+
+def test_readme_module_map_names_every_module():
+    section = README.read_text().split("\nModule map: ", 1)[1].split("\n\n", 1)[0]
+    # a module's description, in parentheses, may name things in backticks too
+    mapped = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", section))
+    modules = {path.stem for path in Path(core.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(mapped) == sorted(modules)
 
 
 def test_each_module_imports_on_its_own():

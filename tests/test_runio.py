@@ -52,6 +52,10 @@ def test_agent_series_ends_in_nan_m_frac(tmp_path):
     assert np.isnan(back.m_frac[-1]) and not np.any(np.isnan(back.m_frac[:-1]))
 
 
+# a NaN time and a NaN entry fraction, each in a row of its own
+NAN_SERIES = "t,a,b\n0.0,0.5,0.1\nnan,0.4,0.1\n0.2,nan,0.1\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -61,8 +65,10 @@ def test_agent_series_ends_in_nan_m_frac(tmp_path):
         ("t,b\n0.0,0.1\n", "missing column 'a'"),
         ("t,a\n0.0,0.5\n", "missing column 'b'"),
         ("t,a,b\n0.0,0.5,0.1\n0.1,0.5\n", r"s\.csv:3: expected 3 fields, got 2"),
+        ("t,a,b,a\n0.0,0.5,0.1,0.5\n0.1,0.4,0.1,0.4\n", r"s\.csv: repeated column 'a'"),
+        (NAN_SERIES, r"s\.csv: column t has a non-finite value"),
     ],
-    ids=["empty", "unknown", "no-t", "no-a", "no-b", "field-count"],
+    ids=["empty", "unknown", "no-t", "no-a", "no-b", "field-count", "repeated", "nan"],
 )
 def test_read_series_rejects(tmp_path, text, message):
     path = tmp_path / "s.csv"
@@ -82,8 +88,15 @@ GOOD = {"t": [0.0, 0.1], "a": [0.5, 0.4], "b": [0.1, 0.2]}
         ({"t": [0.1, 0.1]}, "strictly increasing"),
         ({"a": [0.5, 1.1]}, r"entry fraction a outside \[0, 1\]"),
         ({"b": [0.1, 0.3]}, r"sorting coefficient b outside \[0, 1/4\]"),
+        ({"a": [0.5, np.nan]}, "column a has a non-finite value"),
+        ({"b": [np.inf, 0.1]}, "column b has a non-finite value"),
+        ({"stderr_a": [0.0, np.nan]}, "column stderr_a has a non-finite value"),
+        ({"stderr_b": [np.inf, 0.0]}, "column stderr_b has a non-finite value"),
     ],
-    ids=["shape", "no-records", "time-order", "a-range", "b-range"],
+    ids=[
+        "shape", "no-records", "time-order", "a-range", "b-range",
+        "nan-a", "inf-b", "nan-stderr-a", "inf-stderr-b",
+    ],
 )
 def test_observable_series_rejects(columns, message):
     with pytest.raises(ValueError, match=message):
