@@ -228,13 +228,13 @@ def _replica_series(args) -> ObservableSeries:
 
 
 def max_workers_from_env() -> int:
-    """Worker cap from ENTRYDYN_THREADS; invalid or unset values give 1."""
+    """Worker cap from ENTRYDYN_THREADS: 1 if unset or empty, else a positive integer."""
     raw = os.environ.get("ENTRYDYN_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
+    if not raw:
         return 1
-    return max(1, value)
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"ENTRYDYN_THREADS: expected a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def ensemble_run(

@@ -67,6 +67,7 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
 
 def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
+    n_workers = max_workers_from_env()
     # the start population serves c_p only; it is not kept through the run
     learning_constant = initial_learning_constant_from_propensities(
         init_population(cfg.game, cfg.init, cfg.seed), cfg.model
@@ -80,7 +81,7 @@ def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
             n_replicas=cfg.replicas,
             base_seed=cfg.seed,
             record_stride=cfg.record_stride,
-            n_workers=min(cfg.replicas, max_workers_from_env()),
+            n_workers=n_workers,
         )
         return learning_constant, series, [], {}
     result = simulate(
@@ -122,11 +123,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     if cfg.engine == "both":
         out = out / engine
-    out.mkdir(parents=True, exist_ok=True)
-
     run = _abm_run if engine == "abm" else _pde_run
     learning_constant, series, snapshots, stats = run(cfg)
 
+    out.mkdir(parents=True, exist_ok=True)
     runio.write_series(out / "series.csv", series)
     snapshot_names: dict[str, str] = {}
     for t, density in snapshots:

@@ -15,8 +15,8 @@ the two learning rules give different coefficient fields:
                           mu = D
 
 The private _Stencil is the one place these coefficients and the grid
-moments a, b are formed: step() and solve() apply exactly what it
-returns, and the tests check the identities above on its face arrays.
+moments a, b are formed: solve() applies exactly what it returns, and
+the tests check the identities above on its face arrays.
 
 Discretization: cell-centered finite volume with no-flux walls and one
 IMEX step per time step.  Advection is explicit first-order upwind;
@@ -25,16 +25,18 @@ diffusion is centered and backward Euler, one tridiagonal solve of
 coefficients are evaluated once per step, at the step's midpoint
 extrapolated from the previous step's change in (a, b).
 
-Positivity and mass: the upwind update is a nonnegative combination of
-cell values while dt <= cfl_safety dq / max|v| with cfl_safety <= 0.5,
-and I + dt A is an M-matrix with zero column sums (its inverse is
-nonnegative and preserves the sum).  So cell averages stay nonnegative
-and mass is conserved to round-off at any diffusion strength; only the
-advective bound and the output interval limit dt.  On the README
-acceptance run (800 cells, t_end 0.6) this takes 1,352 steps for basic
-reinforcement and 750 for fictitious play, where the former explicit
-scheme, held to the diffusive bound dq^2 / (2 max mu), took 39,246 and
-9,982.
+Positivity and mass: every step of solve() satisfies the scheme's one
+stability condition, dt <= cfl_safety dq / max|v| with cfl_safety <= 0.5.
+A cell can lose mass through both of its faces in one step, so it takes
+the factor 1/2 (not the full dq / max|v|) to make the upwind update a
+nonnegative combination of cell values.  I + dt A is an M-matrix with
+zero column sums (its inverse is nonnegative and preserves the sum).
+So cell averages stay nonnegative and mass is conserved to round-off at
+any diffusion strength; only the advective bound and the output interval
+limit dt.  On the README acceptance run (800 cells, t_end 0.6) this
+takes 1,352 steps for basic reinforcement and 750 for fictitious play,
+where the former explicit scheme, held to the diffusive bound
+dq^2 / (2 max mu), took 39,246 and 9,982.
 
 Only the logistic probability model is accepted: the grid spans the
 whole line and the coefficients need p'(q).
@@ -148,26 +150,6 @@ class _Stencil:
         if info != 0:
             raise RuntimeError(f"diffusion solve failed (LAPACK dptsv info={info})")
         return out
-
-
-def step(
-    density: DensityGrid,
-    params: GameParams,
-    model: ProbabilityModel,
-    dt: float,
-) -> DensityGrid:
-    """One IMEX step with coefficients from the density's own observables.
-
-    Rejects steps beyond the advective stability bound dq / max|v| instead
-    of silently producing oscillations; diffusion sets no bound.
-    """
-    stencil = _Stencil(density.spec, params, model)
-    a, b = stencil.moments(density.values)
-    v, mu = stencil.face_coefficients(a, b)
-    limit = advective_dt(density.spec.dq, v, 1.0, math.inf)
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the advective stability bound {limit:g}")
-    return DensityGrid(density.spec, stencil.apply(density.values, v, mu, dt))
 
 
 @dataclass

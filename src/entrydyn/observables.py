@@ -60,6 +60,7 @@ class Recorder:
 
     A snapshot request is taken at the first record at or after it, within
     1e-12, and at the run's last record (last=True) if it lies beyond it.
+    Requests that fall due at the same record share one snapshot.
     """
 
     def __init__(self, snapshot_times: tuple[float, ...] = ()) -> None:
@@ -68,10 +69,10 @@ class Recorder:
         self.snapshots: list[tuple[float, DensityGrid]] = []
 
     def record(self, t: float, a: float, b: float, density: Callable[[], DensityGrid], last: bool) -> None:
-        """Append a record and take, from density(), every snapshot due at it."""
+        """Append a record and, if any request is due at it, one snapshot from density()."""
         self.rows.append((t, a, b))
-        while self.pending and (self.pending[0] <= t + 1e-12 or last):
-            self.pending.pop(0)
+        if self.pending and (self.pending[0] <= t + 1e-12 or last):
+            self.pending = [] if last else [s for s in self.pending if s > t + 1e-12]
             self.snapshots.append((t, density()))
 
     def series(self, **extra_columns) -> ObservableSeries:

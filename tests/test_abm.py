@@ -22,8 +22,9 @@ from entrydyn.abm import (
 )
 from entrydyn.analysis import fit_exponential_decay
 from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
-from entrydyn.grid import GridSpec, gaussian_density, histogram_density
+from entrydyn.grid import DensityGrid, GridSpec, gaussian_density, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
+from entrydyn.observables import Recorder
 from entrydyn.oracle import enumerate_round
 
 from conftest import CountingLogistic, play_round, update_propensity
@@ -50,8 +51,9 @@ def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot
         if is_record:
             p = model.prob(q)
             a, b = float(p.mean()), float((p * (1.0 - p)).mean())
-            while pending and (pending[0] <= t + 1e-12 or n == n_rounds):
-                pending.pop(0)
+            due = [s for s in pending if s <= t + 1e-12 or n == n_rounds]
+            pending = pending[len(due):]
+            if due:
                 snapshots.append((t, histogram_density(grid, q)))
         m_frac = math.nan
         if n < n_rounds:
@@ -336,7 +338,34 @@ class TestSimulate:
         assert agents.series.t.tobytes() == density.series.t.tobytes()
         times = [t for t, _ in agents.snapshots]
         assert times == [t for t, _ in density.snapshots]
-        assert times == [k * tau for k in (0, 0, 2, 3, 3, 3, 5)]
+        # requests due at the same record share its one snapshot
+        assert times == [k * tau for k in (0, 2, 3, 5)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        record_times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_recorder_takes_one_snapshot_per_record(self, record_times, data):
+        # requests: free times, and times on or within about 1e-12 of a record
+        near = st.builds(
+            lambda t, offset: t + offset,
+            st.sampled_from(record_times),
+            st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 2e-12]),
+        )
+        requests = data.draw(st.lists(st.floats(0.0, 1.5) | near, max_size=10))
+
+        def placement(s):
+            return next((t for t in record_times if s <= t + 1e-12), record_times[-1])
+
+        recorder = Recorder(tuple(requests))
+        density = DensityGrid(GridSpec(0.0, 1.0, 2), np.ones(2))
+        for k, t in enumerate(record_times):
+            calls = []
+            recorder.record(t, 0.5, 0.25, lambda: calls.append(t) or density, k == len(record_times) - 1)
+            assert len(calls) <= 1
+        times = [t for t, _ in recorder.snapshots]
+        assert times == sorted({placement(s) for s in requests})
 
     @staticmethod
     def assert_matches_play_round_loop(params, model, init, record_stride):
@@ -483,9 +512,12 @@ class TestEnsembleRun:
 def test_max_workers_from_env(monkeypatch):
     monkeypatch.delenv("ENTRYDYN_THREADS", raising=False)
     assert max_workers_from_env() == 1
+    monkeypatch.setenv("ENTRYDYN_THREADS", "")
+    assert max_workers_from_env() == 1
     monkeypatch.setenv("ENTRYDYN_THREADS", "6")
     assert max_workers_from_env() == 6
-    monkeypatch.setenv("ENTRYDYN_THREADS", "0")
-    assert max_workers_from_env() == 1
-    monkeypatch.setenv("ENTRYDYN_THREADS", "garbage")
-    assert max_workers_from_env() == 1
+    # a typo is an error, not a serial run
+    for raw in ("0", "-3", "garbage", "2.5"):
+        monkeypatch.setenv("ENTRYDYN_THREADS", raw)
+        with pytest.raises(ValueError, match=f"ENTRYDYN_THREADS: expected a positive integer, got '{raw}'"):
+            max_workers_from_env()

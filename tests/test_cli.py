@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrydyn import oracle
+from entrydyn import oracle, runio
 from entrydyn.abm import simulate
 from entrydyn.cli import main
 from entrydyn.config import parse_config
@@ -166,6 +166,36 @@ class TestRunCommands:
         assert "series.csv" in script
         assert "density_t0" in script
         assert "pngcairo" in script
+
+    def test_requests_due_at_one_record_write_one_density(self, tmp_path, monkeypatch):
+        # on records every 0.01, 0.025 and both 0.03 requests fall due at t = 0.03
+        cfg = pde_cfg(
+            tmp_path / "c.json",
+            tmp_path / "out",
+            engine="both",
+            init={"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.5},
+            grid={"q_min": -12.0, "q_max": 12.0, "n_cells": 400},
+            game=dict(GAME_PDE, n_agents=200, capacity=100),
+            t_end=0.05,
+            solver={"output_interval": 0.01},
+            snapshot_times=[0.0, 0.0, 0.03, 0.03, 0.025],
+        )
+        written = []
+        write_density = runio.write_density
+
+        def counting_write(path, density):
+            written.append(path.name)
+            return write_density(path, density)
+
+        monkeypatch.setattr(runio, "write_density", counting_write)
+        for engine in ("abm", "pde"):
+            written.clear()
+            assert main([engine, "--config", str(cfg)]) == 0
+            assert written == ["density_t0.csv", "density_t0.03.csv"]
+            assert read_json(tmp_path / "out" / engine / "run.json")["snapshots"] == {
+                "0": "density_t0.csv",
+                "0.03": "density_t0.03.csv",
+            }
 
     def test_pde_explicit_init_outside_grid_warns(self, tmp_path):
         init = {"kind": "explicit", "values": [-20.0, 0.0, 0.5]}
@@ -594,6 +624,14 @@ class TestConfigRejection:
         )
         assert main(["abm", "--config", str(cfg)]) == 2
         assert "snapshot" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "garbage"])
+    def test_bad_worker_cap_exits_2_before_the_out_dir(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ENTRYDYN_THREADS", raw)
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), replicas=2)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        assert "ENTRYDYN_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

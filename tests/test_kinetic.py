@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrydyn.analysis import (
@@ -17,7 +17,6 @@ from entrydyn.kinetic import (
     advective_dt,
     diffusion_coefficient,
     solve,
-    step,
 )
 
 from conftest import GRID, MODEL, PDE_FICT_PARAMS, PDE_PARAMS
@@ -115,61 +114,54 @@ class TestStableDt:
         assert advective_dt(0.1, np.array([0.0]), 0.4, 0.7) == 0.7
 
 
-def _step_coefficients(f: DensityGrid, params: GameParams):
-    """The face v and mu that step() applies to f."""
+def _own_coefficients(f: DensityGrid, params: GameParams):
+    """The face v and mu of f's own moments, which solve applies on its first step."""
     stencil = _Stencil(f.spec, params, MODEL)
     return stencil.face_coefficients(*stencil.moments(f.values))
 
 
 def _old_diffusive_limit(f: DensityGrid, params: GameParams) -> float:
     """dq^2 / (2 max mu): the step bound of an explicit diffusion update."""
-    _, mu = _step_coefficients(f, params)
+    _, mu = _own_coefficients(f, params)
     return f.spec.dq**2 / (2.0 * float(np.max(mu)))
 
 
 def _advective_limit(f: DensityGrid, params: GameParams) -> float:
-    v, _ = _step_coefficients(f, params)
+    v, _ = _own_coefficients(f, params)
     return advective_dt(f.spec.dq, v, 1.0, np.inf)
 
 
+def one_step(f: DensityGrid, params: GameParams, dt: float) -> DensityGrid:
+    """f after solve over one record interval dt, which it takes in a single step."""
+    result = solve(f, params, MODEL, dt, SolverOptions(output_interval=dt, cfl_safety=0.5))
+    assert result.n_steps == 1
+    return result.final
+
+
 class TestStep:
-    def test_rejects_step_beyond_stability_bound(self):
-        f = gaussian_density(GRID, -2.0, 1.5)
-        with pytest.raises(ValueError, match="stability"):
-            step(f, PDE_PARAMS, MODEL, dt=1e9)
-        limit = _advective_limit(f, PDE_PARAMS)
-        step(f, PDE_PARAMS, MODEL, dt=limit)
-        with pytest.raises(ValueError, match="advective stability bound"):
-            step(f, PDE_PARAMS, MODEL, dt=1.01 * limit)
-
-    def test_rejects_non_logistic_model(self):
-        f = gaussian_density(GRID, -2.0, 1.5)
-        with pytest.raises(ValueError, match="logistic"):
-            step(f, PDE_PARAMS, ErevRothRatio(1.0), dt=1e-6)
-
     def test_sorted_equilibrium_is_stationary(self):
         # spikes deep in saturation: a = kappa to machine precision, so the
         # only transport left is diffusion scaled by b ~ 1e-18
         spec = GridSpec(-44.0, 44.0, 440)
         f = two_spike_density(spec, -40.0, 40.0, 0.5)
-        f_next = step(f, PDE_PARAMS, MODEL, dt=1e-3)
+        f_next = one_step(f, PDE_PARAMS, dt=1e-3)
         assert np.max(np.abs(f_next.values - f.values)) <= 1e-12
 
     def test_mass_conserved_per_step(self):
         # early-transient state: D ~ 450, so dt = 5e-7 is about half the
         # old explicit diffusion limit and 1/200 of the advective bound
         f = gaussian_density(GRID, -1.9, 1.5)
-        f_next = step(f, PDE_PARAMS, MODEL, dt=5e-7)
+        f_next = one_step(f, PDE_PARAMS, dt=5e-7)
         assert abs(f_next.mass() - f.mass()) <= 1e-14
 
     def test_implicit_diffusion_far_beyond_explicit_limit(self):
         # two spikes at +-1: a = kappa by symmetry, so diffusion dominates
-        # and the advective bound leaves room for 100 times the explicit
+        # and half the advective bound leaves room for 100 times the explicit
         # diffusion limit, at which an explicit update would go negative
         f = two_spike_density(GRID, -1.0, 1.0, 0.5)
         dt = 100.0 * _old_diffusive_limit(f, PDE_PARAMS)
-        assert dt <= _advective_limit(f, PDE_PARAMS)
-        f_next = step(f, PDE_PARAMS, MODEL, dt=dt)
+        assert dt <= 0.5 * _advective_limit(f, PDE_PARAMS)
+        f_next = one_step(f, PDE_PARAMS, dt=dt)
         assert abs(f_next.mass() - f.mass()) <= 1e-13
         assert float(f_next.values.min()) >= 0.0
         # the profile spreads: a large step is smoothing, not oscillating
@@ -177,31 +169,33 @@ class TestStep:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        n_cells=st.integers(8, 200),
+        cells=st.lists(st.just(0.0) | st.floats(1e-6, 10.0), min_size=4, max_size=60),
         half_width=st.floats(2.0, 20.0),
-        seed=st.integers(0, 2**32 - 1),
-        fill=st.floats(0.05, 1.0),
         capacity=st.integers(1, 1000),
         fictitious=st.booleans(),
-        dt_frac=st.floats(0.01, 1.0),
+        cfl_safety=st.floats(0.01, 0.5),
     )
-    def test_one_step_keeps_mass_and_positivity(
-        self, n_cells, half_width, seed, fill, capacity, fictitious, dt_frac
+    # v changes sign from negative to positive across the cell holding 1 of
+    # 9 : 0 : 1 : 0, so one step at the full bound dq / max|v| emptied it
+    # through both faces, to -7.9e-4; solve at cfl_safety 0.5 takes 3 steps
+    @example(cells=[9.0, 0.0, 1.0, 0.0], half_width=16.0, capacity=950, fictitious=False, cfl_safety=0.5)
+    def test_solve_over_full_advective_bound_keeps_mass_and_positivity(
+        self, cells, half_width, capacity, fictitious, cfl_safety
     ):
-        # a random grid and a rough, partly empty density fix (a, b); with
-        # a random capacity and either rule, one step at up to the solver's
-        # CFL of 0.5 keeps mass and leaves no cell negative
-        spec = GridSpec(-half_width, half_width, n_cells)
-        rng = np.random.default_rng(seed)
-        values = rng.random(n_cells) * (rng.random(n_cells) < fill)
-        values[rng.integers(n_cells)] += 1.0
+        # a coarse grid and a rough, partly empty density fix (a, b); with
+        # any capacity and either rule, solve over the time dq / max|v| keeps
+        # mass and leaves no cell negative
+        assume(sum(cells) > 0)
+        spec = GridSpec(-half_width, half_width, len(cells))
+        values = np.array(cells)
         f = DensityGrid(spec, values / (values.sum() * spec.dq))
         rule = LearningRule.FICTITIOUS_STOCHASTIC if fictitious else LearningRule.BASIC_REINFORCEMENT
         params = GameParams(1000, capacity, 0.01, 100, rule)
-        dt = dt_frac * 0.5 * _advective_limit(f, params)
-        f_next = step(f, params, MODEL, dt=dt)
-        assert abs(f_next.mass() - f.mass()) <= 1e-13
-        assert float(f_next.values.min()) >= 0.0
+        t_end = _advective_limit(f, params)
+        assume(np.isfinite(t_end))
+        result = solve(f, params, MODEL, t_end, SolverOptions(output_interval=t_end, cfl_safety=cfl_safety))
+        assert abs(result.final.mass() - f.mass()) <= 1e-13
+        assert float(result.final.values.min()) >= 0.0
 
 
 class TestStencilTransport:
