@@ -35,8 +35,9 @@ from .kinetic import solve
 from .observables import ObservableSeries
 from .oracle import (
     MAX_AGENTS,
-    expected_drift_check,
-    poisson_binomial_pmf,
+    blocks,
+    expected_drift_block,
+    poisson_binomial_rows,
     random_instance,
 )
 
@@ -44,6 +45,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# oracle-check draws this many instances before it enumerates them in
+# blocks, so its memory does not grow with --instances
+ORACLE_CHUNK = 512
 
 
 def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
@@ -267,13 +272,17 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     worst_law = 0.0
     worst_drift = 0.0
-    for _ in range(args.instances):
-        propensities, params, model = random_instance(rng, max_agents=args.max_agents)
-        check = expected_drift_check(propensities, params, model)
-        pmf = poisson_binomial_pmf(check.law.probs)
-        # np.maximum keeps a NaN gap, which then fails the tolerance test
-        worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
-        worst_drift = np.maximum(worst_drift, check.max_abs_gap)
+    for start in range(0, args.instances, ORACLE_CHUNK):
+        drawn = [
+            random_instance(rng, max_agents=args.max_agents)
+            for _ in range(min(ORACLE_CHUNK, args.instances - start))
+        ]
+        for block in blocks(drawn):
+            check = expected_drift_block(block)
+            pmf = poisson_binomial_rows(check.law.probs)
+            # np.maximum keeps a NaN gap, which then fails the tolerance test
+            worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
+            worst_drift = np.maximum(worst_drift, check.max_abs_gap)
 
     passed = worst_law <= args.tolerance and worst_drift <= args.tolerance
     print(f"oracle check: {args.instances} instances, up to {args.max_agents} agents, seed {args.seed}")

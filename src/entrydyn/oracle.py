@@ -6,7 +6,10 @@ agent's own decision, hence the exact expected post-round propensities and
 observables one round ahead.  The entrant-count law is independently
 reproducible through the Poisson-binomial convolution recurrence, and the
 expected propensity drift has a closed form in the entry probabilities;
-both serve as cross-checks on any simulation engine.
+both serve as cross-checks on any simulation engine.  The kernel works on
+a block of instances with one N and one rule at a time, row by row, so a
+sweep pays numpy's per-call cost once per block rather than per instance;
+a single instance is a block of one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel
 
 MAX_AGENTS = 12
+# cap on a block's (B, N, 2^N) entry table, the kernel's largest temporary:
+# 2^16 float64 elements (512 KiB), so one instance a block at N = 12, as
+# many as 32768 at N = 1
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,10 @@ class RoundLaw:
     expected_a           E[mean_i p(q'_i)] one round ahead
     expected_b           E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
     probs                p(q_i), the entry probabilities the round used
+
+    The law of a block (expected_drift_block) stacks its instances' fields
+    along a leading axis, so expected_a and expected_b are arrays; row(b)
+    is instance b's own law.
     """
 
     m_probs: np.ndarray
@@ -38,10 +49,22 @@ class RoundLaw:
     expected_b: float
     probs: np.ndarray
 
+    def row(self, b: int) -> RoundLaw:
+        return RoundLaw(
+            self.m_probs[b],
+            self.expected_propensity[b],
+            float(self.expected_a[b]),
+            float(self.expected_b[b]),
+            self.probs[b],
+        )
+
 
 @dataclass(frozen=True)
 class DriftCheck:
-    """Enumerated versus closed-form expected propensity change, and the enumerated law."""
+    """Enumerated versus closed-form expected propensity change, and the enumerated law.
+
+    A block's check stacks its instances along a leading axis, as its law does.
+    """
 
     enumerated: np.ndarray
     predicted: np.ndarray
@@ -51,24 +74,40 @@ class DriftCheck:
     def max_abs_gap(self) -> float:
         return float(np.max(np.abs(self.enumerated - self.predicted)))
 
+    def row(self, b: int) -> DriftCheck:
+        return DriftCheck(self.enumerated[b], self.predicted[b], self.law.row(b))
+
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
-    """PMF of a sum of independent Bernoulli(p_i) via the convolution recurrence.
-
-    Plain Python, cheaper than numpy calls at N <= 12 and bit-identical to them.
-    """
+    """PMF of a sum of independent Bernoulli(p_i) via the convolution recurrence."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a nonempty 1-d array")
+    return poisson_binomial_rows(p[None])[0]
+
+
+def poisson_binomial_rows(probs) -> np.ndarray:
+    """poisson_binomial_pmf of each row of a (B, N) array, as a (B, N + 1) array.
+
+    Step i takes the counts 0..i+1 from their old values at once, which is
+    the in-place recurrence pmf[k] = pmf[k] (1 - p_i) + pmf[k - 1] p_i run
+    from k = i + 1 down, operation for operation.  The work runs on the
+    transpose, where each count and each p_i is a contiguous row.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError("probs must be a 2-d array of nonempty rows")
     if not (p.min() >= 0 and p.max() <= 1):  # false on NaN too
         raise ValueError("probabilities must lie in [0, 1]")
-    pmf = [1.0] + [0.0] * p.size
-    for i, pi in enumerate(p.tolist()):
-        stay = 1.0 - pi
-        for k in range(i + 1, 0, -1):
-            pmf[k] = pmf[k] * stay + pmf[k - 1] * pi
-        pmf[0] *= stay
-    return np.array(pmf)
+    enter = np.ascontiguousarray(p.T)
+    stay = 1.0 - enter
+    pmf = np.zeros((p.shape[1] + 1, p.shape[0]))
+    pmf[0] = 1.0
+    for i in range(p.shape[1]):
+        moved = pmf[: i + 1] * enter[i]
+        pmf[: i + 2] *= stay[i]
+        pmf[1 : i + 2] += moved
+    return pmf.T
 
 
 @lru_cache(maxsize=MAX_AGENTS)
@@ -85,45 +124,99 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def enumerate_round(propensities, params: GameParams, model: ProbabilityModel) -> RoundLaw:
-    """Exact law of one round by summing over all 2^N entry patterns.
+def blocks(instances):
+    """Split (propensities, params, model) instances into blocks for expected_drift_block.
 
-    q'_i depends on the pattern only through e_i and m, so the sum yields the
-    joint law P(m, e_i); the model then sees q and the (m, e) cells reached.
+    A block holds instances of one N and one rule, in the order given, and
+    at most BLOCK_ELEMENTS // (N 2^N) of them, which caps the block's
+    (B, N, 2^N) entry table.
     """
-    q = np.asarray(propensities, dtype=float)
-    n = q.size
-    if n != params.n_agents:
-        raise ValueError(f"got {n} propensities for n_agents={params.n_agents}")
+    groups: dict = {}
+    for instance in instances:
+        params = instance[1]
+        groups.setdefault((params.n_agents, params.rule), []).append(instance)
+    for (n, _), group in groups.items():
+        size = max(1, BLOCK_ELEMENTS // (n << n))
+        for start in range(0, len(group), size):
+            yield group[start : start + size]
+
+
+def _columns(instances):
+    """A block's propensities (B, N), payoff scales and capacities (B, 1),
+    rule and models, checked to share one N and one rule."""
+    games = [params for _, params, _ in instances]
+    if not games:
+        raise ValueError("a block holds at least one instance")
+    n, rule = games[0].n_agents, games[0].rule
+    rows = []
+    for (q, _, _), params in zip(instances, games):
+        q = np.asarray(q, dtype=float)
+        if q.size != params.n_agents:
+            raise ValueError(f"got {q.size} propensities for n_agents={params.n_agents}")
+        if (params.n_agents, params.rule) != (n, rule):
+            raise ValueError("a block holds instances of one n_agents and one rule")
+        rows.append(q.reshape(n))
     if n > MAX_AGENTS:
         raise ValueError(f"enumeration supports at most {MAX_AGENTS} agents, got {n}")
-    p = np.atleast_1d(model.prob(q))
+    h = np.array([[params.payoff_scale] for params in games])
+    c = np.array([[params.capacity] for params in games])
+    return np.array(rows), h, c, rule, [model for _, _, model in instances]
+
+
+def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
+    """Exact laws of a block of instances by summing over all 2^N entry patterns.
+
+    q'_i depends on the pattern only through e_i and m, so the sum yields the
+    joint law P(m, e_i); each instance's model then sees its q and the
+    (m, e) cells reached, in two calls.  Every step acts on each row alone,
+    so row b is bit for bit the law of instance b in a block of its own.
+    """
+    size, n = q.shape
+    p = np.empty_like(q)
+    for b, model in enumerate(models):
+        model.prob(q[b], out=p[b])
     order, entered, starts = _patterns(n)
-    weights = np.ones(1)
-    for pi in p.tolist():
-        weights = np.concatenate((weights * (1.0 - pi), weights * pi))
-    weights = weights[order]
-    m_probs = np.add.reduceat(weights, starts)
-    enter_law = np.add.reduceat(entered * weights, starts, axis=1).T  # P(m, e_i = 1)
-    stay_law = m_probs[:, None] - enter_law  # P(m, e_i = 0)
-    h = params.payoff_scale
-    gain = h * (params.capacity - np.arange(n + 1))
-    moved = q + gain[:, None]  # q_i + h (c - m), row m
-    if params.rule is LearningRule.BASIC_REINFORCEMENT:
-        drift = gain @ enter_law
-        p_next = np.concatenate((model.prob(moved[1:]), p[None, :].repeat(n, axis=0)))
+    # doubling: the patterns with bit i set take p_i, the others 1 - p_i
+    factors = np.stack((1.0 - p, p), axis=1)
+    weights = np.ones((size, 1))
+    for i in range(n):
+        weights = (factors[:, :, i, None] * weights[:, None, :]).reshape(size, -1)
+    weights = np.take(weights, order, axis=1)
+    m_probs = np.add.reduceat(weights, starts, axis=1)
+    # P(m, e_i = 1), kept as the transposed view of the sums: matmul rounds
+    # by memory layout, and this is the layout every result was checked in
+    enter_law = np.add.reduceat(entered * weights[:, None, :], starts, axis=2).transpose(0, 2, 1)
+    stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
+    gain = h * (c - np.arange(n + 1))
+    moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        drift = gain[:, None, :] @ enter_law
+        cells = moved[:, 1:]
     else:
-        drift = gain @ enter_law + (gain - h) @ stay_law
-        p_next = model.prob(np.concatenate((moved[1:], moved[:-1] - h)))
+        drift = gain[:, None, :] @ enter_law + (gain - h)[:, None, :] @ stay_law
+        cells = np.concatenate((moved[:, 1:], moved[:, :-1] - h[:, :, None]), axis=1)
+    p_next = np.empty_like(cells)
+    for b, model in enumerate(models):
+        model.prob(cells[b], out=p_next[b])
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        # a stay-out's propensity does not move, so neither does its p
+        p_next = np.concatenate((p_next, np.broadcast_to(p[:, None, :], (size, n, n))), axis=1)
     # reachable cells: entrants at m = 1..n, then stay-outs at m = 0..n-1
-    cell_law = np.concatenate((enter_law[1:], stay_law[:-1]))
-    expected_a = float(np.vdot(cell_law, p_next)) / n
-    expected_b = float(np.vdot(cell_law, p_next * (1.0 - p_next))) / n
-    return RoundLaw(m_probs, q + drift, expected_a, expected_b, p)
+    cell_law = np.concatenate((enter_law[:, 1:], stay_law[:, :-1]), axis=1).reshape(size, 1, -1)
+    p_next = p_next.reshape(size, -1, 1)
+    expected_a = (cell_law @ p_next)[:, 0, 0] / n
+    expected_b = (cell_law @ (p_next * (1.0 - p_next)))[:, 0, 0] / n
+    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p)
 
 
-def expected_drift_check(propensities, params: GameParams, model: ProbabilityModel) -> DriftCheck:
-    """Expected one-round propensity change, enumerated and in closed form.
+def enumerate_round(propensities, params: GameParams, model: ProbabilityModel) -> RoundLaw:
+    """Exact law of one round by summing over all 2^N entry patterns."""
+    return _round_block(*_columns([(propensities, params, model)])).row(0)
+
+
+def expected_drift_block(instances) -> DriftCheck:
+    """expected_drift_check of a block of (propensities, params, model)
+    instances with one N and one rule, such as blocks() yields.
 
     Conditioning on agent i's own decision gives exact expressions in the
     entry probabilities (S = sum_j p_j):
@@ -131,14 +224,20 @@ def expected_drift_check(propensities, params: GameParams, model: ProbabilityMod
       fictitious play       E[dq_i] = h (c - S) - h (1 - p_i)
     The enumeration must reproduce them to round-off.
     """
-    q = np.asarray(propensities, dtype=float)
-    law = enumerate_round(q, params, model)
-    p, h, c = law.probs, params.payoff_scale, params.capacity
-    if params.rule is LearningRule.BASIC_REINFORCEMENT:
-        predicted = h * p * (c - 1.0 - (p.sum() - p))
+    q, h, c, rule, models = _columns(instances)
+    law = _round_block(q, h, c, rule, models)
+    p = law.probs
+    total = p.sum(axis=1, keepdims=True)
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        predicted = h * p * (c - 1.0 - (total - p))
     else:
-        predicted = h * (c - p.sum()) - h * (1.0 - p)
+        predicted = h * (c - total) - h * (1.0 - p)
     return DriftCheck(law.expected_propensity - q, predicted, law)
+
+
+def expected_drift_check(propensities, params: GameParams, model: ProbabilityModel) -> DriftCheck:
+    """Expected one-round propensity change, enumerated and in closed form."""
+    return expected_drift_block([(propensities, params, model)]).row(0)
 
 
 def random_instance(
@@ -147,22 +246,23 @@ def random_instance(
     """One random small instance (propensities, params, model) for oracle sweeps.
 
     Ratio-model propensities are lifted far enough above zero that a single
-    round cannot leave the model's domain.
+    round cannot leave the model's domain.  Each draw is the value
+    Generator.uniform, normal or exponential would give, by a cheaper call.
     """
     n = int(rng.integers(1, max_agents + 1))
     capacity = int(rng.integers(1, n + 1))
-    h = float(rng.uniform(0.005, 0.2))
+    h = 0.005 + (0.2 - 0.005) * rng.random()
     rule = LearningRule.BASIC_REINFORCEMENT if rng.random() < 0.5 else (
         LearningRule.FICTITIOUS_STOCHASTIC
     )
     params = GameParams(n, capacity, h, int(rng.integers(1, 1000)), rule)
 
     if rng.random() < 0.5:
-        scale, center = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))
+        scale, center = 0.5 + 1.5 * rng.random(), -1.0 + 2.0 * rng.random()
         model: ProbabilityModel = Logistic(scale=scale, center=center)
-        q = rng.normal(model.center, 2.0 * model.scale, size=n)
+        q = model.center + (2.0 * model.scale) * rng.standard_normal(n)
     else:
-        model = ErevRothRatio(baseline=float(rng.uniform(0.5, 2.0)))
+        model = ErevRothRatio(baseline=0.5 + 1.5 * rng.random())
         floor = h * (n + 1.0)
-        q = floor + rng.exponential(1.0, size=n)
+        q = floor + rng.standard_exponential(n)
     return q, params, model

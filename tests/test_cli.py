@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,26 @@ GAME_PDE = {
     "rounds_per_unit": 100,
     "rule": "basic_reinforcement",
 }
+
+
+def reference_oracle_check(instances, max_agents, seed, tolerance=1e-12):
+    """Reference: oracle-check's stdout from one instance at a time, in drawn order."""
+    rng = np.random.default_rng(seed)
+    worst_law = 0.0
+    worst_drift = 0.0
+    for _ in range(instances):
+        propensities, params, model = oracle.random_instance(rng, max_agents=max_agents)
+        check = oracle.expected_drift_check(propensities, params, model)
+        pmf = oracle.poisson_binomial_pmf(check.law.probs)
+        worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
+        worst_drift = np.maximum(worst_drift, check.max_abs_gap)
+    passed = worst_law <= tolerance and worst_drift <= tolerance
+    return (
+        f"oracle check: {instances} instances, up to {max_agents} agents, seed {seed}\n"
+        f"  entrant-count law vs independent recurrence: worst gap {worst_law:.3e}\n"
+        f"  one-round mean drift vs closed form:         worst gap {worst_drift:.3e}\n"
+        f"  tolerance {tolerance:g}: {'PASS' if passed else 'FAIL'}\n"
+    )
 
 
 def write_cfg(path, **overrides):
@@ -845,17 +866,44 @@ class TestOracleCheck:
     @pytest.mark.parametrize("name", ["m_probs", "expected_propensity"])
     def test_nan_gap_fails(self, monkeypatch, capsys, name):
         # NaN compares false with everything, so a running max() would drop it
-        real = oracle.enumerate_round
+        real = oracle._round_block
 
-        def nan_round(*args):
+        def nan_block(*args):
             law = real(*args)
             return dataclasses.replace(law, **{name: np.full_like(getattr(law, name), np.nan)})
 
-        monkeypatch.setattr(oracle, "enumerate_round", nan_round)
+        monkeypatch.setattr(oracle, "_round_block", nan_block)
         assert main(["oracle-check", "--instances", "20"]) == 1
         out = capsys.readouterr().out
         assert "worst gap nan" in out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("max_agents", [12, 5])
+    @pytest.mark.parametrize("instances", [1, 513, 1200])
+    def test_stdout_matches_reference_loop(self, capsys, max_agents, instances):
+        # 513 and 1200 instances end in a partial chunk of the stream
+        for seed in range(3):
+            argv = ["--instances", str(instances), "--max-agents", str(max_agents), "--seed", str(seed)]
+            assert main(["oracle-check", *argv]) == 0
+            assert capsys.readouterr().out == reference_oracle_check(instances, max_agents, seed)
+
+    def test_memory_does_not_grow_with_instances(self, capsys):
+        # up to 8 agents, blocks of N = 7 and 8 fill the cap on the entry
+        # table, the largest temporary of any N, at half the run time of 12
+        argv = ["oracle-check", "--max-agents", "8", "--instances"]
+        assert main([*argv, "200"]) == 0  # caches every pattern table
+        peaks = {}
+        for instances in (2000, 8000):
+            tracemalloc.start()
+            try:
+                assert main([*argv, str(instances)]) == 0
+                peaks[instances] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[8000] <= 1.1 * peaks[2000]
+        # a drawn chunk of instances and one block's temporaries: about 1 MiB
+        assert peaks[8000] <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,16 @@ from scipy.stats import binom
 
 from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
 from entrydyn.oracle import (
+    BLOCK_ELEMENTS,
     MAX_AGENTS,
     RoundLaw,
     _patterns,
+    blocks,
     enumerate_round,
+    expected_drift_block,
     expected_drift_check,
     poisson_binomial_pmf,
+    poisson_binomial_rows,
     random_instance,
 )
 
@@ -45,6 +49,58 @@ def table_round(q, params, model):
     return RoundLaw(m_probs, weights @ q_next, expected_a, expected_b, p), q_next
 
 
+def loop_round(q, params, model):
+    """Reference: the enumeration of one instance on its own, (N, 2^N) arrays,
+    with the closed-form drift; the block kernel must match it bit for bit."""
+    n = q.size
+    p = np.atleast_1d(model.prob(q))
+    order, entered, starts = _patterns(n)
+    weights = np.ones(1)
+    for pi in p.tolist():
+        weights = np.concatenate((weights * (1.0 - pi), weights * pi))
+    weights = weights[order]
+    m_probs = np.add.reduceat(weights, starts)
+    enter_law = np.add.reduceat(entered * weights, starts, axis=1).T
+    stay_law = m_probs[:, None] - enter_law
+    h, c = params.payoff_scale, params.capacity
+    gain = h * (c - np.arange(n + 1))
+    moved = q + gain[:, None]
+    if params.rule is BASIC:
+        drift = gain @ enter_law
+        p_next = np.concatenate((model.prob(moved[1:]), p[None, :].repeat(n, axis=0)))
+        predicted = h * p * (c - 1.0 - (p.sum() - p))
+    else:
+        drift = gain @ enter_law + (gain - h) @ stay_law
+        p_next = model.prob(np.concatenate((moved[1:], moved[:-1] - h)))
+        predicted = h * (c - p.sum()) - h * (1.0 - p)
+    cell_law = np.concatenate((enter_law[1:], stay_law[:-1]))
+    expected_a = float(np.vdot(cell_law, p_next)) / n
+    expected_b = float(np.vdot(cell_law, p_next * (1.0 - p_next))) / n
+    return RoundLaw(m_probs, q + drift, expected_a, expected_b, p), predicted
+
+
+def reference_random_instance(rng, max_agents=MAX_AGENTS):
+    """Reference: random_instance drawn through Generator.uniform, normal and exponential."""
+    n = int(rng.integers(1, max_agents + 1))
+    capacity = int(rng.integers(1, n + 1))
+    h = float(rng.uniform(0.005, 0.2))
+    rule = BASIC if rng.random() < 0.5 else FICT
+    params = GameParams(n, capacity, h, int(rng.integers(1, 1000)), rule)
+    if rng.random() < 0.5:
+        model = Logistic(scale=float(rng.uniform(0.5, 2.0)), center=float(rng.uniform(-1.0, 1.0)))
+        q = rng.normal(model.center, 2.0 * model.scale, size=n)
+    else:
+        model = ErevRothRatio(baseline=float(rng.uniform(0.5, 2.0)))
+        q = h * (n + 1.0) + rng.exponential(1.0, size=n)
+    return q, params, model
+
+
+def assert_same_law(law, ref):
+    for name in ("m_probs", "expected_propensity", "probs"):
+        assert getattr(law, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert (law.expected_a, law.expected_b) == (ref.expected_a, ref.expected_b)
+
+
 def vector_pmf(p):
     """Reference: the Poisson-binomial recurrence on numpy vectors."""
     pmf = np.zeros(p.size + 1)
@@ -68,8 +124,8 @@ class Recording:
 
 
 @st.composite
-def instances(draw, max_agents=10):
-    n = draw(st.integers(1, max_agents))
+def instances(draw, max_agents=10, min_agents=1):
+    n = draw(st.integers(min_agents, max_agents))
     h = draw(st.floats(0.005, 0.2))
     params = GameParams(n, draw(st.integers(1, n)), h, 10, draw(st.sampled_from(LearningRule)))
     if draw(st.booleans()):
@@ -81,7 +137,28 @@ def instances(draw, max_agents=10):
     return h * (n + 1.0) + np.array(q), params, ErevRothRatio(draw(st.floats(0.5, 2.0)))
 
 
+class TestRandomInstance:
+    def test_draws_the_generator_forms(self):
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(500):
+                q, params, model = random_instance(rng)
+                ref_q, ref_params, ref_model = reference_random_instance(ref_rng)
+                assert q.tobytes() == ref_q.tobytes()
+                assert (params, model) == (ref_params, ref_model)
+
+
 class TestEnumerateRound:
+    def test_bit_identical_to_loop_reference(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            q, params, model = random_instance(rng)
+            ref, predicted = loop_round(q, params, model)
+            check = expected_drift_check(q, params, model)
+            assert_same_law(enumerate_round(q, params, model), ref)
+            assert_same_law(check.law, ref)
+            assert check.predicted.tobytes() == predicted.tobytes()
+
     def test_three_fair_agents(self):
         params = GameParams(3, 2, 0.1, 10, BASIC)
         law = enumerate_round(np.zeros(3), params, MODEL)
@@ -252,6 +329,78 @@ class TestExpectedDriftCheck:
             assert law.m_probs.tobytes() == ref.m_probs.tobytes()
             assert law.expected_propensity.tobytes() == ref.expected_propensity.tobytes()
             assert (law.expected_a, law.expected_b) == (ref.expected_a, ref.expected_b)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """Instances of one N and one rule, both models mixed, as many as one
+    block holds, one more, or one."""
+    n = draw(st.sampled_from(range(1, MAX_AGENTS + 1)))
+    rule = draw(st.sampled_from(LearningRule))
+    cap = BLOCK_ELEMENTS // (n << n)
+    size = draw(st.sampled_from([1, cap, cap + 1]))
+    distinct = []
+    for _ in range(min(size, 4)):
+        q, params, model = draw(instances(max_agents=n, min_agents=n))
+        distinct.append((q, GameParams(n, params.capacity, params.payoff_scale, 10, rule), model))
+    # a large block repeats the distinct instances in a drawn order
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(distinct), size=size)
+    picks[: len(distinct)] = np.arange(len(distinct))
+    return [distinct[k] for k in picks], cap
+
+
+class TestBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_blocks())
+    def test_block_rows_equal_single_instances(self, case):
+        drawn, cap = case
+        split = list(blocks(drawn))
+        assert [len(block) for block in split] == ([len(drawn)] if len(drawn) <= cap else [cap, 1])
+        singles = {}
+        for instance in drawn:
+            if id(instance) not in singles:
+                check = expected_drift_check(*instance)
+                singles[id(instance)] = {
+                    "law": enumerate_round(*instance),
+                    "check": check,
+                    "pmf": poisson_binomial_pmf(check.law.probs),
+                }
+        for block in split:
+            check = expected_drift_block(block)
+            rows = [singles[id(instance)] for instance in block]
+
+            def stacked(key, name):
+                return np.array([getattr(row[key], name) for row in rows]).tobytes()
+
+            for name in ("m_probs", "expected_propensity", "expected_a", "expected_b", "probs"):
+                assert getattr(check.law, name).tobytes() == stacked("law", name), name
+            for name in ("enumerated", "predicted"):
+                assert getattr(check, name).tobytes() == stacked("check", name), name
+            pmf = poisson_binomial_rows(check.law.probs)
+            assert pmf.tobytes() == np.array([row["pmf"] for row in rows]).tobytes()
+            assert_same_law(check.row(len(block) - 1).law, rows[-1]["law"])
+
+    def test_groups_in_drawn_order(self):
+        rng = np.random.default_rng(59)
+        drawn = [random_instance(rng) for _ in range(600)]
+        position = {id(instance): i for i, instance in enumerate(drawn)}
+        split = list(blocks(drawn))
+        assert sorted(position[id(x)] for block in split for x in block) == list(range(600))
+        for block in split:
+            n, rule = block[0][1].n_agents, block[0][1].rule
+            assert all((params.n_agents, params.rule) == (n, rule) for _, params, _ in block)
+            assert len(block) * (n << n) <= BLOCK_ELEMENTS
+            assert [position[id(x)] for x in block] == sorted(position[id(x)] for x in block)
+
+    def test_rejects_a_mixed_block(self):
+        rng = np.random.default_rng(61)
+        q, params, model = random_instance(rng, max_agents=4)
+        other = GameParams(params.n_agents, params.capacity, params.payoff_scale, 10,
+                           FICT if params.rule is BASIC else BASIC)
+        with pytest.raises(ValueError):
+            expected_drift_block([(q, params, model), (q, other, model)])
+        with pytest.raises(ValueError):
+            expected_drift_block([])
 
 
 class TestPoissonBinomial:
