@@ -33,13 +33,7 @@ from .config import ConfigError, RunConfig, _as_number, _parse_game, load_config
 from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
-from .oracle import (
-    MAX_AGENTS,
-    blocks,
-    expected_drift_block,
-    poisson_binomial_rows,
-    random_instance,
-)
+from .oracle import MAX_AGENTS, blocks, enumerate_block, poisson_binomial_rows, random_instance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -167,10 +161,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _run_record(path: Path):
-    """The payload of a run.json; a missing or mistyped field read from it is a ConfigError."""
+    """The payload of a run.json; a file that is not JSON, or a missing or
+    mistyped field read from it, is a ConfigError."""
     try:
         yield runio.read_json(path)
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a usable run record ({exc})") from None
 
 
@@ -268,6 +263,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"max_agents: must be >= 1, got {args.max_agents}")
     if args.instances < 1:
         raise ConfigError(f"instances: must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     worst_law = 0.0
@@ -278,11 +275,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             for _ in range(min(ORACLE_CHUNK, args.instances - start))
         ]
         for block in blocks(drawn):
-            check = expected_drift_block(block)
-            pmf = poisson_binomial_rows(check.law.probs)
+            law = enumerate_block(block)
+            pmf = poisson_binomial_rows(law.probs)
             # np.maximum keeps a NaN gap, which then fails the tolerance test
-            worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
-            worst_drift = np.maximum(worst_drift, check.max_abs_gap)
+            worst_law = np.maximum(worst_law, np.max(np.abs(law.m_probs - pmf)))
+            worst_drift = np.maximum(worst_drift, law.max_abs_gap)
 
     passed = worst_law <= args.tolerance and worst_drift <= args.tolerance
     print(f"oracle check: {args.instances} instances, up to {args.max_agents} agents, seed {args.seed}")

@@ -217,7 +217,7 @@ class ErevRothRatio:
 def _nonnegative(q) -> np.ndarray:
     """q as a float array, or DomainError if any entry is negative."""
     arr = np.asarray(q, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(
             "ratio probability model requires nonnegative propensities, "
             f"got minimum {arr.min():g}"

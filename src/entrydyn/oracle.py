@@ -4,12 +4,15 @@ For N <= 12 agents the 2^N entry patterns are enumerated outright, giving
 the exact law of the entrant count m and the joint law of m and each
 agent's own decision, hence the exact expected post-round propensities and
 observables one round ahead.  The entrant-count law is independently
-reproducible through the Poisson-binomial convolution recurrence, and the
-expected propensity drift has a closed form in the entry probabilities;
-both serve as cross-checks on any simulation engine.  The kernel works on
-a block of instances with one N and one rule at a time, row by row, so a
-sweep pays numpy's per-call cost once per block rather than per instance;
-a single instance is a block of one.
+reproducible through the Poisson-binomial convolution recurrence
+(poisson_binomial_rows), and the expected propensity drift has a closed
+form in the entry probabilities; both serve as cross-checks on any
+simulation engine.  enumerate_block is the one entry point: it takes a
+block of instances with one N and one rule and returns one RoundLaw whose
+fields stack the instances along a leading axis, the closed-form drift
+beside the enumerated one.  The kernel works row by row, so a sweep pays
+numpy's per-call cost once per block rather than per instance; a single
+instance is a block of one.
 """
 
 from __future__ import annotations
@@ -30,64 +33,41 @@ BLOCK_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class RoundLaw:
-    """Exact distributional summary of one round from a fixed state.
+    """Exact distributional summary of one round from a fixed state, for each
+    instance of a block; every field has a leading axis over the instances,
+    and for instance b:
 
-    m_probs              P(m = k) for k = 0..N
-    expected_propensity  E[q'_i] for each agent after the round
-    expected_a           E[mean_i p(q'_i)] one round ahead
-    expected_b           E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
-    probs                p(q_i), the entry probabilities the round used
-
-    The law of a block (expected_drift_block) stacks its instances' fields
-    along a leading axis, so expected_a and expected_b are arrays; row(b)
-    is instance b's own law.
+    m_probs[b]              P(m = k) for k = 0..N
+    expected_propensity[b]  E[q'_i] for each agent after the round
+    expected_a[b]           E[mean_i p(q'_i)] one round ahead
+    expected_b[b]           E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
+    probs[b]                p(q_i), the entry probabilities the round used
+    propensities[b]         q_i, the state the round starts from
+    predicted_drift[b]      E[q'_i - q_i] in closed form, as enumerate_block states it
     """
 
     m_probs: np.ndarray
     expected_propensity: np.ndarray
-    expected_a: float
-    expected_b: float
+    expected_a: np.ndarray
+    expected_b: np.ndarray
     probs: np.ndarray
+    propensities: np.ndarray
+    predicted_drift: np.ndarray
 
-    def row(self, b: int) -> RoundLaw:
-        return RoundLaw(
-            self.m_probs[b],
-            self.expected_propensity[b],
-            float(self.expected_a[b]),
-            float(self.expected_b[b]),
-            self.probs[b],
-        )
-
-
-@dataclass(frozen=True)
-class DriftCheck:
-    """Enumerated versus closed-form expected propensity change, and the enumerated law.
-
-    A block's check stacks its instances along a leading axis, as its law does.
-    """
-
-    enumerated: np.ndarray
-    predicted: np.ndarray
-    law: RoundLaw
+    @property
+    def drift(self) -> np.ndarray:
+        """E[q'_i - q_i] as enumerated."""
+        return self.expected_propensity - self.propensities
 
     @property
     def max_abs_gap(self) -> float:
-        return float(np.max(np.abs(self.enumerated - self.predicted)))
-
-    def row(self, b: int) -> DriftCheck:
-        return DriftCheck(self.enumerated[b], self.predicted[b], self.law.row(b))
-
-
-def poisson_binomial_pmf(probs) -> np.ndarray:
-    """PMF of a sum of independent Bernoulli(p_i) via the convolution recurrence."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a nonempty 1-d array")
-    return poisson_binomial_rows(p[None])[0]
+        """Largest gap between the enumerated and the closed-form drift over the block."""
+        return float(np.max(np.abs(self.drift - self.predicted_drift)))
 
 
 def poisson_binomial_rows(probs) -> np.ndarray:
-    """poisson_binomial_pmf of each row of a (B, N) array, as a (B, N + 1) array.
+    """PMF of a sum of independent Bernoulli(p_i) for each row of a (B, N)
+    array, by the convolution recurrence, as a (B, N + 1) array.
 
     Step i takes the counts 0..i+1 from their old values at once, which is
     the in-place recurrence pmf[k] = pmf[k] (1 - p_i) + pmf[k - 1] p_i run
@@ -125,7 +105,7 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def blocks(instances):
-    """Split (propensities, params, model) instances into blocks for expected_drift_block.
+    """Split (propensities, params, model) instances into blocks for enumerate_block.
 
     A block holds instances of one N and one rule, in the order given, and
     at most BLOCK_ELEMENTS // (N 2^N) of them, which caps the block's
@@ -141,9 +121,18 @@ def blocks(instances):
             yield group[start : start + size]
 
 
-def _columns(instances):
-    """A block's propensities (B, N), payoff scales and capacities (B, 1),
-    rule and models, checked to share one N and one rule."""
+def enumerate_block(instances) -> RoundLaw:
+    """Exact law of one round for each of a block of (propensities, params,
+    model) instances with one N and one rule, such as blocks() yields; a
+    single instance is a block of one.
+
+    Conditioning on agent i's own decision gives the expected propensity
+    change in closed form in the entry probabilities (S = sum_j p_j):
+      basic reinforcement   E[dq_i] = h p_i (c - 1 - (S - p_i))
+      fictitious play       E[dq_i] = h (c - S) - h (1 - p_i)
+    The law carries it as predicted_drift; the enumerated drift must
+    reproduce it to round-off.
+    """
     games = [params for _, params, _ in instances]
     if not games:
         raise ValueError("a block holds at least one instance")
@@ -160,7 +149,7 @@ def _columns(instances):
         raise ValueError(f"enumeration supports at most {MAX_AGENTS} agents, got {n}")
     h = np.array([[params.payoff_scale] for params in games])
     c = np.array([[params.capacity] for params in games])
-    return np.array(rows), h, c, rule, [model for _, _, model in instances]
+    return _round_block(np.array(rows), h, c, rule, [model for _, _, model in instances])
 
 
 def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
@@ -189,11 +178,14 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
     gain = h * (c - np.arange(n + 1))
     moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
+    total = p.sum(axis=1, keepdims=True)
     if rule is LearningRule.BASIC_REINFORCEMENT:
         drift = gain[:, None, :] @ enter_law
+        predicted = h * p * (c - 1.0 - (total - p))
         cells = moved[:, 1:]
     else:
         drift = gain[:, None, :] @ enter_law + (gain - h)[:, None, :] @ stay_law
+        predicted = h * (c - total) - h * (1.0 - p)
         cells = np.concatenate((moved[:, 1:], moved[:, :-1] - h[:, :, None]), axis=1)
     p_next = np.empty_like(cells)
     for b, model in enumerate(models):
@@ -206,38 +198,7 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     p_next = p_next.reshape(size, -1, 1)
     expected_a = (cell_law @ p_next)[:, 0, 0] / n
     expected_b = (cell_law @ (p_next * (1.0 - p_next)))[:, 0, 0] / n
-    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p)
-
-
-def enumerate_round(propensities, params: GameParams, model: ProbabilityModel) -> RoundLaw:
-    """Exact law of one round by summing over all 2^N entry patterns."""
-    return _round_block(*_columns([(propensities, params, model)])).row(0)
-
-
-def expected_drift_block(instances) -> DriftCheck:
-    """expected_drift_check of a block of (propensities, params, model)
-    instances with one N and one rule, such as blocks() yields.
-
-    Conditioning on agent i's own decision gives exact expressions in the
-    entry probabilities (S = sum_j p_j):
-      basic reinforcement   E[dq_i] = h p_i (c - 1 - (S - p_i))
-      fictitious play       E[dq_i] = h (c - S) - h (1 - p_i)
-    The enumeration must reproduce them to round-off.
-    """
-    q, h, c, rule, models = _columns(instances)
-    law = _round_block(q, h, c, rule, models)
-    p = law.probs
-    total = p.sum(axis=1, keepdims=True)
-    if rule is LearningRule.BASIC_REINFORCEMENT:
-        predicted = h * p * (c - 1.0 - (total - p))
-    else:
-        predicted = h * (c - total) - h * (1.0 - p)
-    return DriftCheck(law.expected_propensity - q, predicted, law)
-
-
-def expected_drift_check(propensities, params: GameParams, model: ProbabilityModel) -> DriftCheck:
-    """Expected one-round propensity change, enumerated and in closed form."""
-    return expected_drift_block([(propensities, params, model)]).row(0)
+    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p, q, predicted)
 
 
 def random_instance(

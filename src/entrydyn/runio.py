@@ -57,8 +57,11 @@ def read_series(path: str | Path) -> ObservableSeries:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}:{i}: expected {len(header)} fields, got {len(parts)}")
-        for name, part in zip(header, parts):
-            data[name].append(float(part))
+        try:
+            for name, part in zip(header, parts):
+                data[name].append(float(part))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
     try:
         return ObservableSeries(**{name: np.asarray(vals) for name, vals in data.items()})
     except ValueError as exc:

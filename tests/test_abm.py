@@ -25,7 +25,7 @@ from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, 
 from entrydyn.grid import DensityGrid, GridSpec, gaussian_density, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import Recorder
-from entrydyn.oracle import enumerate_round
+from entrydyn.oracle import enumerate_block
 
 from conftest import CountingLogistic, play_round, update_propensity
 
@@ -117,14 +117,14 @@ class TestPlayRound:
     def test_heterogeneous_law_matches_enumeration(self):
         q = np.array([-1.0, -0.2, 0.4, 1.3])
         params = GameParams(4, 2, 0.05, 10, FICT)
-        law = enumerate_round(q, params, MODEL)
+        m_probs = enumerate_block([(q, params, MODEL)]).m_probs[0]
         rng = np.random.default_rng(123)
         n_rounds = 40_000
         counts = np.zeros(5)
         for _ in range(n_rounds):
             counts[play_round(q, params, MODEL, rng)[2]] += 1
-        expected = n_rounds * law.m_probs
-        z = np.abs(counts - expected) / np.sqrt(expected * (1 - law.m_probs))
+        expected = n_rounds * m_probs
+        z = np.abs(counts - expected) / np.sqrt(expected * (1 - m_probs))
         assert np.max(z) < 4.0
 
     def test_two_phase_update_uses_one_entrant_count(self):

@@ -10,6 +10,7 @@ artifact. The analysis lives in the README; the test still asserts
 the criterion as stated rather than codifying the weaker behavior.
 """
 
+import re
 import time
 
 import numpy as np
@@ -24,16 +25,12 @@ from entrydyn.analysis import (
     sorting_fit,
     within_factor,
 )
+from entrydyn.cli import main
 from entrydyn.core import GameParams, LearningRule
 from entrydyn.grid import GridSpec, two_spike_density
 from entrydyn.kinetic import SolverOptions, _Stencil, diffusion_coefficient, solve
 from entrydyn.observables import ObservableSeries
-from entrydyn.oracle import (
-    enumerate_round,
-    expected_drift_check,
-    poisson_binomial_pmf,
-    random_instance,
-)
+from entrydyn.oracle import enumerate_block
 
 from conftest import (
     ABM_BASIC_PARAMS,
@@ -56,27 +53,22 @@ def early_window(series: ObservableSeries, t_max: float) -> ObservableSeries:
     return ObservableSeries(t=series.t[mask], a=series.a[mask], b=series.b[mask])
 
 
-def test_criterion_1_oracle_self_consistency():
+def test_criterion_1_oracle_self_consistency(capsys):
     # exact round law vs the independent-entry recurrence, and the
     # one-round mean propensity change vs its closed form, over 1000
-    # random instances of both rules and both probability models
-    rng = np.random.default_rng(BASE_SEED)
+    # random instances of both rules and both probability models, run
+    # through the command that checks them
+    argv = ["oracle-check", "--instances", "1000", "--seed", str(BASE_SEED), "--tolerance", "1e-12"]
     start = time.perf_counter()
-    worst_law = 0.0
-    worst_drift = 0.0
-    for _ in range(1000):
-        q, params, model = random_instance(rng)
-        check = expected_drift_check(q, params, model)
-        pmf = poisson_binomial_pmf(check.law.probs)
-        worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
-        worst_drift = np.maximum(worst_drift, check.max_abs_gap)
+    code = main(argv)
     wall = time.perf_counter() - start
-    passed = worst_law <= 1e-12 and worst_drift <= 1e-12 and wall < 10.0
+    worst_law, worst_drift = re.findall(r"worst gap (\S+)", capsys.readouterr().out)
+    passed = code == 0 and wall < 10.0
     report(
         1,
         passed,
-        f"law gap {worst_law:.2e}, drift gap {worst_drift:.2e} "
-        f"(tol 1e-12), {wall:.2f}s (budget 10s)",
+        f"law gap {worst_law}, drift gap {worst_drift} "
+        f"(tol 1e-12, exit {code}), {wall:.2f}s (budget 10s)",
     )
 
 
@@ -85,7 +77,7 @@ def test_criterion_2_simulator_matches_exact_law():
     # enumerated distribution {1/8, 3/8, 3/8, 1/8} at the 99.9% level
     params = GameParams(3, 2, 0.1, 10, LearningRule.BASIC_REINFORCEMENT)
     q = init_population(params, AllEqual(0.0), 0)
-    law = enumerate_round(q, params, MODEL)
+    m_probs = enumerate_block([(q, params, MODEL)]).m_probs[0]
     rng = np.random.default_rng(BASE_SEED)
     n_rounds = 100_000
     start = time.perf_counter()
@@ -93,7 +85,7 @@ def test_criterion_2_simulator_matches_exact_law():
     for _ in range(n_rounds):
         counts[play_round(q, params, MODEL, rng)[2]] += 1
     wall = time.perf_counter() - start
-    expected = n_rounds * law.m_probs
+    expected = n_rounds * m_probs
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     critical = float(chi2.ppf(0.999, 3))
     passed = statistic < critical and wall < 5.0

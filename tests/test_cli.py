@@ -42,10 +42,10 @@ def reference_oracle_check(instances, max_agents, seed, tolerance=1e-12):
     worst_drift = 0.0
     for _ in range(instances):
         propensities, params, model = oracle.random_instance(rng, max_agents=max_agents)
-        check = oracle.expected_drift_check(propensities, params, model)
-        pmf = oracle.poisson_binomial_pmf(check.law.probs)
-        worst_law = np.maximum(worst_law, np.max(np.abs(check.law.m_probs - pmf)))
-        worst_drift = np.maximum(worst_drift, check.max_abs_gap)
+        law = oracle.enumerate_block([(propensities, params, model)])
+        pmf = oracle.poisson_binomial_rows(law.probs)
+        worst_law = np.maximum(worst_law, np.max(np.abs(law.m_probs - pmf)))
+        worst_drift = np.maximum(worst_drift, law.max_abs_gap)
     passed = worst_law <= tolerance and worst_drift <= tolerance
     return (
         f"oracle check: {instances} instances, up to {max_agents} agents, seed {seed}\n"
@@ -781,6 +781,15 @@ class TestAnalyze:
         run_dir.mkdir()
         assert main(["analyze", str(run_dir)]) == 2
 
+    def test_run_json_that_is_not_json_is_config_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir)
+        (run_dir / "run.json").write_text('{"learning_constant": 0.1,')
+        assert main(["analyze", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'run.json'}: not a usable run record (Expecting" in err
+        assert not (run_dir / "fits.json").exists()
+
     @pytest.mark.parametrize(
         "game",
         [dict(GAME_PDE, n_agents="1000"), [], dict(GAME_PDE, n_agents=True, capacity=1)],
@@ -859,6 +868,10 @@ class TestOracleCheck:
     def test_zero_count_is_config_error(self, capsys, flag, key):
         assert main(["oracle-check", "--instances", "5", flag, "0"]) == 2
         assert capsys.readouterr().err == f"config error: {key}: must be >= 1, got 0\n"
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["oracle-check", "--instances", "5", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
 
     def test_zero_tolerance_fails(self):
         assert main(["oracle-check", "--instances", "20", "--tolerance", "0"]) == 1
@@ -952,7 +965,10 @@ class TestMakePlots:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         write_series(run_dir / "series.csv", ObservableSeries(t=t, a=t, b=t / 4))
-        write_json(run_dir / "run.json", record)
+        if isinstance(record, str):  # the text of a run.json that is not JSON
+            (run_dir / "run.json").write_text(record)
+        else:
+            write_json(run_dir / "run.json", record)
         return run_dir
 
     def test_kappa_is_drawn_as_the_reference_line(self, tmp_path):
@@ -970,8 +986,9 @@ class TestMakePlots:
             ({"derived": {"kappa": True}}, "derived.kappa"),
             ({"derived": {}}, "kappa"),
             ({}, "derived"),
+            ('{"derived": {"kappa": 0.25}', "Expecting"),
         ],
-        ids=["list-record", "list-derived", "string", "null", "bool", "no-kappa", "no-derived"],
+        ids=["list-record", "list-derived", "string", "null", "bool", "no-kappa", "no-derived", "not-json"],
     )
     def test_malformed_run_record_is_config_error(self, tmp_path, capsys, record, key):
         run_dir = self.run_dir_with(tmp_path, record)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,9 @@ from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, 
 from entrydyn.oracle import (
     BLOCK_ELEMENTS,
     MAX_AGENTS,
-    RoundLaw,
     _patterns,
     blocks,
-    enumerate_round,
-    expected_drift_block,
-    expected_drift_check,
-    poisson_binomial_pmf,
+    enumerate_block,
     poisson_binomial_rows,
     random_instance,
 )
@@ -46,12 +44,16 @@ def table_round(q, params, model):
     p_next = model.prob(q_next)
     expected_a = float(weights @ p_next.mean(axis=1))
     expected_b = float(weights @ (p_next * (1.0 - p_next)).mean(axis=1))
-    return RoundLaw(m_probs, weights @ q_next, expected_a, expected_b, p), q_next
+    law = SimpleNamespace(
+        m_probs=m_probs, expected_propensity=weights @ q_next, expected_a=expected_a, expected_b=expected_b
+    )
+    return law, q_next
 
 
 def loop_round(q, params, model):
     """Reference: the enumeration of one instance on its own, (N, 2^N) arrays,
-    with the closed-form drift; the block kernel must match it bit for bit."""
+    with the closed-form drift; each row of a block's law must match it bit
+    for bit."""
     n = q.size
     p = np.atleast_1d(model.prob(q))
     order, entered, starts = _patterns(n)
@@ -76,7 +78,10 @@ def loop_round(q, params, model):
     cell_law = np.concatenate((enter_law[1:], stay_law[:-1]))
     expected_a = float(np.vdot(cell_law, p_next)) / n
     expected_b = float(np.vdot(cell_law, p_next * (1.0 - p_next))) / n
-    return RoundLaw(m_probs, q + drift, expected_a, expected_b, p), predicted
+    return SimpleNamespace(
+        m_probs=m_probs, expected_propensity=q + drift, expected_a=expected_a, expected_b=expected_b,
+        probs=p, predicted_drift=predicted,
+    )
 
 
 def reference_random_instance(rng, max_agents=MAX_AGENTS):
@@ -95,10 +100,13 @@ def reference_random_instance(rng, max_agents=MAX_AGENTS):
     return q, params, model
 
 
-def assert_same_law(law, ref):
-    for name in ("m_probs", "expected_propensity", "probs"):
-        assert getattr(law, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert (law.expected_a, law.expected_b) == (ref.expected_a, ref.expected_b)
+LAW_FIELDS = ("m_probs", "expected_propensity", "expected_a", "expected_b", "probs", "predicted_drift")
+
+
+def assert_same_row(law, b, ref):
+    """Row b of a block's law has the bytes of ref, one instance's law."""
+    for name in LAW_FIELDS:
+        assert np.asarray(getattr(law, name)[b]).tobytes() == np.asarray(getattr(ref, name)).tobytes(), name
 
 
 def vector_pmf(p):
@@ -153,55 +161,50 @@ class TestEnumerateRound:
         rng = np.random.default_rng(53)
         for _ in range(300):
             q, params, model = random_instance(rng)
-            ref, predicted = loop_round(q, params, model)
-            check = expected_drift_check(q, params, model)
-            assert_same_law(enumerate_round(q, params, model), ref)
-            assert_same_law(check.law, ref)
-            assert check.predicted.tobytes() == predicted.tobytes()
+            assert_same_row(enumerate_block([(q, params, model)]), 0, loop_round(q, params, model))
 
     def test_three_fair_agents(self):
         params = GameParams(3, 2, 0.1, 10, BASIC)
-        law = enumerate_round(np.zeros(3), params, MODEL)
+        law = enumerate_block([(np.zeros(3), params, MODEL)])
         expected = np.array([1, 3, 3, 1]) / 8.0
-        assert np.max(np.abs(law.m_probs - expected)) <= 1e-15
+        assert np.max(np.abs(law.m_probs[0] - expected)) <= 1e-15
 
     def test_sole_saturated_entrant_is_fixed(self):
         # p(40) is exactly 1.0 in floating point, m=1=c, payoff 0
         params = GameParams(1, 1, 0.01, 10, BASIC)
-        law = enumerate_round(np.array([40.0]), params, MODEL)
-        assert law.m_probs[1] == pytest.approx(1.0, abs=1e-15)
-        assert law.expected_propensity[0] == pytest.approx(40.0, abs=1e-12)
+        law = enumerate_block([(np.array([40.0]), params, MODEL)])
+        assert law.m_probs[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert law.expected_propensity[0, 0] == pytest.approx(40.0, abs=1e-12)
 
     def test_deterministic_overcrowding(self):
         params = GameParams(2, 1, 0.01, 10, BASIC)
         q = np.array([40.0, 40.0])
-        law = enumerate_round(q, params, MODEL)
-        assert law.m_probs[2] == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(law.expected_propensity, q - 0.01, atol=1e-12)
+        law = enumerate_block([(q, params, MODEL)])
+        assert law.m_probs[0, 2] == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(law.expected_propensity[0], q - 0.01, atol=1e-12)
 
     def test_identical_probabilities_give_binomial(self):
         for n in (2, 5, 12):
             for p in (0.2, 0.5, 0.83):
                 q = np.full(n, MODEL.center + MODEL.scale * np.log(p / (1 - p)))
                 params = GameParams(n, n, 0.05, 10, BASIC)
-                law = enumerate_round(q, params, MODEL)
-                assert np.max(np.abs(law.m_probs - binom.pmf(np.arange(n + 1), n, p))) <= 1e-12
+                law = enumerate_block([(q, params, MODEL)])
+                assert np.max(np.abs(law.m_probs[0] - binom.pmf(np.arange(n + 1), n, p))) <= 1e-12
 
     def test_law_is_a_distribution(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            q, params, model = random_instance(rng)
-            law = enumerate_round(q, params, model)
-            assert np.all(law.m_probs >= 0)
-            assert abs(law.m_probs.sum() - 1.0) <= 1e-12
+            law = enumerate_block([random_instance(rng)])
+            assert np.all(law.m_probs[0] >= 0)
+            assert abs(law.m_probs[0].sum() - 1.0) <= 1e-12
 
     def test_matches_poisson_binomial_recurrence(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             q, params, model = random_instance(rng)
-            law = enumerate_round(q, params, model)
+            law = enumerate_block([(q, params, model)])
             probs = np.atleast_1d(model.prob(np.asarray(q)))
-            assert np.max(np.abs(law.m_probs - poisson_binomial_pmf(probs))) <= 1e-12
+            assert np.max(np.abs(law.m_probs[0] - poisson_binomial_rows(probs[None])[0])) <= 1e-12
 
     def test_single_agent_moments_by_hand(self):
         # N=1, Basic: q' = q + h(c-1) on entry else q
@@ -209,25 +212,24 @@ class TestEnumerateRound:
         params = GameParams(1, c, h, 10, BASIC)
         q = 0.3
         p = MODEL.prob(q)
-        law = enumerate_round(np.array([q]), params, MODEL)
+        law = enumerate_block([(np.array([q]), params, MODEL)])
         expected_a = p * MODEL.prob(q + h * (c - 1)) + (1 - p) * MODEL.prob(q)
-        assert law.expected_a == pytest.approx(expected_a, abs=1e-14)
+        assert law.expected_a[0] == pytest.approx(expected_a, abs=1e-14)
         w = lambda x: MODEL.prob(x) * (1 - MODEL.prob(x))
         expected_b = p * w(q + h * (c - 1)) + (1 - p) * w(q)
-        assert law.expected_b == pytest.approx(expected_b, abs=1e-14)
+        assert law.expected_b[0] == pytest.approx(expected_b, abs=1e-14)
 
     @settings(max_examples=150, deadline=None)
     @given(instances())
     def test_matches_table_reference(self, instance):
         # the reference's E[q'] carries q * (sum of weights - 1) of round-off,
         # a few 1e-15 at these |q|; 1e-13 leaves room for it
-        q, params, model = instance
-        law = enumerate_round(q, params, model)
-        ref, _ = table_round(q, params, model)
-        assert np.max(np.abs(law.m_probs - ref.m_probs)) <= 1e-13
-        assert np.max(np.abs(law.expected_propensity - ref.expected_propensity)) <= 1e-13
-        assert abs(law.expected_a - ref.expected_a) <= 1e-13
-        assert abs(law.expected_b - ref.expected_b) <= 1e-13
+        law = enumerate_block([instance])
+        ref, _ = table_round(*instance)
+        assert np.max(np.abs(law.m_probs[0] - ref.m_probs)) <= 1e-13
+        assert np.max(np.abs(law.expected_propensity[0] - ref.expected_propensity)) <= 1e-13
+        assert abs(law.expected_a[0] - ref.expected_a) <= 1e-13
+        assert abs(law.expected_b[0] - ref.expected_b) <= 1e-13
 
     def test_model_sees_exactly_the_reachable_cells(self):
         # one call on q, one batched call on the (m, e) cells: together they
@@ -236,7 +238,7 @@ class TestEnumerateRound:
         for _ in range(200):
             q, params, model = random_instance(rng, max_agents=8)
             recording = Recording(model)
-            enumerate_round(q, params, recording)
+            enumerate_block([(q, params, recording)])
             _, q_next = table_round(q, params, model)
             assert len(recording.seen) == 2
             assert set(np.concatenate(recording.seen).tolist()) == set(q_next.ravel().tolist())
@@ -256,17 +258,18 @@ class TestEnumerateRound:
             except DomainError:
                 raised += 1
                 with pytest.raises(DomainError):
-                    enumerate_round(q, params, model)
+                    enumerate_block([(q, params, model)])
             else:
-                enumerate_round(q, params, model)
+                enumerate_block([(q, params, model)])
         assert 0 < raised < 400
 
     def test_carries_its_probabilities(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
             q, params, model = random_instance(rng)
-            law = enumerate_round(q, params, model)
-            assert law.probs.tobytes() == np.atleast_1d(model.prob(q)).tobytes()
+            law = enumerate_block([(q, params, model)])
+            assert law.probs[0].tobytes() == np.atleast_1d(model.prob(q)).tobytes()
+            assert law.propensities[0].tobytes() == q.tobytes()
 
     def test_pattern_tables_are_cached_read_only(self):
         tables = _patterns(5)
@@ -279,37 +282,36 @@ class TestEnumerateRound:
         n = MAX_AGENTS + 1
         params = GameParams(n, 2, 0.1, 10, BASIC)
         with pytest.raises(ValueError):
-            enumerate_round(np.zeros(n), params, MODEL)
+            enumerate_block([(np.zeros(n), params, MODEL)])
 
 
 class TestExpectedDriftCheck:
     def test_two_agent_value_by_hand(self):
         # E[dq_1] = h*p_1*(c - 1 - p_2) = 0.1*0.5*(1 - 1 - 0.5)
         params = GameParams(2, 1, 0.1, 10, BASIC)
-        check = expected_drift_check(np.zeros(2), params, MODEL)
-        assert check.enumerated[0] == pytest.approx(-0.025, abs=1e-14)
-        assert check.predicted[0] == pytest.approx(-0.025, abs=1e-14)
+        law = enumerate_block([(np.zeros(2), params, MODEL)])
+        assert law.drift[0, 0] == pytest.approx(-0.025, abs=1e-14)
+        assert law.predicted_drift[0, 0] == pytest.approx(-0.025, abs=1e-14)
 
     def test_never_entering_agent_is_frozen(self):
         params = GameParams(3, 2, 0.1, 10, BASIC)
         q = np.array([-40.0, 0.2, 0.9])  # p(-40) = 0 exactly in floating point
-        check = expected_drift_check(q, params, MODEL)
-        assert check.enumerated[0] == pytest.approx(0.0, abs=1e-15)
+        law = enumerate_block([(q, params, MODEL)])
+        assert law.drift[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_fictitious_single_agent_balance(self):
         # E[dq] = h(c - E[m]) - h(1-p) = 0.1*(1-0.5) - 0.1*0.5 = 0
         params = GameParams(1, 1, 0.1, 10, FICT)
-        check = expected_drift_check(np.zeros(1), params, MODEL)
-        assert check.enumerated[0] == pytest.approx(0.0, abs=1e-14)
-        assert check.max_abs_gap <= 1e-14
+        law = enumerate_block([(np.zeros(1), params, MODEL)])
+        assert law.drift[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert law.max_abs_gap <= 1e-14
 
     def test_identity_on_random_instances(self):
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(300):
-            q, params, model = random_instance(rng)
             # np.maximum keeps a NaN gap, so a NaN fails the bound
-            worst = np.maximum(worst, expected_drift_check(q, params, model).max_abs_gap)
+            worst = np.maximum(worst, enumerate_block([random_instance(rng)]).max_abs_gap)
         assert worst <= 1e-12
 
     def test_at_most_two_probability_calls(self):
@@ -317,18 +319,8 @@ class TestExpectedDriftCheck:
         for _ in range(100):
             q, params, model = random_instance(rng)
             recording = Recording(model)
-            expected_drift_check(q, params, recording)
+            enumerate_block([(q, params, recording)])
             assert len(recording.seen) <= 2
-
-    def test_carries_the_enumerated_law(self):
-        rng = np.random.default_rng(29)
-        for _ in range(40):
-            q, params, model = random_instance(rng)
-            law = expected_drift_check(q, params, model).law
-            ref = enumerate_round(q, params, model)
-            assert law.m_probs.tobytes() == ref.m_probs.tobytes()
-            assert law.expected_propensity.tobytes() == ref.expected_propensity.tobytes()
-            assert (law.expected_a, law.expected_b) == (ref.expected_a, ref.expected_b)
 
 
 @st.composite
@@ -356,29 +348,15 @@ class TestBlocks:
         drawn, cap = case
         split = list(blocks(drawn))
         assert [len(block) for block in split] == ([len(drawn)] if len(drawn) <= cap else [cap, 1])
-        singles = {}
-        for instance in drawn:
-            if id(instance) not in singles:
-                check = expected_drift_check(*instance)
-                singles[id(instance)] = {
-                    "law": enumerate_round(*instance),
-                    "check": check,
-                    "pmf": poisson_binomial_pmf(check.law.probs),
-                }
+        singles = {id(instance): enumerate_block([instance]) for instance in drawn}
         for block in split:
-            check = expected_drift_block(block)
-            rows = [singles[id(instance)] for instance in block]
-
-            def stacked(key, name):
-                return np.array([getattr(row[key], name) for row in rows]).tobytes()
-
-            for name in ("m_probs", "expected_propensity", "expected_a", "expected_b", "probs"):
-                assert getattr(check.law, name).tobytes() == stacked("law", name), name
-            for name in ("enumerated", "predicted"):
-                assert getattr(check, name).tobytes() == stacked("check", name), name
-            pmf = poisson_binomial_rows(check.law.probs)
-            assert pmf.tobytes() == np.array([row["pmf"] for row in rows]).tobytes()
-            assert_same_law(check.row(len(block) - 1).law, rows[-1]["law"])
+            law = enumerate_block(block)
+            pmf = poisson_binomial_rows(law.probs)
+            for b, instance in enumerate(block):
+                single = singles[id(instance)]
+                for name in (*LAW_FIELDS, "propensities", "drift"):
+                    assert getattr(law, name)[b].tobytes() == getattr(single, name)[0].tobytes(), name
+                assert pmf[b].tobytes() == poisson_binomial_rows(single.probs)[0].tobytes()
 
     def test_groups_in_drawn_order(self):
         rng = np.random.default_rng(59)
@@ -398,26 +376,33 @@ class TestBlocks:
         other = GameParams(params.n_agents, params.capacity, params.payoff_scale, 10,
                            FICT if params.rule is BASIC else BASIC)
         with pytest.raises(ValueError):
-            expected_drift_block([(q, params, model), (q, other, model)])
+            enumerate_block([(q, params, model), (q, other, model)])
         with pytest.raises(ValueError):
-            expected_drift_block([])
+            enumerate_block([])
 
 
 class TestPoissonBinomial:
     def test_homogeneous_case(self):
-        pmf = poisson_binomial_pmf(np.full(6, 0.3))
-        assert np.max(np.abs(pmf - binom.pmf(np.arange(7), 6, 0.3))) <= 1e-14
+        pmf = poisson_binomial_rows(np.array([np.full(6, 0.3), np.full(6, 0.8)]))
+        assert np.max(np.abs(pmf[0] - binom.pmf(np.arange(7), 6, 0.3))) <= 1e-14
+        assert np.max(np.abs(pmf[1] - binom.pmf(np.arange(7), 6, 0.8))) <= 1e-14
 
     def test_degenerate_probabilities(self):
-        pmf = poisson_binomial_pmf(np.array([1.0, 0.0, 1.0]))
-        assert np.allclose(pmf, [0, 0, 1, 0], atol=1e-15)
+        pmf = poisson_binomial_rows(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+        assert np.allclose(pmf, [[0, 0, 1, 0], [1, 0, 0, 0]], atol=1e-15)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            poisson_binomial_pmf(np.array([0.3, np.nan, 0.5]))
+            poisson_binomial_rows(np.array([[0.3, 0.2, 0.5], [0.3, np.nan, 0.5]]))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=MAX_AGENTS))
-    def test_bit_identical_to_vector_recurrence(self, probs):
-        p = np.array(probs)
-        assert poisson_binomial_pmf(p).tobytes() == vector_pmf(p).tobytes()
+    @given(
+        st.integers(1, MAX_AGENTS).flatmap(
+            lambda n: st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=4)
+        )
+    )
+    def test_bit_identical_to_vector_recurrence(self, rows):
+        p = np.array(rows)
+        pmf = poisson_binomial_rows(p)
+        for b in range(len(rows)):
+            assert pmf[b].tobytes() == vector_pmf(p[b]).tobytes()

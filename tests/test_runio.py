@@ -67,8 +67,10 @@ NAN_SERIES = "t,a,b\n0.0,0.5,0.1\nnan,0.4,0.1\n0.2,nan,0.1\n"
         ("t,a,b\n0.0,0.5,0.1\n0.1,0.5\n", r"s\.csv:3: expected 3 fields, got 2"),
         ("t,a,b,a\n0.0,0.5,0.1,0.5\n0.1,0.4,0.1,0.4\n", r"s\.csv: repeated column 'a'"),
         (NAN_SERIES, r"s\.csv: column t has a non-finite value"),
+        ("t,a,b\n0.0,0.5,0.1\n0.1,,0.1\n", r"s\.csv:3: could not convert string to float: ''"),
+        ("t,a,b\n0.0,0.5,0.1\n0.1,x,0.1\n", r"s\.csv:3: could not convert string to float: 'x'"),
     ],
-    ids=["empty", "unknown", "no-t", "no-a", "no-b", "field-count", "repeated", "nan"],
+    ids=["empty", "unknown", "no-t", "no-a", "no-b", "field-count", "repeated", "nan", "empty-field", "text-field"],
 )
 def test_read_series_rejects(tmp_path, text, message):
     path = tmp_path / "s.csv"
