@@ -29,7 +29,7 @@ from .analysis import (
     sorting_fit,
     within_factor,
 )
-from .config import ConfigError, RunConfig, _as_number, _parse_game, load_config
+from .config import ConfigError, RunConfig, _as_number, _section, load_config
 from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
@@ -172,7 +172,7 @@ def _run_record(path: Path):
 def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
     """The game and the learning constant c_p of a finished run."""
     with _run_record(run_dir / "run.json") as record:
-        params = _parse_game(record["config"]["game"])
+        params = _section(GameParams, record["config"]["game"], "game")
         learning_constant = _as_number(record["learning_constant"], "learning_constant")
     return params, learning_constant
 

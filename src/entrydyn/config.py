@@ -5,11 +5,11 @@ every diagnostic names the offending key, so a typo cannot silently fall
 back to a default. The resolved form (all defaults filled in) is what
 run.json echoes, and it parses back through load order unchanged.
 
-`RunConfig` mirrors the document: its fields are the top-level keys.
-The game, model, grid, init and solver sections each parse through the
-dataclass they build: its fields are the section's keys, a field without
-a default is a required key, and the field's annotation picks the reader
-of its value. `resolved()` writes the same dataclasses back out. The
+The document and each of its sections parse through the dataclass they
+build, `RunConfig` for the top level: its fields are the keys, a field
+without a default is a required key, the field's annotation picks the
+reader of its value, and the dataclass checks the values it is given.
+`resolved()` writes the same dataclasses back out. The
 init section parses straight into one of the `abm` initial-condition
 types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
 start from that one value: the agent engine draws its population from it
@@ -22,7 +22,7 @@ import enum
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -122,18 +122,6 @@ def _as_section(value, where: str) -> dict:
     return value
 
 
-# the reader of a config value, by the annotation of the field it fills
-_READERS = {
-    int: _as_exact_int,
-    float: _as_number,
-    float | None: _as_number,
-    bool: _as_bool,
-    tuple[float, ...]: _as_numbers,
-}
-# resolving a class's string annotations costs about 60 us; the classes are fixed
-_annotations = cache(get_type_hints)
-
-
 def _field_names(cls: type, *extra: str) -> set[str]:
     """The keys a config section for cls may hold: its fields, and extra."""
     return {f.name for f in fields(cls)} | set(extra)
@@ -150,7 +138,9 @@ def _build(cls: type, section: dict, where: str, **given):
     """cls from the section's values for its fields, read by annotation.
 
     given holds fields already read; fields the section omits take their
-    dataclass defaults, and a field without one is a required key.
+    dataclass defaults, and a field without one is a required key.  A
+    rejected value is named by its section, or, at the top level (where
+    == ""), by the key the dataclass's own message starts with.
     """
     types = _annotations(cls)
     values = dict(given)
@@ -164,22 +154,19 @@ def _build(cls: type, section: dict, where: str, **given):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
-def _parse_game(raw: dict) -> GameParams:
-    section = _as_section(raw, "game")
-    _check_keys(section, _field_names(GameParams), "game")
-    # the rule is read before any number, so a bad rule is the first fault named
-    rule = _as_rule(_require(section, "rule", "game"), "game.rule")
-    return _build(GameParams, section, "game", rule=rule)
+def _section(cls: type, value, where: str, *extra: str):
+    """A section holding exactly cls's fields, and extra keys read elsewhere."""
+    section = _as_section(value, where)
+    _check_keys(section, _field_names(cls, *extra), where)
+    return _build(cls, section, where)
 
 
-def _parse_model(raw: dict) -> ProbabilityModel:
-    section = _as_section(raw, "model")
-    cls = _kind(section, _MODEL_TYPES, "model", "model")
-    _check_keys(section, _field_names(cls, "kind"), "model")
-    return _build(cls, section, "model")
+def _as_model(value, where: str) -> ProbabilityModel:
+    cls = _kind(_as_section(value, where), _MODEL_TYPES, where, "model")
+    return _section(cls, value, where, "kind")
 
 
 def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
@@ -187,8 +174,7 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     section = _as_section(raw, "init")
     cls = _kind(section, _INIT_TYPES, "init", "initial condition")
     if cls is not abm.Gaussian:
-        _check_keys(section, _field_names(cls, "kind"), "init")
-        return _build(cls, section, "init")
+        return _section(cls, section, "init", "kind")
     # a gaussian may give its mean implicitly, as the start's expected entry fraction
     _check_keys(section, _field_names(cls, "kind", "target_entry_fraction"), "init")
     sd = _as_number(_require(section, "sd", "init"), "init.sd")
@@ -212,11 +198,22 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     return _build(cls, section, "init", mean=mean)
 
 
-def _parse_section(cls: type, raw: dict, where: str):
-    """A section without a kind: cls built from exactly its fields."""
-    section = _as_section(raw, where)
-    _check_keys(section, _field_names(cls), where)
-    return _build(cls, section, where)
+# the reader of a config value, by the annotation of the field it fills
+_READERS = {
+    int: _as_exact_int,
+    float: _as_number,
+    float | None: _as_number,
+    bool: _as_bool,
+    str: _as_str,
+    tuple[float, ...]: _as_numbers,
+    LearningRule: _as_rule,
+    ProbabilityModel: _as_model,
+    GameParams: partial(_section, GameParams),
+    GridSpec | None: partial(_section, GridSpec),
+    SolverOptions: partial(_section, SolverOptions),
+}
+# resolving a class's string annotations costs about 60 us; the classes are fixed
+_annotations = cache(get_type_hints)
 
 
 def _dump(value):
@@ -241,26 +238,58 @@ def _dump(value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config document: one field per top-level key."""
+    """A parsed config document: one field per top-level key, with its default."""
 
     engine: str
     game: GameParams
     model: ProbabilityModel
     init: abm.InitialCondition
     t_end: float
-    seed: int
-    replicas: int
-    record_stride: int
-    out_dir: str
-    grid: GridSpec | None
-    solver: SolverOptions
-    snapshot_times: tuple[float, ...]
+    seed: int = 0
+    # the two counts size loops and job lists: read, and bounded, like the game's integers
+    replicas: int = 1
+    record_stride: int = 1
+    out_dir: str = "out"
+    grid: GridSpec | None = None
+    solver: SolverOptions = SolverOptions()
+    snapshot_times: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.engine not in _ENGINES:
+            raise ValueError(f"engine: expected one of {', '.join(_ENGINES)}, got {self.engine!r}")
+        if not self.t_end > 0:
+            raise ValueError(f"t_end: must be positive, got {self.t_end}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed: must fit in an unsigned 64-bit integer, got {self.seed}")
+        if self.replicas < 1:
+            raise ValueError(f"replicas: must be >= 1, got {self.replicas}")
+        if self.record_stride < 1:
+            raise ValueError(f"record_stride: must be >= 1, got {self.record_stride}")
+        if self.engine != "abm" and not isinstance(self.model, Logistic):
+            raise ValueError("engine: the density solver supports only the logistic model")
+        for t in self.snapshot_times:
+            if t < 0:
+                raise ValueError(f"snapshot_times: must be nonnegative, got {t}")
+        # the pde engine and snapshots need a grid; the logistic model has a default one
+        if self.grid is None and (self.engine != "abm" or self.snapshot_times):
+            if not isinstance(self.model, Logistic):
+                raise ValueError("grid: required to bin snapshots for this model")
+            object.__setattr__(self, "grid", default_grid(self.model))
+        if isinstance(self.init, abm.Explicit) and self.engine != "pde":
+            if len(self.init.values) != self.game.n_agents:
+                raise ValueError(
+                    f"init.values: has {len(self.init.values)} entries for {self.game.n_agents} agents"
+                )
 
     def initial_density(self) -> DensityGrid:
         """The init section realized as a unit-mass density on the pde grid."""
         if self.grid is None:
             raise ConfigError("grid: required for the pde engine")
-        return abm.initial_density(self.init, self.grid)
+        try:
+            return abm.initial_density(self.init, self.grid)
+        except ValueError as exc:
+            # a start that parsed may still not fit the grid
+            raise ConfigError(f"init: {exc}") from None
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""
@@ -271,72 +300,17 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected an object, got {raw!r}")
     _check_keys(raw, _field_names(RunConfig), "the top level")
-
-    engine = _as_str(_require(raw, "engine", ""), "engine")
-    if engine not in _ENGINES:
-        raise ConfigError(f"engine: expected one of {', '.join(_ENGINES)}, got {engine!r}")
-
-    game = _parse_game(_require(raw, "game", ""))
-    model = _parse_model(_require(raw, "model", ""))
-    init = _parse_init(_require(raw, "init", ""), model)
-
-    t_end = _as_number(_require(raw, "t_end", ""), "t_end")
-    if not t_end > 0:
-        raise ConfigError(f"t_end: must be positive, got {t_end}")
-
-    seed = _as_int(raw.get("seed", 0), "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
-    # the two counts size loops and job lists: bounded like the game's integers
-    replicas = _as_exact_int(raw.get("replicas", 1), "replicas")
-    if replicas < 1:
-        raise ConfigError(f"replicas: must be >= 1, got {replicas}")
-    record_stride = _as_exact_int(raw.get("record_stride", 1), "record_stride")
-    if record_stride < 1:
-        raise ConfigError(f"record_stride: must be >= 1, got {record_stride}")
-    out_dir = _as_str(raw.get("out_dir", "out"), "out_dir")
-
-    if engine != "abm" and not isinstance(model, Logistic):
-        raise ConfigError("engine: the density solver supports only the logistic model")
-    grid = _parse_section(GridSpec, raw["grid"], "grid") if "grid" in raw else None
-
-    snapshot_times_raw = raw.get("snapshot_times", [])
-    if not isinstance(snapshot_times_raw, list):
-        raise ConfigError("snapshot_times: expected a list of times")
-    snapshot_times = tuple(
-        _as_number(t, "snapshot_times") for t in snapshot_times_raw
-    )
-    for t in snapshot_times:
-        if t < 0:
-            raise ConfigError(f"snapshot_times: must be nonnegative, got {t}")
-    # the pde engine and snapshots need a grid; the logistic model has a default one
-    if grid is None and (engine != "abm" or snapshot_times):
-        if not isinstance(model, Logistic):
-            raise ConfigError("grid: required to bin snapshots for this model")
-        grid = default_grid(model)
-
-    solver = _parse_section(SolverOptions, raw.get("solver", {}), "solver")
-
-    if isinstance(init, abm.Explicit) and engine in ("abm", "both"):
-        if len(init.values) != game.n_agents:
-            raise ConfigError(
-                f"init.values: has {len(init.values)} entries for {game.n_agents} agents"
-            )
-
-    return RunConfig(
-        engine=engine,
-        game=game,
-        model=model,
-        init=init,
-        t_end=t_end,
-        seed=seed,
-        replicas=replicas,
-        record_stride=record_stride,
-        out_dir=out_dir,
-        grid=grid,
-        solver=solver,
-        snapshot_times=snapshot_times,
-    )
+    # what no field annotation reads: the init needs the model, the seed
+    # spans 64 bits and the list of snapshot times may be empty
+    model = _as_model(_require(raw, "model", ""), "model")
+    given = {"model": model, "init": _parse_init(_require(raw, "init", ""), model)}
+    if "seed" in raw:
+        given["seed"] = _as_int(raw["seed"], "seed")
+    if "snapshot_times" in raw:
+        if not isinstance(raw["snapshot_times"], list):
+            raise ConfigError("snapshot_times: expected a list of times")
+        given["snapshot_times"] = tuple(_as_number(t, "snapshot_times") for t in raw["snapshot_times"])
+    return _build(RunConfig, raw, "", **given)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:

@@ -7,6 +7,7 @@ produce the standard initial conditions used by both engines.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ class GridSpec:
             raise ValueError(f"need q_min < q_max, got [{self.q_min}, {self.q_max}]")
         if self.n_cells < 2:
             raise ValueError(f"need at least 2 cells, got {self.n_cells}")
+        if not 0 < self.dq < math.inf:
+            raise ValueError(f"need a finite, positive cell width, got dq = {self.dq}")
 
     @property
     def dq(self) -> float:

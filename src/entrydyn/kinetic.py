@@ -113,9 +113,11 @@ class _Stencil:
         faces = spec.interior_faces()
         self.p_center = model.prob(centers)
         self.w_center = self.p_center * (1.0 - self.p_center)
-        self.p_face = model.prob(faces)
-        self.dp_face = model.dprob(faces)
-        self.uniform = params.rule is LearningRule.FICTITIOUS_STOCHASTIC
+        if params.rule is LearningRule.FICTITIOUS_STOCHASTIC:
+            # v = drive and mu = D at every face: the basic forms with p = 1, p' = 0
+            self.p_face, self.dp_face = np.ones(faces.size), np.zeros(faces.size)
+        else:
+            self.p_face, self.dp_face = model.prob(faces), model.dprob(faces)
 
     def moments(self, f: np.ndarray) -> tuple[float, float]:
         """Entry fraction a and sorting coefficient b of cell values f."""
@@ -126,9 +128,6 @@ class _Stencil:
         """Flux velocity v and diffusion mu at the interior faces."""
         drive = self.params.r * (self.params.kappa - a)
         d_coef = diffusion_coefficient(a, b, self.params)
-        if self.uniform:
-            n_faces = self.p_face.shape[0]
-            return np.full(n_faces, drive), np.full(n_faces, d_coef)
         return drive * self.p_face - d_coef * self.dp_face, d_coef * self.p_face
 
     def apply(self, f: np.ndarray, v: np.ndarray, mu: np.ndarray, dt: float) -> np.ndarray:
@@ -193,15 +192,21 @@ def solve(
 ) -> PdeResult:
     """Advance the density to t_end, recording observables on a uniform grid.
 
-    Raises RuntimeError if mass conservation (1e-8) or positivity (-1e-12)
-    is breached; both would mean the scheme itself is broken, not the input.
+    Raises ValueError for a start f0 off unit mass (1e-8), with a
+    non-finite cell or a cell below -1e-12, and RuntimeError if a step
+    breaches mass conservation or positivity; that would mean the scheme
+    itself is broken, not the input.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     stencil = _Stencil(f0.spec, params, model)
     mass0 = f0.mass()
-    if abs(mass0 - 1.0) > MASS_TOLERANCE:
+    # written so that NaN fails it: a non-finite cell makes the mass non-finite
+    if not abs(mass0 - 1.0) <= MASS_TOLERANCE:
         raise ValueError(f"initial density has mass {mass0:.12g}, expected 1")
+    low = float(f0.values.min())
+    if low < NEGATIVITY_TOLERANCE:
+        raise ValueError(f"initial density has a negative cell ({low:g})")
 
     interval = options.output_interval if options.output_interval is not None else params.tau
     f = f0.values.copy()

@@ -504,6 +504,19 @@ class TestEnsembleRun:
             assert getattr(series, name).tobytes() == getattr(plain, name).tobytes()
         assert series.stderr_a is None and series.stderr_b is None
 
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_one_round_a_and_b_match_the_oracle(self, rule):
+        # the ensemble's record one round ahead against the exact one-round law
+        q = np.array([-1.0, -0.3, 0.2, 0.9, 1.7])
+        params = GameParams(5, 2, 0.3, 10, rule)
+        model = Logistic(1.3, 0.2)
+        law = enumerate_block([(q, params, model)])
+        series = ensemble_run(params, model, Explicit(tuple(q)), params.tau, n_replicas=4000, base_seed=0)
+        assert series.t[1] == params.tau
+        z_a = (series.a[1] - law.expected_a[0]) / series.stderr_a[1]
+        z_b = (series.b[1] - law.expected_b[0]) / series.stderr_b[1]
+        assert abs(z_a) < 4.0 and abs(z_b) < 4.0, (z_a, z_b)
+
     def test_zero_replicas_rejected(self):
         with pytest.raises(ValueError, match="n_replicas must be >= 1, got 0"):
             ensemble_run(make_params(n=50, c=25), MODEL, Gaussian(0.0, 1.0), 0.05, 0, base_seed=0)

@@ -449,6 +449,11 @@ REJECTED_DOCUMENTS = [
     ("pde-ratio-model", {**TOP_LEVEL, **RATIO_START, "engine": "pde"}, "engine"),
     ("snapshot_times-negative", {**TOP_LEVEL, "snapshot_times": [0.0, -0.01]}, "snapshot_times"),
     ("ratio-snapshots-without-grid", {**TOP_LEVEL, **RATIO_START, "snapshot_times": [0.0]}, "grid"),
+    (
+        "grid-width-overflows",
+        {**TOP_LEVEL, "grid": {"q_min": -1e308, "q_max": 1e308, "n_cells": 10}},
+        "grid",
+    ),
     ("not-json", '{"engine": "abm",}', "c.json"),
     ("not-an-object", [TOP_LEVEL], "c.json"),
 ]
@@ -629,6 +634,22 @@ class TestConfigRejection:
             raw[key] = value
             with pytest.raises(ValueError, match=rf"^{key}: must not exceed 2\*\*53"):
                 parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            {"kind": "two_spike", "q_low": -20.0, "q_high": 1.0, "mass_high": 0.5},
+            {"kind": "two_spike", "q_low": 0.01, "q_high": 0.02, "mass_high": 0.5},
+            {"kind": "gaussian", "mean": 500.0, "sd": 0.1},
+        ],
+        ids=["spike-off-grid", "spikes-in-one-cell", "gaussian-off-grid"],
+    )
+    def test_start_that_does_not_fit_the_grid_is_named(self, tmp_path, capsys, init):
+        # each parses; the default grid, [-12, 12] in 800 cells, cannot hold it
+        cfg = write_cfg(tmp_path / "c.json", engine="pde", init=init, out_dir=str(tmp_path / "out"))
+        assert main(["pde", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: init: ")
+        assert not (tmp_path / "out").exists()
 
     def test_engine_subcommand_mismatch(self, tmp_path, capsys):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")

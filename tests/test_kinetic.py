@@ -224,12 +224,26 @@ class TestStencilTransport:
         assert np.max(np.abs(f - reference)) <= 0.1 * float(f0.values.max())
 
 
+def spoiled_start(kind):
+    """A gaussian start on GRID spoiled one way: twice the mass, a NaN cell,
+    or a cell at -0.01 with the rest rescaled to unit mass."""
+    values = gaussian_density(GRID, 0.0, 1.0).values.copy()
+    if kind == "double":
+        values *= 2.0
+    elif kind == "nan":
+        values[GRID.n_cells // 2] = np.nan
+    else:
+        values[0] = -0.01
+        values[1:] *= (1.0 + 0.01 * GRID.dq) / (values[1:].sum() * GRID.dq)
+    return DensityGrid(GRID, values)
+
+
 class TestSolve:
     def test_rejects_unnormalized_density(self):
-        f = gaussian_density(GRID, 0.0, 1.0)
-        bad = DensityGrid(GRID, 2.0 * f.values)
-        with pytest.raises(ValueError, match="mass"):
-            solve(bad, PDE_PARAMS, MODEL, 0.01)
+        assert abs(spoiled_start("negative").mass() - 1.0) <= 1e-12
+        for kind, match in (("double", "mass 2"), ("nan", "mass nan"), ("negative", r"negative cell \(-0.01\)")):
+            with pytest.raises(ValueError, match=match):
+                solve(spoiled_start(kind), PDE_PARAMS, MODEL, 0.01)
 
     def test_rejects_non_logistic_model(self):
         f = gaussian_density(GRID, 0.0, 1.0)
