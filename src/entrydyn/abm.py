@@ -10,8 +10,6 @@ does no file I/O; series and density snapshots are handed to callers.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -222,21 +220,6 @@ def simulate(
     return SimulationResult(series=series, snapshots=recorder.snapshots, final=q)
 
 
-def _replica_series(args) -> ObservableSeries:
-    params, model, init, t_end, seed, record_stride = args
-    return simulate(params, model, init, t_end, seed, record_stride).series
-
-
-def max_workers_from_env() -> int:
-    """Worker cap from ENTRYDYN_THREADS: 1 if unset or empty, else a positive integer."""
-    raw = os.environ.get("ENTRYDYN_THREADS", "")
-    if not raw:
-        return 1
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ValueError(f"ENTRYDYN_THREADS: expected a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def ensemble_run(
     params: GameParams,
     model: ProbabilityModel,
@@ -245,24 +228,19 @@ def ensemble_run(
     n_replicas: int,
     base_seed: int,
     record_stride: int = 1,
-    n_workers: int = 1,
 ) -> ObservableSeries:
     """Pointwise mean of n_replicas independent runs, replica i seeded base_seed + i.
 
-    With two or more replicas the series carries the per-time standard
-    errors of a and b (sample sd / sqrt(R)).  Results are identical for any
-    worker count because replicas are keyed by seed, not by schedule.
+    Replicas run in turn in the calling process, so a rerun reproduces the
+    series bit for bit.  With two or more replicas the series carries the
+    per-time standard errors of a and b (sample sd / sqrt(R)).
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    jobs = [
-        (params, model, init, t_end, base_seed + i, record_stride) for i in range(n_replicas)
+    results = [
+        simulate(params, model, init, t_end, base_seed + i, record_stride).series
+        for i in range(n_replicas)
     ]
-    if n_workers > 1 and n_replicas > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, n_replicas)) as pool:
-            results = list(pool.map(_replica_series, jobs))
-    else:
-        results = [_replica_series(job) for job in jobs]
 
     if n_replicas == 1:
         return results[0]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runio
-from .abm import ensemble_run, init_population, max_workers_from_env, simulate
+from .abm import ensemble_run, init_population, simulate
 from .analysis import (
     FitError,
     aggregate_learning_fit,
@@ -66,7 +66,6 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
 
 def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
-    n_workers = max_workers_from_env()
     # the start population serves c_p only; it is not kept through the run
     learning_constant = initial_learning_constant_from_propensities(
         init_population(cfg.game, cfg.init, cfg.seed), cfg.model
@@ -80,7 +79,6 @@ def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
             n_replicas=cfg.replicas,
             base_seed=cfg.seed,
             record_stride=cfg.record_stride,
-            n_workers=n_workers,
         )
         return learning_constant, series, [], {}
     result = simulate(

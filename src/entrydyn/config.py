@@ -274,7 +274,10 @@ class RunConfig:
         if self.grid is None and (self.engine != "abm" or self.snapshot_times):
             if not isinstance(self.model, Logistic):
                 raise ValueError("grid: required to bin snapshots for this model")
-            object.__setattr__(self, "grid", default_grid(self.model))
+            try:
+                object.__setattr__(self, "grid", default_grid(self.model))
+            except ValueError as exc:
+                raise ValueError(f"grid: {exc}") from None
         if isinstance(self.init, abm.Explicit) and self.engine != "pde":
             if len(self.init.values) != self.game.n_agents:
                 raise ValueError(

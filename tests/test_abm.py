@@ -17,7 +17,6 @@ from entrydyn.abm import (
     _moments,
     ensemble_run,
     init_population,
-    max_workers_from_env,
     simulate,
 )
 from entrydyn.analysis import fit_exponential_decay
@@ -488,14 +487,6 @@ class TestEnsembleRun:
         assert np.max(series.stderr_a) == 0.0
         assert np.max(series.stderr_b) == 0.0
 
-    def test_worker_count_does_not_change_results(self):
-        params = make_params(n=60, c=30)
-        serial = ensemble_run(params, MODEL, Gaussian(0.0, 1.0), 0.05, 4, base_seed=5, n_workers=1)
-        parallel = ensemble_run(params, MODEL, Gaussian(0.0, 1.0), 0.05, 4, base_seed=5, n_workers=4)
-        assert np.array_equal(serial.a, parallel.a)
-        assert np.array_equal(serial.stderr_a, parallel.stderr_a)
-
-
     def test_one_replica_is_the_plain_run(self):
         params = make_params(n=50, c=25)
         series = ensemble_run(params, MODEL, Gaussian(0.0, 1.0), 0.05, 1, base_seed=7, record_stride=2)
@@ -520,17 +511,3 @@ class TestEnsembleRun:
     def test_zero_replicas_rejected(self):
         with pytest.raises(ValueError, match="n_replicas must be >= 1, got 0"):
             ensemble_run(make_params(n=50, c=25), MODEL, Gaussian(0.0, 1.0), 0.05, 0, base_seed=0)
-
-
-def test_max_workers_from_env(monkeypatch):
-    monkeypatch.delenv("ENTRYDYN_THREADS", raising=False)
-    assert max_workers_from_env() == 1
-    monkeypatch.setenv("ENTRYDYN_THREADS", "")
-    assert max_workers_from_env() == 1
-    monkeypatch.setenv("ENTRYDYN_THREADS", "6")
-    assert max_workers_from_env() == 6
-    # a typo is an error, not a serial run
-    for raw in ("0", "-3", "garbage", "2.5"):
-        monkeypatch.setenv("ENTRYDYN_THREADS", raw)
-        with pytest.raises(ValueError, match=f"ENTRYDYN_THREADS: expected a positive integer, got '{raw}'"):
-            max_workers_from_env()

@@ -42,8 +42,7 @@ def test_cli_calls_the_engines_rep_rebinds():
         assert getattr(cli, name) is engine
 
 
-def test_abm_ensemble_series_matches_stored_digest(tmp_path, monkeypatch):
-    monkeypatch.delenv("ENTRYDYN_THREADS", raising=False)
+def test_abm_ensemble_series_matches_stored_digest(tmp_path):
     config = tmp_path / "abm.json"
     config.write_text(json.dumps(configs.configs("abm_ensemble", 0)["abm"]))
     assert cli.main(["abm", "--config", str(config), "--out", str(tmp_path / "abm")]) == 0

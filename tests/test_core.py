@@ -311,6 +311,8 @@ for name in names:
     for key in [k for k in sys.modules if k.split(".")[0] == "entrydyn"]:
         del sys.modules[key]
     importlib.import_module("entrydyn." + name)
+# replicas run in one process: no module pulls in a process pool
+assert "concurrent.futures.process" not in sys.modules
 print(" ".join(names))
 """
     src = str(Path(core.__file__).resolve().parents[1])
