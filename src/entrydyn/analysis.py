@@ -4,8 +4,9 @@ Relaxation toward the capacity equilibrium happens in two stages with well
 separated time scales: the entry-fraction gap |a - kappa| closes first
 (aggregate learning), then the sorting coefficient b = E[p(1-p)] decays as
 agents commit.  Rates are measured by least squares on the log of the gap,
-windowed to the part of the series where the signal is clean, and compared
-against the closed-form predictions c_p * r and r*h/2.
+windowed to the part of the series where the signal is clean.  This module
+only measures; `entrydyn analyze` compares each fitted rate with core's
+predictions c_p * r and r*h/2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameParams, ProbabilityModel, aggregate_learning_rate, predicted_time_scales, sorting_rate
+from .core import GameParams, ProbabilityModel, predicted_time_scales
 from .grid import DensityGrid
 from .observables import ObservableSeries
 
@@ -100,26 +101,14 @@ def learning_window(
     return float(t[below_hi[0]]), float(t[below_lo[0]])
 
 
-def aggregate_learning_fit(
-    series: ObservableSeries, params: GameParams, learning_constant: float
-) -> tuple[DecayFit, float]:
-    """Fitted decay rate of |a - kappa| plus the predicted rate c_p * r.
-
-    learning_constant is c_p = E[p' p] measured from the initial state.
-    A predicted rate that is not positive leaves no decay to compare with.
-    """
-    predicted = aggregate_learning_rate(params, learning_constant)
-    if not predicted > 0:
-        raise FitError(f"predicted rate c_p * r = {predicted:g} is not positive")
+def aggregate_learning_fit(series: ObservableSeries, params: GameParams) -> DecayFit:
+    """Fitted decay rate of |a - kappa| over the learning window."""
     window = learning_window(series.t, series.a, params.kappa)
-    fit = fit_exponential_decay(series.t, series.a, params.kappa, window)
-    return fit, predicted
+    return fit_exponential_decay(series.t, series.a, params.kappa, window)
 
 
-def sorting_fit(
-    series: ObservableSeries, params: GameParams, epsilon: float = 0.05
-) -> tuple[DecayFit, float]:
-    """Fitted decay rate of b on the post-learning window, plus predicted r*h/2.
+def sorting_fit(series: ObservableSeries, params: GameParams, epsilon: float = 0.05) -> DecayFit:
+    """Fitted decay rate of b on the post-learning window.
 
     The window opens at the first record where |a - kappa| has fallen below
     epsilon of its initial value (immediately, for a series that starts at
@@ -139,9 +128,7 @@ def sorting_fit(
                 f"run to t_end of about {needed:g} to observe sorting"
             )
         t_open = float(t[crossed[0]])
-    fit = fit_exponential_decay(t, series.b, 0.0, (t_open, float(t[-1])))
-    predicted = sorting_rate(params)
-    return fit, predicted
+    return fit_exponential_decay(t, series.b, 0.0, (t_open, float(t[-1])))
 
 
 def within_factor(rate: float, predicted: float, factor: float = 2.0) -> bool:
@@ -149,13 +136,6 @@ def within_factor(rate: float, predicted: float, factor: float = 2.0) -> bool:
     if not factor >= 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     return predicted / factor <= rate <= predicted * factor
-
-
-def moment_ode_a(t, a0: float, params: GameParams, learning_constant: float) -> np.ndarray:
-    """Closed-form entry fraction a(t) = kappa + (a0 - kappa) e^{-c_p r t}."""
-    t = np.asarray(t, dtype=float)
-    rate = aggregate_learning_rate(params, learning_constant)
-    return params.kappa + (a0 - params.kappa) * np.exp(-rate * t)
 
 
 def initial_learning_constant(density: DensityGrid, model: ProbabilityModel) -> float:

@@ -29,7 +29,7 @@ from .analysis import (
     sorting_fit,
     within_factor,
 )
-from .config import ConfigError, RunConfig, _as_number, _section, load_config
+from .config import ConfigError, RunConfig, load_config, read_number, read_section
 from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
@@ -170,8 +170,8 @@ def _run_record(path: Path):
 def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
     """The game and the learning constant c_p of a finished run."""
     with _run_record(run_dir / "run.json") as record:
-        params = _section(GameParams, record["config"]["game"], "game")
-        learning_constant = _as_number(record["learning_constant"], "learning_constant")
+        params = read_section(GameParams, record["config"]["game"], "game")
+        learning_constant = read_number(record["learning_constant"], "learning_constant")
     return params, learning_constant
 
 
@@ -182,17 +182,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     fits: dict = {"factor": args.factor, "epsilon": args.epsilon, "pass": None}
     errors = []
+    # each fit beside core's prediction of its rate; no other code pairs them
     measurements = (
         (
             "aggregate_learning",
             aggregate_learning_rate(params, learning_constant),
-            lambda: aggregate_learning_fit(series, params, learning_constant),
+            lambda: aggregate_learning_fit(series, params),
         ),
         ("sorting", sorting_rate(params), lambda: sorting_fit(series, params, epsilon=args.epsilon)),
     )
     for name, predicted, measure in measurements:
         try:
-            fit, _ = measure()
+            # a prediction of no decay leaves nothing to compare the fit with
+            if not predicted > 0:
+                raise FitError(f"predicted rate {predicted:g} is not positive")
+            fit = measure()
         except FitError as exc:
             fits[name] = {"error": str(exc), "predicted_rate": predicted}
             errors.append(f"{name.replace('_', '-')} fit: {exc}")
@@ -307,7 +311,7 @@ def _cmd_make_plots(args: argparse.Namespace) -> int:
     run_json = run_dir / "run.json"
     if run_json.is_file():
         with _run_record(run_json) as record:
-            kappa = _as_number(record["derived"]["kappa"], "derived.kappa")
+            kappa = read_number(record["derived"]["kappa"], "derived.kappa")
 
     lines = [_PLOT_HEADER]
     lines.append("set output 'entry_fraction.png'")
@@ -417,6 +421,10 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"runtime error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -61,7 +61,7 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _as_number(value, where: str) -> float:
+def read_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     # Python's JSON reader accepts NaN and Infinity, and reads 1e400 as inf
@@ -104,7 +104,7 @@ def _as_numbers(value, where: str) -> tuple[float, ...]:
     # JSON gives a list, resolved() the dataclass's tuple
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{where}: expected a non-empty list of numbers")
-    return tuple(_as_number(v, where) for v in value)
+    return tuple(read_number(v, where) for v in value)
 
 
 def _as_rule(value, where: str) -> LearningRule:
@@ -157,7 +157,7 @@ def _build(cls: type, section: dict, where: str, **given):
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
-def _section(cls: type, value, where: str, *extra: str):
+def read_section(cls: type, value, where: str, *extra: str):
     """A section holding exactly cls's fields, and extra keys read elsewhere."""
     section = _as_section(value, where)
     _check_keys(section, _field_names(cls, *extra), where)
@@ -166,7 +166,7 @@ def _section(cls: type, value, where: str, *extra: str):
 
 def _as_model(value, where: str) -> ProbabilityModel:
     cls = _kind(_as_section(value, where), _MODEL_TYPES, where, "model")
-    return _section(cls, value, where, "kind")
+    return read_section(cls, value, where, "kind")
 
 
 def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
@@ -174,15 +174,15 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     section = _as_section(raw, "init")
     cls = _kind(section, _INIT_TYPES, "init", "initial condition")
     if cls is not abm.Gaussian:
-        return _section(cls, section, "init", "kind")
+        return read_section(cls, section, "init", "kind")
     # a gaussian may give its mean implicitly, as the start's expected entry fraction
     _check_keys(section, _field_names(cls, "kind", "target_entry_fraction"), "init")
-    sd = _as_number(_require(section, "sd", "init"), "init.sd")
+    sd = read_number(_require(section, "sd", "init"), "init.sd")
     if ("mean" in section) == ("target_entry_fraction" in section):
         raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
     if "mean" in section:
         return _build(cls, section, "init")
-    target = _as_number(section["target_entry_fraction"], "init.target_entry_fraction")
+    target = read_number(section["target_entry_fraction"], "init.target_entry_fraction")
     if not isinstance(model, Logistic):
         raise ConfigError(
             "init.target_entry_fraction: only solvable for the logistic model; "
@@ -201,16 +201,16 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
 # the reader of a config value, by the annotation of the field it fills
 _READERS = {
     int: _as_exact_int,
-    float: _as_number,
-    float | None: _as_number,
+    float: read_number,
+    float | None: read_number,
     bool: _as_bool,
     str: _as_str,
     tuple[float, ...]: _as_numbers,
     LearningRule: _as_rule,
     ProbabilityModel: _as_model,
-    GameParams: partial(_section, GameParams),
-    GridSpec | None: partial(_section, GridSpec),
-    SolverOptions: partial(_section, SolverOptions),
+    GameParams: partial(read_section, GameParams),
+    GridSpec | None: partial(read_section, GridSpec),
+    SolverOptions: partial(read_section, SolverOptions),
 }
 # resolving a class's string annotations costs about 60 us; the classes are fixed
 _annotations = cache(get_type_hints)
@@ -312,7 +312,7 @@ def parse_config(raw: dict) -> RunConfig:
     if "snapshot_times" in raw:
         if not isinstance(raw["snapshot_times"], list):
             raise ConfigError("snapshot_times: expected a list of times")
-        given["snapshot_times"] = tuple(_as_number(t, "snapshot_times") for t in raw["snapshot_times"])
+        given["snapshot_times"] = tuple(read_number(t, "snapshot_times") for t in raw["snapshot_times"])
     return _build(RunConfig, raw, "", **given)
 
 

@@ -10,11 +10,10 @@ from entrydyn.analysis import (
     initial_learning_constant,
     initial_learning_constant_from_propensities,
     learning_window,
-    moment_ode_a,
     sorting_fit,
     within_factor,
 )
-from entrydyn.core import GameParams, LearningRule, Logistic
+from entrydyn.core import GameParams, LearningRule, Logistic, aggregate_learning_rate, sorting_rate
 from entrydyn.grid import gaussian_density
 from entrydyn.observables import ObservableSeries
 
@@ -114,20 +113,14 @@ class TestLearningWindow:
 class TestAggregateLearningFit:
     def test_closed_form_series_recovers_its_own_rate(self):
         c_p = 0.01
-        t = np.arange(0.0, 1.0, 0.002)
-        series = ObservableSeries(
-            t=t, a=moment_ode_a(t, 0.2, PARAMS, c_p), b=np.zeros_like(t)
-        )
-        fit, predicted = aggregate_learning_fit(series, PARAMS, c_p)
+        predicted = aggregate_learning_rate(PARAMS, c_p)
         assert predicted == pytest.approx(c_p * PARAMS.r)
+        t = np.arange(0.0, 1.0, 0.002)
+        a = PARAMS.kappa + (0.2 - PARAMS.kappa) * np.exp(-predicted * t)
+        series = ObservableSeries(t=t, a=a, b=np.zeros_like(t))
+        fit = aggregate_learning_fit(series, PARAMS)
         assert fit.rate == pytest.approx(predicted, rel=1e-9)
         assert within_factor(fit.rate, predicted)
-
-    def test_moment_ode_values(self):
-        assert moment_ode_a(0.0, 0.2, PARAMS, 0.01) == pytest.approx(0.2)
-        assert moment_ode_a(1e3, 0.2, PARAMS, 0.01) == pytest.approx(PARAMS.kappa)
-        # a(0.1) = 0.5 - 0.3 e^{-1}
-        assert moment_ode_a(0.1, 0.2, PARAMS, 0.01) == pytest.approx(0.3896362, abs=1e-6)
 
 
 class TestSortingFit:
@@ -136,7 +129,8 @@ class TestSortingFit:
         series = ObservableSeries(
             t=t, a=np.full_like(t, PARAMS.kappa), b=0.25 * np.exp(-5.0 * t)
         )
-        fit, predicted = sorting_fit(series, PARAMS)
+        fit = sorting_fit(series, PARAMS)
+        predicted = sorting_rate(PARAMS)
         assert predicted == pytest.approx(PARAMS.r * PARAMS.payoff_scale / 2.0)
         assert predicted == pytest.approx(5.0)
         assert fit.rate == pytest.approx(5.0, rel=1e-9)
@@ -144,14 +138,14 @@ class TestSortingFit:
 
     def test_window_opens_at_entry_agreement(self):
         series = decay_series(rate_a=10.0, rate_b=2.0, t_end=1.0, dt=0.01)
-        fit, _ = sorting_fit(series, PARAMS, epsilon=0.05)
+        fit = sorting_fit(series, PARAMS, epsilon=0.05)
         # e^{-10 t} < 0.05 first holds at t = 0.30
         assert fit.window[0] == pytest.approx(0.30, abs=1e-12)
         assert fit.rate == pytest.approx(2.0, rel=1e-6)
 
     def test_epsilon_controls_window_start(self):
         series = decay_series(rate_a=10.0, rate_b=2.0, t_end=1.0, dt=0.01)
-        fit, _ = sorting_fit(series, PARAMS, epsilon=0.5)
+        fit = sorting_fit(series, PARAMS, epsilon=0.5)
         # e^{-10 t} < 0.5 first holds at t = 0.07
         assert fit.window[0] == pytest.approx(0.07, abs=1e-12)
 

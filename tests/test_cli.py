@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrydyn import oracle, runio
+from entrydyn import cli, oracle, runio
 from entrydyn.abm import simulate
 from entrydyn.cli import main
 from entrydyn.config import parse_config
@@ -695,6 +695,23 @@ class TestConfigRejection:
         assert main(["abm", "--config", str(cfg)]) == 3
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "message",
+        ["Unable to allocate 64.0 PiB for an array with shape (9007199254740992,) and data type float64", ""],
+    )
+    def test_run_that_cannot_allocate_is_runtime_error(self, tmp_path, capsys, monkeypatch, message):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate", no_memory)
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["abm", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
+
 
 FIT_KEYS = {
     "rate", "log_amplitude", "r_squared", "window", "n_points",
@@ -735,6 +752,21 @@ class TestAnalyze:
         assert fits["sorting"]["rate"] == pytest.approx(4.0, rel=1e-6)
         assert fits["sorting"]["predicted_rate"] == pytest.approx(5.0)
         assert fits["time_scale_separation"]["fitted_ratio"] == pytest.approx(25.0, rel=1e-5)
+
+    def test_predicted_rates_are_the_run_records(self, tmp_path):
+        # core forms each prediction; run.json and fits.json carry the same value
+        out = tmp_path / "out"
+        init = {"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.5}
+        cfg = pde_cfg(tmp_path / "c.json", out, init=init, t_end=0.1, solver={"output_interval": 0.002})
+        assert main(["pde", "--config", str(cfg)]) == 0
+        # long enough to fit the learning rate, too short to fit sorting: one entry of each kind
+        assert main(["analyze", str(out)]) == 3
+        run = read_json(out / "run.json")
+        fits = read_json(out / "fits.json")
+        assert "rate" in fits["aggregate_learning"] and "error" in fits["sorting"]
+        for name in ("aggregate_learning", "sorting"):
+            assert run["predicted_rates"][name] > 0
+            assert fits[name]["predicted_rate"] == run["predicted_rates"][name]
 
     def test_min_ratio_flag_can_fail_the_run(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -296,6 +297,16 @@ def test_readme_module_map_names_every_module():
     mapped = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", section))
     modules = {path.stem for path in Path(core.__file__).parent.glob("*.py")} - {"__init__"}
     assert sorted(mapped) == sorted(modules)
+
+
+def test_no_module_imports_a_private_name():
+    # README: a name with a leading underscore is private to its module
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_each_module_imports_on_its_own():
