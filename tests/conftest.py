@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from entrydyn.abm import Gaussian, TwoSpike, _update, ensemble_run, simulate
+from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec, gaussian_density, gaussian_mean_for_entry_fraction
 from entrydyn.kinetic import SolverOptions, solve
@@ -102,15 +102,20 @@ def update_propensity(q: float, entered: bool, m: int, params: GameParams) -> fl
 
 
 def play_round(q, params, model, rng):
-    """One round on a copy of q, drawn against the exact p: (new q, entered, m).
+    """One round on fresh arrays, drawn against the exact p: (new q, entered, m).
 
-    The decisions are u < model.prob(q) on fresh arrays, and abm._update
-    applies the rule, so this is the reference for simulate's draws.
+    The decisions are u < model.prob(q) and the rule is applied in its
+    allocating forms, q + gain * entered and q + gain - h * ~entered, so
+    this reference shares no round code with simulate.
     """
-    q_next = np.array(q, dtype=float)
-    entered = rng.random(q_next.size) < model.prob(q_next)
-    m = _update(q_next, entered, params, np.empty_like(q_next))
-    return q_next, entered, m
+    q = np.asarray(q, dtype=float)
+    entered = rng.random(q.size) < model.prob(q)
+    m = int(np.count_nonzero(entered))
+    h = params.payoff_scale
+    gain = h * (params.capacity - m)
+    if params.rule is LearningRule.BASIC_REINFORCEMENT:
+        return q + gain * entered, entered, m
+    return q + gain - h * ~entered, entered, m
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logit
 
-from entrydyn import core
+from entrydyn import abm, core
 from entrydyn.abm import (
     AllEqual,
     Explicit,
@@ -35,6 +36,14 @@ MODEL = Logistic(1.0, 0.0)
 
 def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
     return GameParams(n, c, h, m, rule)
+
+
+# a smooth and a domain-limited model for the round's bit-identity tests
+BIT_IDENTITY_MODELS = pytest.mark.parametrize(
+    "model, init",
+    [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
+    ids=["logistic", "ratio"],
+)
 
 
 def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):
@@ -367,12 +376,12 @@ class TestSimulate:
         assert times == sorted({placement(s) for s in requests})
 
     @staticmethod
-    def assert_matches_play_round_loop(params, model, init, record_stride):
+    def assert_matches_play_round_loop(params, model, init, record_stride, t_end=0.3):
         grid = GridSpec(-8.0, 8.0, 64)
         snaps = (0.0, 0.1, 0.5)
-        result = simulate(params, model, init, 0.3, 11, record_stride, snaps, grid)
+        result = simulate(params, model, init, t_end, 11, record_stride, snaps, grid)
         rows, ref_snaps, ref_final = reference_simulate(
-            params, model, init, 0.3, 11, record_stride, snaps, grid
+            params, model, init, t_end, 11, record_stride, snaps, grid
         )
         s = result.series
         for column, values in zip(rows.T, (s.t, s.a, s.b, s.m_frac)):
@@ -383,15 +392,29 @@ class TestSimulate:
             assert got.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("record_stride", [1, 3])
-    @pytest.mark.parametrize(
-        "model, init",
-        [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
-        ids=["logistic", "ratio"],
-    )
+    @BIT_IDENTITY_MODELS
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_bit_identical_to_play_round_loop(self, rule, model, init, record_stride):
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, init, record_stride)
+
+    # N = 400 spans 7 blocks of 64 and 58 blocks of 7, the last of 16 and 1 agents
+    @pytest.mark.parametrize("block", [64, 7])
+    @pytest.mark.parametrize("record_stride", [1, 3])
+    @BIT_IDENTITY_MODELS
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_blocked_round_is_bit_identical(self, monkeypatch, rule, model, init, record_stride, block):
+        monkeypatch.setattr(abm, "_BLOCK", block)
+        params = make_params(n=400, c=200, rule=rule)
+        self.assert_matches_play_round_loop(params, model, init, record_stride)
+
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_multi_block_run_is_bit_identical(self, rule):
+        # two full blocks of the module's own size and a short third, over
+        # recorded and unrecorded rounds
+        n = 2 * abm._BLOCK + 17
+        params = make_params(n=n, c=n // 2, h=1e-4, rule=rule)
+        self.assert_matches_play_round_loop(params, Logistic(1.3, 0.2), Gaussian(0.0, 1.5), 2, t_end=0.05)
 
     @pytest.mark.parametrize("model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"])
     @pytest.mark.parametrize("rule", [BASIC, FICT])
@@ -401,6 +424,30 @@ class TestSimulate:
         monkeypatch.setattr(core, "_TIE", 1.0)
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
+
+    @pytest.mark.parametrize("block", [64, 7])
+    @pytest.mark.parametrize("model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"])
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_forced_exact_recheck_in_blocks_is_bit_identical(self, monkeypatch, rule, model, block):
+        # the exact path of every block after the first indexes its own views
+        monkeypatch.setattr(core, "_TIE", 1.0)
+        monkeypatch.setattr(abm, "_BLOCK", block)
+        params = make_params(n=400, c=200, rule=rule)
+        self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
+
+    def test_ratio_domain_error_in_the_last_block(self, monkeypatch):
+        # every agent but the last enters almost surely, so m > c and the
+        # fictitious rule drives the last agent, which never enters (p = 0),
+        # negative in round 0; round 1 is not recorded, so only the decisions
+        # of the last block, a block of that one agent, can meet it
+        monkeypatch.setattr(abm, "_BLOCK", 7)
+        params = make_params(n=400, c=1, rule=FICT)
+        init = Explicit((1e6,) * 399 + (0.0,))
+        model = ErevRothRatio(1.0)
+        q, _, _ = play_round(init_population(params, init, 0), params, model, np.random.default_rng(4))
+        assert q[-1] < 0 <= q[:-1].min()
+        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[-1]:g}") + "$"):
+            simulate(params, model, init, 0.05, 4, record_stride=5)
 
     @pytest.mark.parametrize("record_stride", [1, 3])
     def test_one_probability_evaluation_per_round(self, record_stride):
