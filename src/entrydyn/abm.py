@@ -130,20 +130,23 @@ def _update(blocks: list[tuple[np.ndarray, ...]], entered: np.ndarray, params: G
 
     blocks are simulate's (q, p, work, entered) views, one per block: m counts
     the whole round's decisions in entered, then each block's q is updated
-    with its work as scratch.  The arithmetic is that of q + gain * entered
-    and q + gain - h * ~entered, operation for operation and elementwise,
-    so results are bit-identical to the allocating forms.
+    with its work as scratch.  Each block's decisions are first cast to
+    0.0 or 1.0 in work, then only float passes follow.  The arithmetic is
+    that of q + gain * entered and q + gain - h * ~entered, operation for
+    operation and elementwise, so results, signs of zero included, are
+    bit-identical to the allocating forms.
     """
     m = int(np.count_nonzero(entered))
     h = params.payoff_scale
     gain = h * (params.capacity - m)
     basic = params.rule is LearningRule.BASIC_REINFORCEMENT
     for q_b, _, work_b, entered_b in blocks:
+        np.copyto(work_b, entered_b)
         if basic:
-            np.multiply(entered_b, gain, out=work_b)
+            work_b *= gain
             q_b += work_b
         else:
-            np.subtract(1.0, entered_b, out=work_b)
+            np.subtract(1.0, work_b, out=work_b)
             work_b *= h
             q_b += gain
             q_b -= work_b
@@ -151,10 +154,14 @@ def _update(blocks: list[tuple[np.ndarray, ...]], entered: np.ndarray, params: G
 
 
 def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """a = mean p and b = mean p(1 - p), using work (p's size) as scratch."""
+    """a = mean p and b = mean p(1 - p), using work (p's size) as scratch.
+
+    Each mean is the pairwise sum and the one division ndarray.mean does,
+    without its Python wrapper.
+    """
     np.subtract(1.0, p, out=work)
     work *= p
-    return float(p.mean()), float(work.mean())
+    return float(np.add.reduce(p)) / p.size, float(np.add.reduce(work)) / work.size
 
 
 @dataclass

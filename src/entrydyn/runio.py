@@ -27,7 +27,7 @@ def write_series(path: str | Path, series: ObservableSeries) -> Path:
     path = Path(path)
     names = [f.name for f in fields(series) if getattr(series, f.name) is not None]
     lines = [",".join(names)]
-    for row in zip(*(getattr(series, name) for name in names)):
+    for row in zip(*(getattr(series, name).tolist() for name in names)):
         lines.append(",".join(format_float(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -75,7 +75,7 @@ def density_filename(t: float) -> str:
 def write_density(path: str | Path, density: DensityGrid) -> Path:
     path = Path(path)
     lines = ["q,f"]
-    for q, f in zip(density.centers(), density.values):
+    for q, f in zip(density.centers().tolist(), density.values.tolist()):
         lines.append(f"{format_float(q)},{format_float(f)}")
     path.write_text("\n".join(lines) + "\n")
     return path

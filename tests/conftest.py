@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec, gaussian_density, gaussian_mean_for_entry_fraction
-from entrydyn.kinetic import SolverOptions, solve
+from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
 
 MODEL = Logistic(scale=1.0, center=0.0)
 GRID = GridSpec(-12.0, 12.0, 800)
@@ -116,6 +117,37 @@ def play_round(q, params, model, rng):
     if params.rule is LearningRule.BASIC_REINFORCEMENT:
         return q + gain * entered, entered, m
     return q + gain - h * ~entered, entered, m
+
+
+# the density step in its allocating forms, the reference for kinetic's
+# in-place step: same operations in the same order, on fresh arrays
+def step_face_coefficients(a, b, params, p_face, dp_face):
+    """Face v and mu: drive p - D p' and D p."""
+    drive = params.r * (params.kappa - a)
+    d_coef = diffusion_coefficient(a, b, params)
+    return drive * p_face - d_coef * dp_face, d_coef * p_face
+
+
+def step_advective_dt(dq, v, cfl_safety, cap):
+    """cfl_safety dq / max|v|, capped at cap."""
+    v_max = float(np.max(np.abs(v))) if np.size(v) else 0.0
+    return min(cap, cfl_safety * dq / v_max) if v_max > 0 else cap
+
+
+def step_apply(f, v, mu, dt, dq):
+    """Upwind advection, then one backward-Euler diffusion solve of (I + dt A)."""
+    ratio = dt / dq
+    flux = ratio * v * np.where(v > 0, f[:-1], f[1:])
+    rhs = f.copy()
+    rhs[:-1] -= flux
+    rhs[1:] += flux
+    k = (ratio / dq) * mu
+    diag = np.ones_like(f)
+    diag[:-1] += k
+    diag[1:] += k
+    *_, out, info = dptsv(diag, -k, rhs)
+    assert info == 0
+    return out
 
 
 @pytest.fixture(scope="session")

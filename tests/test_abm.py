@@ -376,12 +376,12 @@ class TestSimulate:
         assert times == sorted({placement(s) for s in requests})
 
     @staticmethod
-    def assert_matches_play_round_loop(params, model, init, record_stride, t_end=0.3):
+    def assert_matches_play_round_loop(params, model, init, record_stride, t_end=0.3, seed=11):
         grid = GridSpec(-8.0, 8.0, 64)
         snaps = (0.0, 0.1, 0.5)
-        result = simulate(params, model, init, t_end, 11, record_stride, snaps, grid)
+        result = simulate(params, model, init, t_end, seed, record_stride, snaps, grid)
         rows, ref_snaps, ref_final = reference_simulate(
-            params, model, init, t_end, 11, record_stride, snaps, grid
+            params, model, init, t_end, seed, record_stride, snaps, grid
         )
         s = result.series
         for column, values in zip(rows.T, (s.t, s.a, s.b, s.m_frac)):
@@ -390,6 +390,7 @@ class TestSimulate:
         assert [t for t, _ in result.snapshots] == [t for t, _ in ref_snaps]
         for (_, got), (_, ref) in zip(result.snapshots, ref_snaps):
             assert got.values.tobytes() == ref.values.tobytes()
+        return result
 
     @pytest.mark.parametrize("record_stride", [1, 3])
     @BIT_IDENTITY_MODELS
@@ -434,6 +435,22 @@ class TestSimulate:
         monkeypatch.setattr(abm, "_BLOCK", block)
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
+
+    @pytest.mark.parametrize("record_stride", [1, 2])
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_signed_zeros_match_play_round_loop(self, rule, record_stride):
+        # agents at -0.0 and +0.0 with p = 1/2, and c = N/2 so that m == c,
+        # and with it gain == 0.0, is the likeliest round: whether a zero
+        # keeps its sign then turns on each term's own sign, which the
+        # update must reproduce to the bit, final q included.  Ten short
+        # runs keep agents at zero through rounds of every sign of gain
+        params = make_params(n=6, c=3, rule=rule)
+        init = Explicit((-0.0, 0.0) * 3)
+        m_frac = [
+            self.assert_matches_play_round_loop(params, MODEL, init, record_stride, 0.05, seed).series.m_frac
+            for seed in range(10)
+        ]
+        assert np.any(np.concatenate(m_frac) == 0.5)
 
     def test_ratio_domain_error_in_the_last_block(self, monkeypatch):
         # every agent but the last enters almost surely, so m > c and the

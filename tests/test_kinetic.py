@@ -19,7 +19,15 @@ from entrydyn.kinetic import (
     solve,
 )
 
-from conftest import GRID, MODEL, PDE_FICT_PARAMS, PDE_PARAMS
+from conftest import (
+    GRID,
+    MODEL,
+    PDE_FICT_PARAMS,
+    PDE_PARAMS,
+    step_advective_dt,
+    step_apply,
+    step_face_coefficients,
+)
 
 SORTED_GRID = GridSpec(-16.0, 16.0, 800)
 # interior faces at -5.7, -5.4, ..., 5.7
@@ -222,6 +230,56 @@ class TestStencilTransport:
         # first-order upwinding smears the pulse but keeps it recognizable
         reference = np.roll(f0.values, 80)
         assert np.max(np.abs(f - reference)) <= 0.1 * float(f0.values.max())
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# face values with exact zeros of both signs and unit values of both signs
+# among the random ones
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+NONNEGATIVE = st.just(0.0) | st.floats(0.0, 1e4)
+
+
+class TestStepMatchesAllocatingReference:
+    # the step works in place and with fewer calls than conftest's
+    # allocating reference; on any grid, under either rule's stencil, every
+    # array and step it returns has the reference's bytes
+
+    @pytest.mark.parametrize("rule", [LearningRule.BASIC_REINFORCEMENT, LearningRule.FICTITIOUS_STOCHASTIC])
+    @pytest.mark.parametrize("n_cells", [2, 3, 17, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), half_width=st.floats(0.5, 40.0), capacity=st.integers(1, 1000))
+    def test_bit_identical_to_reference(self, rule, n_cells, data, half_width, capacity):
+        spec = GridSpec(-half_width, half_width, n_cells)
+        params = GameParams(1000, capacity, 0.01, 100, rule)
+        stencil = _Stencil(spec, params, MODEL)
+        faces = spec.interior_faces()
+        if rule is LearningRule.FICTITIOUS_STOCHASTIC:
+            p_face, dp_face = np.ones(faces.size), np.zeros(faces.size)
+        else:
+            p_face, dp_face = MODEL.prob(faces), MODEL.dprob(faces)
+
+        # a = kappa with b = 0 gives v = 0 and mu = 0 at every face
+        a = data.draw(st.just(params.kappa) | st.floats(0.0, 1.0))
+        b = data.draw(st.just(0.0) | st.floats(0.0, 0.25))
+        v, mu = stencil.face_coefficients(a, b)
+        ref_v, ref_mu = step_face_coefficients(a, b, params, p_face, dp_face)
+        assert v.tobytes() == ref_v.tobytes()
+        assert mu.tobytes() == ref_mu.tobytes()
+
+        f = np.array(data.draw(st.lists(NONNEGATIVE, min_size=n_cells, max_size=n_cells)))
+        drawn_v = np.array(data.draw(st.lists(SIGNED, min_size=n_cells - 1, max_size=n_cells - 1)))
+        drawn_mu = np.array(data.draw(st.lists(NONNEGATIVE, min_size=n_cells - 1, max_size=n_cells - 1)))
+        cfl_safety = data.draw(st.floats(0.01, 0.5))
+        cap = data.draw(st.just(np.inf) | st.floats(1e-9, 1.0))
+        for v, mu in ((v, mu), (drawn_v, drawn_mu)):
+            dt = advective_dt(spec.dq, v, cfl_safety, cap)
+            assert _bits(dt) == _bits(step_advective_dt(spec.dq, v, cfl_safety, cap))
+            dt = min(dt, 1.0)
+            got = stencil.apply(f, v, mu, dt)
+            assert got.tobytes() == step_apply(f, v, mu, dt, spec.dq).tobytes()
 
 
 def spoiled_start(kind):
