@@ -25,10 +25,10 @@ import numpy as np
 from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel
 
 MAX_AGENTS = 12
-# cap on a block's (B, N, 2^N) entry table, the kernel's largest temporary:
-# 2^16 float64 elements (512 KiB), so one instance a block at N = 12, as
-# many as 32768 at N = 1
-BLOCK_ELEMENTS = 2**16
+# cap on a block's (B, 2^N) weight table, the shape of the kernel's largest
+# temporaries: 2^15 float64 elements (256 KiB), so 8 instances a block at
+# N = 12, as many as 16384 at N = 1
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,15 @@ def blocks(instances):
     """Split (propensities, params, model) instances into blocks for enumerate_block.
 
     A block holds instances of one N and one rule, in the order given, and
-    at most BLOCK_ELEMENTS // (N 2^N) of them, which caps the block's
-    (B, N, 2^N) entry table.
+    at most BLOCK_ELEMENTS >> N of them, which caps the block's (B, 2^N)
+    weight table.
     """
     groups: dict = {}
     for instance in instances:
         params = instance[1]
         groups.setdefault((params.n_agents, params.rule), []).append(instance)
     for (n, _), group in groups.items():
-        size = max(1, BLOCK_ELEMENTS // (n << n))
+        size = max(1, BLOCK_ELEMENTS >> n)
         for start in range(0, len(group), size):
             yield group[start : start + size]
 
@@ -157,8 +157,10 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
 
     q'_i depends on the pattern only through e_i and m, so the sum yields the
     joint law P(m, e_i); each instance's model then sees its q and the
-    (m, e) cells reached, in two calls.  Every step acts on each row alone,
-    so row b is bit for bit the law of instance b in a block of its own.
+    (m, e) cells reached, in two calls.  P(m, e_i = 1) is summed one agent
+    at a time through one scratch table, so no temporary is larger than the
+    (B, 2^N) weights.  Every step acts on each row alone, so row b is bit
+    for bit the law of instance b in a block of its own.
     """
     size, n = q.shape
     p = np.empty_like(q)
@@ -174,7 +176,12 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     m_probs = np.add.reduceat(weights, starts, axis=1)
     # P(m, e_i = 1), kept as the transposed view of the sums: matmul rounds
     # by memory layout, and this is the layout every result was checked in
-    enter_law = np.add.reduceat(entered * weights[:, None, :], starts, axis=2).transpose(0, 2, 1)
+    scratch = np.empty_like(weights)
+    sums = np.empty((size, n, n + 1))
+    for i in range(n):
+        np.multiply(entered[i], weights, out=scratch)
+        np.add.reduceat(scratch, starts, axis=1, out=sums[:, i, :])
+    enter_law = sums.transpose(0, 2, 1)
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
     gain = h * (c - np.arange(n + 1))
     moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m

@@ -951,23 +951,36 @@ class TestOracleCheck:
             assert main(["oracle-check", *argv]) == 0
             assert capsys.readouterr().out == reference_oracle_check(instances, max_agents, seed)
 
+    @staticmethod
+    def traced_peak(argv):
+        """tracemalloc's peak over one oracle-check run, in bytes."""
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_does_not_grow_with_instances(self, capsys):
-        # up to 8 agents, blocks of N = 7 and 8 fill the cap on the entry
-        # table, the largest temporary of any N, at half the run time of 12
+        # every N fills the same cap on its (B, 2^N) weight table, the shape
+        # of the kernel's largest temporaries; up to 8 agents runs in half
+        # the time of 12
         argv = ["oracle-check", "--max-agents", "8", "--instances"]
         assert main([*argv, "200"]) == 0  # caches every pattern table
-        peaks = {}
-        for instances in (2000, 8000):
-            tracemalloc.start()
-            try:
-                assert main([*argv, str(instances)]) == 0
-                peaks[instances] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {instances: self.traced_peak([*argv, str(instances)]) for instances in (2000, 8000)}
         capsys.readouterr()
         assert peaks[8000] <= 1.1 * peaks[2000]
         # a drawn chunk of instances and one block's temporaries: about 1 MiB
         assert peaks[8000] <= 1.5 * 2**20
+
+    def test_memory_at_twelve_agents(self, capsys):
+        # N = 12 blocks hold 8 instances each, and their pattern tables are
+        # the largest cached
+        argv = ["oracle-check", "--max-agents", "12", "--instances"]
+        assert main([*argv, "200"]) == 0  # caches every pattern table
+        peak = self.traced_peak([*argv, "4000"])
+        capsys.readouterr()
+        assert peak <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -329,7 +329,7 @@ def mixed_blocks(draw):
     block holds, one more, or one."""
     n = draw(st.sampled_from(range(1, MAX_AGENTS + 1)))
     rule = draw(st.sampled_from(LearningRule))
-    cap = BLOCK_ELEMENTS // (n << n)
+    cap = BLOCK_ELEMENTS >> n
     size = draw(st.sampled_from([1, cap, cap + 1]))
     distinct = []
     for _ in range(min(size, 4)):
@@ -367,7 +367,7 @@ class TestBlocks:
         for block in split:
             n, rule = block[0][1].n_agents, block[0][1].rule
             assert all((params.n_agents, params.rule) == (n, rule) for _, params, _ in block)
-            assert len(block) * (n << n) <= BLOCK_ELEMENTS
+            assert len(block) << n <= BLOCK_ELEMENTS
             assert [position[id(x)] for x in block] == sorted(position[id(x)] for x in block)
 
     def test_rejects_a_mixed_block(self):
@@ -394,6 +394,20 @@ class TestPoissonBinomial:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             poisson_binomial_rows(np.array([[0.3, 0.2, 0.5], [0.3, np.nan, 0.5]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, MAX_AGENTS).flatmap(
+            lambda n: st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=4)
+        )
+    )
+    def test_zero_padding_is_exact(self, rows):
+        # a p = 0 column multiplies by 1.0 and adds +0.0, so oracle-check may
+        # pad a chunk of mixed N to MAX_AGENTS columns and run one recurrence
+        p = np.array(rows)
+        padding = ((0, 0), (0, MAX_AGENTS - p.shape[1]))
+        padded = poisson_binomial_rows(np.pad(p, padding))
+        assert padded.tobytes() == np.pad(poisson_binomial_rows(p), padding).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
