@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import GameParams, LearningRule, ProbabilityModel
-from .grid import DensityGrid, GridSpec, gaussian_density, histogram_density, two_spike_density
+from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
 
 
@@ -26,6 +26,13 @@ class AllEqual:
 
     kind: ClassVar[str] = "all_equal"
     value: float
+
+    def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
+        return np.full(params.n_agents, float(self.value))
+
+    def density(self, spec: GridSpec) -> DensityGrid:
+        """The point binned as the agent engine's snapshots bin its population."""
+        return histogram_density(spec, [self.value])
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,22 @@ class Gaussian:
         if not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
+    def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
+        q = self.mean + self.sd * rng.standard_normal(params.n_agents)
+        if self.snap_to_lattice:
+            h = params.payoff_scale
+            q = self.mean + np.round((q - self.mean) / h) * h
+        return q
+
+    def density(self, spec: GridSpec) -> DensityGrid:
+        """The normal density at the cell centers, renormalized to unit mass."""
+        q = spec.centers()
+        values = np.exp(-0.5 * ((q - self.mean) / self.sd) ** 2)
+        total = values.sum() * spec.dq
+        if total <= 0:
+            raise ValueError("gaussian mass vanished on the grid; widen the domain")
+        return DensityGrid(spec, values / total)
+
 
 @dataclass(frozen=True)
 class Explicit:
@@ -52,6 +75,16 @@ class Explicit:
 
     kind: ClassVar[str] = "explicit"
     values: tuple[float, ...]
+
+    def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
+        q = np.asarray(self.values, dtype=float)
+        if q.shape != (params.n_agents,):
+            raise ValueError(f"explicit init has {q.size} values for {params.n_agents} agents")
+        return q.copy()
+
+    def density(self, spec: GridSpec) -> DensityGrid:
+        """The points binned as the agent engine's snapshots bin its population."""
+        return histogram_density(spec, self.values)
 
 
 @dataclass(frozen=True)
@@ -69,6 +102,24 @@ class TwoSpike:
         if not 0.0 <= self.mass_high <= 1.0:
             raise ValueError(f"mass_high must lie in [0, 1], got {self.mass_high}")
 
+    def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
+        n = params.n_agents
+        n_high = int(round(self.mass_high * n))
+        return np.concatenate([np.full(n - n_high, float(self.q_low)), np.full(n_high, float(self.q_high))])
+
+    def density(self, spec: GridSpec) -> DensityGrid:
+        """All mass in the cells histogram_density bins q_low and q_high into, so
+        a spike on a cell face starts in the cell of the agent engine's snapshot."""
+        if not (spec.q_min < self.q_low < self.q_high < spec.q_max):
+            raise ValueError("spike positions must be distinct interior points")
+        values = np.zeros(spec.n_cells)
+        k_low, k_high = (int(np.argmax(histogram_density(spec, [q]).values)) for q in (self.q_low, self.q_high))
+        if k_low == k_high:
+            raise ValueError("spike positions fall in the same cell; refine the grid")
+        values[k_low] = (1.0 - self.mass_high) / spec.dq
+        values[k_high] = self.mass_high / spec.dq
+        return DensityGrid(spec, values)
+
 
 InitialCondition = AllEqual | Gaussian | Explicit | TwoSpike
 
@@ -79,45 +130,7 @@ def init_population(
     seed: int | np.random.Generator,
 ) -> np.ndarray:
     """The agents' start propensities, one float per agent."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = params.n_agents
-    if isinstance(init, AllEqual):
-        q = np.full(n, float(init.value))
-    elif isinstance(init, Gaussian):
-        q = init.mean + init.sd * rng.standard_normal(n)
-        if init.snap_to_lattice:
-            h = params.payoff_scale
-            q = init.mean + np.round((q - init.mean) / h) * h
-    elif isinstance(init, Explicit):
-        q = np.asarray(init.values, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"explicit init has {q.size} values for {n} agents")
-        q = q.copy()
-    elif isinstance(init, TwoSpike):
-        n_high = int(round(init.mass_high * n))
-        q = np.concatenate(
-            [np.full(n - n_high, float(init.q_low)), np.full(n_high, float(init.q_high))]
-        )
-    else:
-        raise TypeError(f"unknown initial condition {init!r}")
-    return q
-
-
-def initial_density(init: InitialCondition, spec: GridSpec) -> DensityGrid:
-    """The same start state as a unit-mass density on spec, for the density engine.
-
-    Point starts (all_equal, explicit) are binned exactly as the agent
-    engine's density snapshots bin its population.
-    """
-    if isinstance(init, AllEqual):
-        return histogram_density(spec, [init.value])
-    if isinstance(init, Gaussian):
-        return gaussian_density(spec, init.mean, init.sd)
-    if isinstance(init, Explicit):
-        return histogram_density(spec, init.values)
-    if isinstance(init, TwoSpike):
-        return two_spike_density(spec, init.q_low, init.q_high, init.mass_high)
-    raise TypeError(f"unknown initial condition {init!r}")
+    return init.population(params, np.random.default_rng(seed))
 
 
 # Agents per block of a round: q, p, work and entered of one block (1.6 MiB)
@@ -210,7 +223,7 @@ def simulate(
     if snapshot_times and snapshot_grid is None:
         raise ValueError("snapshot_times given without a snapshot_grid")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     q = init_population(params, init, rng)
     p = np.empty_like(q)
     work = np.empty_like(q)

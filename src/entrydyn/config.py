@@ -13,7 +13,7 @@ reader of its value, and the dataclass checks the values it is given.
 init section parses straight into one of the `abm` initial-condition
 types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
 start from that one value: the agent engine draws its population from it
-and the density engine takes `abm.initial_density` of it.
+and the density engine takes its `density` on the grid.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _as_str(value, where: str) -> str:
 
 
 def _as_numbers(value, where: str) -> tuple[float, ...]:
-    # JSON gives a list, resolved() the dataclass's tuple
+    # JSON and resolved() both give a list; a tuple from a Python caller reads the same
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{where}: expected a non-empty list of numbers")
     return tuple(read_number(v, where) for v in value)
@@ -289,7 +289,7 @@ class RunConfig:
         if self.grid is None:
             raise ConfigError("grid: required for the pde engine")
         try:
-            return abm.initial_density(self.init, self.grid)
+            return self.init.density(self.grid)
         except ValueError as exc:
             # a start that parsed may still not fit the grid
             raise ConfigError(f"init: {exc}") from None

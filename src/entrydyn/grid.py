@@ -1,8 +1,9 @@
 """Uniform propensity grids and densities on them.
 
 A density is stored as cell-centered values f_k on K equal cells covering
-[q_min, q_max], normalized so that sum(f_k) * dq = 1.  Builders below
-produce the standard initial conditions used by both engines.
+[q_min, q_max], normalized so that sum(f_k) * dq = 1.  The start types
+in `abm` realize themselves on a grid; this module holds the histogram
+they and the agent engine's snapshots share.
 """
 
 from __future__ import annotations
@@ -80,18 +81,6 @@ def default_grid(model: Logistic) -> GridSpec:
     return GridSpec(model.center - half, model.center + half, 800)
 
 
-def gaussian_density(spec: GridSpec, mean: float, sd: float) -> DensityGrid:
-    """Normal density evaluated at cell centers and renormalized to unit mass."""
-    if not sd > 0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    q = spec.centers()
-    values = np.exp(-0.5 * ((q - mean) / sd) ** 2)
-    total = values.sum() * spec.dq
-    if total <= 0:
-        raise ValueError("gaussian mass vanished on the grid; widen the domain")
-    return DensityGrid(spec, values / total)
-
-
 def histogram_density(spec: GridSpec, points) -> DensityGrid:
     """Histogram density of points on the grid's cells, unit mass.
 
@@ -111,25 +100,6 @@ def histogram_density(spec: GridSpec, points) -> DensityGrid:
     edges = spec.q_min + np.arange(spec.n_cells + 1) * spec.dq
     counts, _ = np.histogram(np.clip(points, centers[0], centers[-1]), bins=edges)
     return DensityGrid(spec, counts / (points.size * spec.dq))
-
-
-def two_spike_density(spec: GridSpec, q_low: float, q_high: float, mass_high: float) -> DensityGrid:
-    """All mass in the two cells holding q_low and q_high (a sorted state).
-
-    Each spike goes to the cell histogram_density bins it into, so a spike
-    on a cell face starts in the same cell as the agent engine's snapshot.
-    """
-    if not 0.0 <= mass_high <= 1.0:
-        raise ValueError(f"mass_high must lie in [0, 1], got {mass_high}")
-    if not (spec.q_min < q_low < q_high < spec.q_max):
-        raise ValueError("spike positions must be distinct interior points")
-    values = np.zeros(spec.n_cells)
-    k_low, k_high = (int(np.argmax(histogram_density(spec, [q]).values)) for q in (q_low, q_high))
-    if k_low == k_high:
-        raise ValueError("spike positions fall in the same cell; refine the grid")
-    values[k_low] = (1.0 - mass_high) / spec.dq
-    values[k_high] = mass_high / spec.dq
-    return DensityGrid(spec, values)
 
 
 def gaussian_mean_for_entry_fraction(

@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
-from entrydyn.grid import GridSpec, gaussian_density, gaussian_mean_for_entry_fraction
+from entrydyn.grid import GridSpec, gaussian_mean_for_entry_fraction
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
 
 MODEL = Logistic(scale=1.0, center=0.0)
@@ -163,7 +163,7 @@ def init_mean() -> float:
 
 @pytest.fixture(scope="session")
 def acceptance_f0(init_mean):
-    return gaussian_density(GRID, init_mean, INIT_SD)
+    return Gaussian(init_mean, INIT_SD).density(GRID)
 
 
 @pytest.fixture(scope="session")

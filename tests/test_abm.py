@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from entrydyn.abm import (
 )
 from entrydyn.analysis import fit_exponential_decay
 from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
-from entrydyn.grid import DensityGrid, GridSpec, gaussian_density, histogram_density
+from entrydyn.grid import DensityGrid, GridSpec, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import Recorder
 from entrydyn.oracle import enumerate_block
@@ -100,6 +101,32 @@ class TestInitPopulation:
         a = init_population(make_params(), Gaussian(0.0, 1.0), 42)
         b = init_population(make_params(), Gaussian(0.0, 1.0), 42)
         assert np.array_equal(a, b)
+
+
+# one small instance of each start type; a start type missing here fails the guard below
+SMALL_STARTS = {
+    AllEqual: AllEqual(0.25),
+    Gaussian: Gaussian(0.0, 1.0, snap_to_lattice=True),
+    Explicit: Explicit((-0.5, 0.0, 0.25, 1.0)),
+    TwoSpike: TwoSpike(-1.0, 1.0, 0.5),
+}
+
+
+class TestStartTypes:
+    def test_every_start_type_realizes_itself(self):
+        assert set(SMALL_STARTS) == set(get_args(abm.InitialCondition))
+        params = make_params(n=4, c=2)
+        spec = GridSpec(-4.0, 4.0, 16)
+        for cls, init in SMALL_STARTS.items():
+            assert {"population", "density"} <= set(vars(cls))
+            q = init.population(params, np.random.default_rng(0))
+            assert q.dtype == np.float64 and q.shape == (4,)
+            density = init.density(spec)
+            assert density.spec == spec
+            assert density.mass() == pytest.approx(1.0, abs=1e-12)
+        # the config maps kind -> start type, so no two start types may share a kind
+        kinds = [cls.kind for cls in SMALL_STARTS]
+        assert len(set(kinds)) == len(kinds)
 
 
 class TestPlayRound:
@@ -267,6 +294,19 @@ class TestEmpiricalDensity:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"t_end": 0.0}, "t_end must be positive"),
+            ({"record_stride": 0}, "record_stride must be >= 1"),
+            ({"snapshot_times": (0.0,)}, "snapshot_times given without a snapshot_grid"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, arguments, message):
+        kwargs = {"t_end": 0.02, "seed": 0, **arguments}
+        with pytest.raises(ValueError, match=message):
+            simulate(make_params(n=10, c=5), MODEL, AllEqual(0.0), **kwargs)
+
     def test_record_count(self):
         params = make_params(n=50, c=25)
         result = simulate(params, MODEL, AllEqual(0.0), t_end=3 / 100, seed=0)
@@ -336,7 +376,7 @@ class TestSimulate:
         requests = (0.0, 5e-13, 2 * tau - 1e-13, 2.5 * tau, 3 * tau, 3 * tau, 1.0)
         agents = simulate(params, MODEL, Gaussian(0.0, 1.0), 5 * tau, 4, 1, requests, grid)
         density = solve(
-            gaussian_density(grid, 0.0, 1.0),
+            Gaussian(0.0, 1.0).density(grid),
             params,
             MODEL,
             5 * tau,

@@ -27,7 +27,7 @@ from entrydyn.analysis import (
 )
 from entrydyn.cli import main
 from entrydyn.core import GameParams, LearningRule, aggregate_learning_rate, sorting_rate
-from entrydyn.grid import GridSpec, two_spike_density
+from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, _Stencil, diffusion_coefficient, solve
 from entrydyn.observables import ObservableSeries
 from entrydyn.oracle import enumerate_block
@@ -201,7 +201,7 @@ def test_criterion_7_engine_agreement_on_learning_window(
 def test_criterion_8_sorted_equilibrium_is_stationary():
     # a fully sorted population is a fixed point of both levels
     spec = GridSpec(-16.0, 16.0, 800)
-    f0 = two_spike_density(spec, -15.0, 15.0, 0.5)
+    f0 = TwoSpike(-15.0, 15.0, 0.5).density(spec)
     pde = solve(
         f0, PDE_PARAMS, MODEL, 0.2, SolverOptions(output_interval=0.01)
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entrydyn.abm import Gaussian
 from entrydyn.analysis import (
     FitError,
     MIN_FIT_POINTS,
@@ -14,7 +15,6 @@ from entrydyn.analysis import (
     within_factor,
 )
 from entrydyn.core import GameParams, LearningRule, Logistic, aggregate_learning_rate, sorting_rate
-from entrydyn.grid import gaussian_density
 from entrydyn.observables import ObservableSeries
 
 from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
@@ -227,7 +227,7 @@ class TestCompareSeries:
 
 class TestLearningConstant:
     def test_density_and_sample_estimates_agree(self, init_mean):
-        density = gaussian_density(GRID, init_mean, 1.5)
+        density = Gaussian(init_mean, 1.5).density(GRID)
         from_density = initial_learning_constant(density, MODEL)
         rng = np.random.default_rng(11)
         draws = init_mean + 1.5 * rng.standard_normal(200_000)

@@ -442,6 +442,14 @@ REJECTED_DOCUMENTS = [
     ("seed-2**64", {**TOP_LEVEL, "seed": 2**64}, "seed"),
     ("replicas-zero", {**TOP_LEVEL, "replicas": 0}, "replicas"),
     ("record_stride-zero", {**TOP_LEVEL, "record_stride": 0}, "record_stride"),
+    ("model.scale-zero", {**TOP_LEVEL, "model": {"kind": "logistic", "scale": 0}}, "model"),
+    (
+        "model.baseline-zero",
+        {**TOP_LEVEL, **RATIO_START, "model": {"kind": "erev_roth_ratio", "baseline": 0}},
+        "model",
+    ),
+    ("game.n_agents-zero", {**TOP_LEVEL, "game": dict(GAME_SMALL, n_agents=0)}, "game"),
+    ("grid.n_cells-one", {**TOP_LEVEL, "grid": {"q_min": -8.0, "q_max": 8.0, "n_cells": 1}}, "grid"),
     ("pde-ratio-model", {**TOP_LEVEL, **RATIO_START, "engine": "pde"}, "engine"),
     ("snapshot_times-negative", {**TOP_LEVEL, "snapshot_times": [0.0, -0.01]}, "snapshot_times"),
     ("ratio-snapshots-without-grid", {**TOP_LEVEL, **RATIO_START, "snapshot_times": [0.0]}, "grid"),
@@ -696,14 +704,23 @@ class TestConfigRejection:
         assert "domain error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "message",
-        ["Unable to allocate 64.0 PiB for an array with shape (9007199254740992,) and data type float64", ""],
+        "error, message",
+        [
+            (
+                MemoryError,
+                "Unable to allocate 64.0 PiB for an array with shape (9007199254740992,) and data type float64",
+            ),
+            (MemoryError, ""),
+            (RuntimeError, "the engine gave up"),
+        ],
     )
-    def test_run_that_cannot_allocate_is_runtime_error(self, tmp_path, capsys, monkeypatch, message):
-        def no_memory(*args, **kwargs):
-            raise MemoryError(message)
+    def test_run_that_cannot_allocate_or_fails_is_runtime_error(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        def failing(*args, **kwargs):
+            raise error(message)
 
-        monkeypatch.setattr(cli, "simulate", no_memory)
+        monkeypatch.setattr(cli, "simulate", failing)
         cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
         assert main(["abm", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err

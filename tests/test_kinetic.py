@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from entrydyn.abm import Gaussian, TwoSpike
 from entrydyn.analysis import (
     fit_exponential_decay,
     initial_learning_constant,
@@ -10,7 +11,7 @@ from entrydyn.analysis import (
     sorting_fit,
 )
 from entrydyn.core import ErevRothRatio, GameParams, LearningRule, sorting_rate
-from entrydyn.grid import DensityGrid, GridSpec, gaussian_density, two_spike_density
+from entrydyn.grid import DensityGrid, GridSpec
 from entrydyn.kinetic import (
     SolverOptions,
     _Stencil,
@@ -53,7 +54,7 @@ class TestMoments:
         assert b == 0.25
 
     def test_sorted_two_spike(self):
-        f = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
+        f = TwoSpike(-15.0, 15.0, 0.5).density(SORTED_GRID)
         a, b = moments(f)
         assert a == pytest.approx(0.5, abs=1e-8)
         assert 0 < b <= 1e-6
@@ -151,14 +152,14 @@ class TestStep:
         # spikes deep in saturation: a = kappa to machine precision, so the
         # only transport left is diffusion scaled by b ~ 1e-18
         spec = GridSpec(-44.0, 44.0, 440)
-        f = two_spike_density(spec, -40.0, 40.0, 0.5)
+        f = TwoSpike(-40.0, 40.0, 0.5).density(spec)
         f_next = one_step(f, PDE_PARAMS, dt=1e-3)
         assert np.max(np.abs(f_next.values - f.values)) <= 1e-12
 
     def test_mass_conserved_per_step(self):
         # early-transient state: D ~ 450, so dt = 5e-7 is about half the
         # old explicit diffusion limit and 1/200 of the advective bound
-        f = gaussian_density(GRID, -1.9, 1.5)
+        f = Gaussian(-1.9, 1.5).density(GRID)
         f_next = one_step(f, PDE_PARAMS, dt=5e-7)
         assert abs(f_next.mass() - f.mass()) <= 1e-14
 
@@ -166,7 +167,7 @@ class TestStep:
         # two spikes at +-1: a = kappa by symmetry, so diffusion dominates
         # and half the advective bound leaves room for 100 times the explicit
         # diffusion limit, at which an explicit update would go negative
-        f = two_spike_density(GRID, -1.0, 1.0, 0.5)
+        f = TwoSpike(-1.0, 1.0, 0.5).density(GRID)
         dt = 100.0 * _old_diffusive_limit(f, PDE_PARAMS)
         assert dt <= 0.5 * _advective_limit(f, PDE_PARAMS)
         f_next = one_step(f, PDE_PARAMS, dt=dt)
@@ -210,7 +211,7 @@ class TestStencilTransport:
     def test_constant_advection_translates_profile(self):
         # pure drift at v = 2 for t = 2: profile moves exactly 80 cells
         spec = GridSpec(-10.0, 10.0, 400)
-        f0 = gaussian_density(spec, -3.0, 0.8)
+        f0 = Gaussian(-3.0, 0.8).density(spec)
         stencil = _Stencil(spec, PDE_PARAMS, MODEL)
         n_faces = spec.centers().size - 1
         v = np.full(n_faces, 2.0)
@@ -285,7 +286,7 @@ class TestStepMatchesAllocatingReference:
 def spoiled_start(kind):
     """A gaussian start on GRID spoiled one way: twice the mass, a NaN cell,
     or a cell at -0.01 with the rest rescaled to unit mass."""
-    values = gaussian_density(GRID, 0.0, 1.0).values.copy()
+    values = Gaussian(0.0, 1.0).density(GRID).values.copy()
     if kind == "double":
         values *= 2.0
     elif kind == "nan":
@@ -304,7 +305,7 @@ class TestSolve:
                 solve(spoiled_start(kind), PDE_PARAMS, MODEL, 0.01)
 
     def test_rejects_non_logistic_model(self):
-        f = gaussian_density(GRID, 0.0, 1.0)
+        f = Gaussian(0.0, 1.0).density(GRID)
         with pytest.raises(ValueError, match="logistic"):
             solve(f, PDE_PARAMS, ErevRothRatio(1.0), 0.01)
 
@@ -312,12 +313,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="cfl_safety"):
             SolverOptions(cfl_safety=0.6)
         with pytest.raises(ValueError, match="t_end"):
-            solve(gaussian_density(GRID, 0.0, 1.0), PDE_PARAMS, MODEL, 0.0)
+            solve(Gaussian(0.0, 1.0).density(GRID), PDE_PARAMS, MODEL, 0.0)
         with pytest.raises(ValueError, match="output_interval"):
             SolverOptions(output_interval=-0.01)
 
     def test_sorted_start_stays_sorted(self):
-        f0 = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
+        f0 = TwoSpike(-15.0, 15.0, 0.5).density(SORTED_GRID)
         result = solve(f0, PDE_PARAMS, MODEL, 0.02, SolverOptions(output_interval=0.005))
         assert np.max(np.abs(result.series.a - 0.5)) <= 1e-7
         assert np.max(result.series.b) <= 1e-6
@@ -325,7 +326,7 @@ class TestSolve:
 
     def test_snapshot_within_1e_12_of_start_is_taken_at_start(self):
         # simulate places a request at the record within 1e-12 of it, t = 0 included
-        f0 = two_spike_density(SORTED_GRID, -15.0, 15.0, 0.5)
+        f0 = TwoSpike(-15.0, 15.0, 0.5).density(SORTED_GRID)
         result = solve(f0, PDE_PARAMS, MODEL, 0.02, SolverOptions(output_interval=0.01), (5e-13, 0.01))
         assert [t for t, _ in result.snapshots] == [0.0, 0.01]
         assert result.snapshots[0][1].values.tobytes() == f0.values.tobytes()
@@ -405,7 +406,7 @@ class TestSolve:
 
     def test_grid_refinement_converges(self, init_mean, pde_acceptance):
         coarse_spec = GridSpec(-12.0, 12.0, 400)
-        f0 = gaussian_density(coarse_spec, init_mean, 1.5)
+        f0 = Gaussian(init_mean, 1.5).density(coarse_spec)
         coarse = solve(f0, PDE_PARAMS, MODEL, 0.1, SolverOptions(output_interval=0.01))
         k = int(np.argmin(np.abs(pde_acceptance.series.t - 0.1)))
         assert abs(coarse.series.a[-1] - pde_acceptance.series.a[k]) <= 1e-3

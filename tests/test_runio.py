@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from entrydyn.abm import Gaussian, ensemble_run, simulate
+from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
-from entrydyn.grid import GridSpec, two_spike_density
+from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import ObservableSeries
 from entrydyn.runio import read_series, write_series
@@ -15,7 +15,7 @@ MODEL = Logistic(1.0, 0.0)
 
 
 def density_series():
-    f0 = two_spike_density(GridSpec(-16.0, 16.0, 200), -15.0, 15.0, 0.5)
+    f0 = TwoSpike(-15.0, 15.0, 0.5).density(GridSpec(-16.0, 16.0, 200))
     return solve(f0, PARAMS, MODEL, 0.02, SolverOptions(output_interval=0.005)).series
 
 
