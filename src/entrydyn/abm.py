@@ -133,37 +133,28 @@ def init_population(
     return init.population(params, np.random.default_rng(seed))
 
 
-# Agents per block of a round: q, p, work and entered of one block (1.6 MiB)
-# stay in a core's L2 cache across the round's elementwise passes.
+# Agents per block of a round.  Unrecorded rounds run every block's passes on
+# one block-sized scratch pair, p[:_BLOCK] and work[:_BLOCK], which stays in cache.
 _BLOCK = 2**16
 
 
-def _update(blocks: list[tuple[np.ndarray, ...]], entered: np.ndarray, params: GameParams) -> int:
-    """Apply one round's learning rule in place, block by block, and return m.
+def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: float, params: GameParams) -> None:
+    """Apply one round's learning rule in place to one block of agents.
 
-    blocks are simulate's (q, p, work, entered) views, one per block: m counts
-    the whole round's decisions in entered, then each block's q is updated
-    with its work as scratch.  Each block's decisions are first cast to
-    0.0 or 1.0 in work, then only float passes follow.  The arithmetic is
-    that of q + gain * entered and q + gain - h * ~entered, operation for
-    operation and elementwise, so results, signs of zero included, are
-    bit-identical to the allocating forms.
+    gain is h * (c - m) and work_b (q_b's size) is scratch.  The decisions
+    are cast to 0.0 or 1.0 in work_b, then only float passes follow, those of
+    q + gain * entered and q + gain - h * ~entered operation for operation,
+    so results, signs of zero included, are bit-identical to those forms.
     """
-    m = int(np.count_nonzero(entered))
-    h = params.payoff_scale
-    gain = h * (params.capacity - m)
-    basic = params.rule is LearningRule.BASIC_REINFORCEMENT
-    for q_b, _, work_b, entered_b in blocks:
-        np.copyto(work_b, entered_b)
-        if basic:
-            work_b *= gain
-            q_b += work_b
-        else:
-            np.subtract(1.0, work_b, out=work_b)
-            work_b *= h
-            q_b += gain
-            q_b -= work_b
-    return m
+    np.copyto(work_b, entered_b)
+    if params.rule is LearningRule.BASIC_REINFORCEMENT:
+        work_b *= gain
+        q_b += work_b
+    else:
+        np.subtract(1.0, work_b, out=work_b)
+        work_b *= params.payoff_scale
+        q_b += gain
+        q_b -= work_b
 
 
 def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
@@ -210,10 +201,11 @@ def simulate(
     are updated in place: no agent-sized float array is allocated per
     round, except for a requested density snapshot.
 
-    A round draws, decides and updates _BLOCK agents at a time, so each
-    block's arrays stay in cache across its passes.  The draws fill
-    consecutive slices of one Generator stream, every pass is elementwise,
-    and m, the record's p and its moments are taken over the whole
+    A round is one sweep over blocks of _BLOCK agents.  Its update needs m,
+    so it is deferred: the next round applies it to each block just before
+    the block's draws, and a record first applies it to every block.  The
+    draws fill consecutive slices of one Generator stream, every pass is
+    elementwise, and a record's p and its moments are taken over the whole
     population, so the outputs are bit-identical to whole-array passes.
     """
     if not t_end > 0:
@@ -229,26 +221,34 @@ def simulate(
     work = np.empty_like(q)
     entered = np.empty(q.shape, dtype=bool)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
-    # (q, p, work, entered) views of one block of agents each, made once per run
-    blocks = [tuple(a[i : i + _BLOCK] for a in (q, p, work, entered)) for i in range(0, q.size, _BLOCK)]
+    # per block: its q, entered and p views, and the scratch pair p[:size] and work[:size]
+    edges = [*range(0, q.size, _BLOCK), q.size]
+    blocks = [(q[i:j], entered[i:j], p[i:j], p[: j - i], work[: j - i]) for i, j in zip(edges, edges[1:])]
     recorder = Recorder(snapshot_times)
     m_frac: list[float] = []
 
     for n in range(n_rounds + 1):
         is_record = (n % record_stride == 0) or (n == n_rounds)
         if is_record:
+            if n > 0:  # round n - 1's update is still pending
+                for q_b, entered_b, _, _, work_s in blocks:
+                    _update(q_b, work_s, entered_b, gain, params)
             model.prob(q, out=p)
             a, b = _moments(p, work)
             recorder.record(n * params.tau, a, b, lambda: histogram_density(snapshot_grid, q), n == n_rounds)
         if n < n_rounds:
-            for q_b, p_b, work_b, entered_b in blocks:
-                rng.random(out=work_b)
+            m = 0
+            for q_b, entered_b, p_b, p_s, work_s in blocks:
                 if is_record:
-                    np.less(work_b, p_b, out=entered_b)
+                    rng.random(out=work_s)
+                    np.less(work_s, p_b, out=entered_b)
                 else:
-                    # p is free on this round and serves as the scratch array
-                    model.enters(q_b, work_b, entered_b, p_b)
-            m = _update(blocks, entered, params)
+                    # round n - 1's update, then the draws, with the free p as scratch
+                    _update(q_b, work_s, entered_b, gain, params)
+                    rng.random(out=work_s)
+                    model.enters(q_b, work_s, entered_b, p_s)
+                m += int(np.count_nonzero(entered_b))
+            gain = params.payoff_scale * (params.capacity - m)
             if is_record:
                 m_frac.append(m / params.n_agents)
     m_frac.append(math.nan)

@@ -439,9 +439,15 @@ class TestSimulate:
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, init, record_stride)
 
-    # N = 400 spans 7 blocks of 64 and 58 blocks of 7, the last of 16 and 1 agents
+    # N = 400 spans 7 blocks of 64 and 58 blocks of 7, the last of 16 and 1
+    # agents.  Each round's update waits for the next round's sweep or for the
+    # next record, so the strides place records around those boundaries over
+    # the 30 rounds: every round, 3 and 7 (7 leaves 2 rounds before the final
+    # record, and both put the 0.1 snapshot on a record right after
+    # unrecorded rounds), and 40, beyond the run, which records only round 0
+    # and the final round
     @pytest.mark.parametrize("block", [64, 7])
-    @pytest.mark.parametrize("record_stride", [1, 3])
+    @pytest.mark.parametrize("record_stride", [1, 3, 7, 40])
     @BIT_IDENTITY_MODELS
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_blocked_round_is_bit_identical(self, monkeypatch, rule, model, init, record_stride, block):
@@ -506,11 +512,31 @@ class TestSimulate:
         with pytest.raises(DomainError, match=re.escape(f"got minimum {q[-1]:g}") + "$"):
             simulate(params, model, init, 0.05, 4, record_stride=5)
 
+    def test_ratio_domain_error_names_the_population_minimum(self, monkeypatch):
+        # every agent but two enters almost surely, so m > c and the
+        # fictitious rule drives both negative in round 0: the agent at 0.5
+        # in block 0 and, lower, the agent at 0.0 (p = 0, it never enters)
+        # in block 2.  Round 1 is recorded, so p is evaluated on the whole
+        # population and the error names its minimum, not block 0's
+        monkeypatch.setattr(abm, "_BLOCK", 7)
+        params = make_params(n=400, c=1, rule=FICT)
+        values = [1e6] * 400
+        values[3], values[20] = 0.5, 0.0
+        init = Explicit(tuple(values))
+        model = ErevRothRatio(1.0)
+        q, _, _ = play_round(init_population(params, init, 0), params, model, np.random.default_rng(4))
+        assert q[20] < q[3] < 0 <= np.delete(q, [3, 20]).min()
+        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[20]:g}") + "$"):
+            simulate(params, model, init, 0.05, 4, record_stride=1)
+
+    @pytest.mark.parametrize("block", [abm._BLOCK, 7])
     @pytest.mark.parametrize("record_stride", [1, 3])
-    def test_one_probability_evaluation_per_round(self, record_stride):
+    def test_one_probability_evaluation_per_round(self, monkeypatch, record_stride, block):
         # the exact p of the whole population is evaluated, into simulate's
         # buffer, once per record and never on other rounds, which draw
-        # through model.enters
+        # through model.enters; in blocks of 7 as well, where records still
+        # evaluate p on all 50 agents at once
+        monkeypatch.setattr(abm, "_BLOCK", block)
         model = CountingLogistic()
         params = make_params(n=50, c=25)
         result = simulate(params, model, Gaussian(0.0, 1.0), 0.12, 2, record_stride)
