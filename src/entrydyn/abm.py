@@ -76,6 +76,10 @@ class Explicit:
     kind: ClassVar[str] = "explicit"
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("values must hold at least one propensity")
+
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
         q = np.asarray(self.values, dtype=float)
         if q.shape != (params.n_agents,):

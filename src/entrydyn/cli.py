@@ -45,20 +45,22 @@ EXIT_RUNTIME = 3
 ORACLE_CHUNK = 512
 
 
-def _number_in(low: float, high: float = math.inf, *, closed: bool = True):
-    """argparse type: a float in [low, high), or (low, high) unless closed; NaN is in neither.
+def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind: type = float):
+    """argparse type: a float, or an int if kind is int, in [low, high), or (low, high)
+    unless closed; NaN is in neither.
 
     argparse names the flag of a bad value, and main exits 2 before the subcommand runs.
     """
     interval = f"{'[' if closed else '('}{low:g}, {high:g})"
+    what = "an integer" if kind is int else "a number"
 
-    def number(text: str) -> float:
+    def number(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not (low <= value < high if closed else low < value < high):
-            raise argparse.ArgumentTypeError(f"expected a number in {interval}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {what} in {interval}, got {text!r}")
         return value
 
     return number
@@ -235,12 +237,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     first = runio.read_series(args.first)
     second = runio.read_series(args.second)
-    fields = {column: asdict(compare_series(first, second, column=column)) for column in ("a", "b")}
+    fields = {column: compare_series(first, second, column=column) for column in ("a", "b")}
     payload: dict = {"first": str(args.first), "second": str(args.second), "fields": fields}
 
     passed = True
     if args.max_sup is not None:
-        value = fields[args.column]["sup_norm"]
+        value = fields[args.column].sup_norm
         passed = value <= args.max_sup
         payload["check"] = {
             "column": args.column,
@@ -257,17 +259,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.max_agents > MAX_AGENTS:
-        raise ConfigError(
-            f"max_agents: exact enumeration is capped at {MAX_AGENTS}, got {args.max_agents}"
-        )
-    if args.max_agents < 1:
-        raise ConfigError(f"max_agents: must be >= 1, got {args.max_agents}")
-    if args.instances < 1:
-        raise ConfigError(f"instances: must be >= 1, got {args.instances}")
-    if args.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
-
     rng = np.random.default_rng(args.seed)
     worst_law = 0.0
     worst_drift = 0.0
@@ -398,9 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_or = sub.add_parser("oracle-check", help="exact small-population identities on random instances")
-    p_or.add_argument("--instances", type=int, default=1000)
-    p_or.add_argument("--max-agents", type=int, default=MAX_AGENTS)
-    p_or.add_argument("--seed", type=int, default=0)
+    p_or.add_argument("--instances", type=_number_in(1, kind=int), default=1000)
+    # exact enumeration is capped at MAX_AGENTS
+    p_or.add_argument("--max-agents", type=_number_in(1, MAX_AGENTS + 1, kind=int), default=MAX_AGENTS)
+    p_or.add_argument("--seed", type=_number_in(0, kind=int), default=0)
     p_or.add_argument("--tolerance", type=_number_in(0.0), default=1e-12)
     p_or.set_defaults(handler=_cmd_oracle_check)
 

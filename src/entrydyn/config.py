@@ -9,7 +9,8 @@ The document and each of its sections parse through the dataclass they
 build, `RunConfig` for the top level: its fields are the keys, a field
 without a default is a required key, the field's annotation picks the
 reader of its value, and the dataclass checks the values it is given.
-`resolved()` writes the same dataclasses back out. The
+`resolved()` writes the same dataclasses back out through
+`runio.as_json`, the converter of every run record. The
 init section parses straight into one of the `abm` initial-condition
 types (`AllEqual`, `Gaussian`, `Explicit`, `TwoSpike`), and both engines
 start from that one value: the agent engine draws its population from it
@@ -18,15 +19,14 @@ and the density engine takes its `density` on the grid.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from . import abm
+from . import abm, runio
 from .core import GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec, default_grid, gaussian_mean_for_entry_fraction
 from .kinetic import SolverOptions
@@ -37,8 +37,6 @@ class ConfigError(ValueError):
 
 
 _ENGINES = ("abm", "pde", "both")
-# top-level scalars that command-line flags may override
-OVERRIDABLE_KEYS = ("seed", "t_end", "replicas", "out_dir")
 
 _MODEL_TYPES = {cls.kind: cls for cls in get_args(ProbabilityModel)}
 _INIT_TYPES = {cls.kind: cls for cls in get_args(abm.InitialCondition)}
@@ -101,9 +99,10 @@ def _as_str(value, where: str) -> str:
 
 
 def _as_numbers(value, where: str) -> tuple[float, ...]:
-    # JSON and resolved() both give a list; a tuple from a Python caller reads the same
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{where}: expected a non-empty list of numbers")
+    # JSON and runio.as_json both give a list; a tuple from a Python caller
+    # reads the same.  It may be empty: a dataclass that needs values says so
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of numbers")
     return tuple(read_number(v, where) for v in value)
 
 
@@ -216,26 +215,6 @@ _READERS = {
 _annotations = cache(get_type_hints)
 
 
-def _dump(value):
-    """value as config JSON: a dataclass as its kind, if it has one, and its fields.
-
-    None fields are left out, as the parser reads an absent key as its
-    default; an enum becomes its value and a tuple a list.
-    """
-    if is_dataclass(value):
-        out = {"kind": value.kind} if hasattr(value, "kind") else {}
-        for f in fields(value):
-            item = getattr(value, f.name)
-            if item is not None:
-                out[f.name] = _dump(item)
-        return out
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_dump(item) for item in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed config document: one field per top-level key, with its default."""
@@ -296,28 +275,24 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""
-        return _dump(self)
+        return runio.as_json(self)
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected an object, got {raw!r}")
     _check_keys(raw, _field_names(RunConfig), "the top level")
-    # what no field annotation reads: the init needs the model, the seed
-    # spans 64 bits and the list of snapshot times may be empty
+    # what no field annotation reads: the init needs the model, and the
+    # seed spans 64 bits
     model = _as_model(_require(raw, "model", ""), "model")
     given = {"model": model, "init": _parse_init(_require(raw, "init", ""), model)}
     if "seed" in raw:
         given["seed"] = _as_int(raw["seed"], "seed")
-    if "snapshot_times" in raw:
-        if not isinstance(raw["snapshot_times"], list):
-            raise ConfigError("snapshot_times: expected a list of times")
-        given["snapshot_times"] = tuple(read_number(t, "snapshot_times") for t in raw["snapshot_times"])
     return _build(RunConfig, raw, "", **given)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse a JSON config file, applying flag overrides to top-level scalars."""
+    """Parse a JSON config file, applying flag overrides (None: keep) to top-level keys."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -330,9 +305,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in OVERRIDABLE_KEYS:
-            raise ConfigError(f"{key}: not an overridable config key")
-        raw[key] = value
+        # a key that is not a config key is rejected by the parser, as in the file
+        if value is not None:
+            raw[key] = value
     return parse_config(raw)

@@ -7,9 +7,10 @@ and a fixed seed gives a byte-identical series.csv.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,25 +82,38 @@ def write_density(path: str | Path, density: DensityGrid) -> Path:
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(value) for value in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        # json has no literal for non-finite floats; keep files strict-parser safe
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+def as_json(value):
+    """value as JSON data: the one converter behind every run record.
+
+    A dataclass becomes its kind, if it has one, and its fields; None
+    fields are left out, as the config parser reads an absent key as its
+    default.  An enum becomes its value, a tuple a list, and a non-finite
+    float its repr, as json has no literal for it.  Any other value passes
+    through, so a value json does not know (a numpy integer, say) makes
+    json.dumps raise rather than be written.
+    """
+    if is_dataclass(value):
+        out = {"kind": value.kind} if hasattr(value, "kind") else {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if item is not None:
+                out[f.name] = as_json(item)
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: as_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        # keep files strict-parser safe; float() as a numpy float's repr names its type
+        return repr(float(value))
+    return value
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(as_json(payload), indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")
     return path
 

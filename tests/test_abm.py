@@ -86,6 +86,11 @@ class TestInitPopulation:
         with pytest.raises(ValueError):
             init_population(make_params(n=3, c=1), Explicit((0.1, 0.2)), 0)
 
+    def test_explicit_without_values_rejected(self):
+        # the density engine does not check the count, so the start itself must
+        with pytest.raises(ValueError, match="values must hold at least one propensity"):
+            Explicit(())
+
     @pytest.mark.parametrize("sd", [0.0, -1.0])
     def test_nonpositive_sd_rejected(self, sd):
         with pytest.raises(ValueError, match="sd must be positive"):

@@ -1,14 +1,20 @@
-"""series.csv and the ObservableSeries it holds: round trips and rejections."""
+"""series.csv and the ObservableSeries it holds: round trips and rejections;
+the JSON converter of the run records."""
+
+import dataclasses
+import math
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
+from entrydyn.analysis import ComparisonResult
 from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import ObservableSeries
-from entrydyn.runio import read_series, write_series
+from entrydyn.runio import as_json, read_series, write_json, write_series
 
 PARAMS = GameParams(50, 25, 0.01, 100, LearningRule.BASIC_REINFORCEMENT)
 MODEL = Logistic(1.0, 0.0)
@@ -103,3 +109,29 @@ GOOD = {"t": [0.0, 0.1], "a": [0.5, 0.4], "b": [0.1, 0.2]}
 def test_observable_series_rejects(columns, message):
     with pytest.raises(ValueError, match=message):
         ObservableSeries(**{**GOOD, **columns})
+
+
+@dataclasses.dataclass(frozen=True)
+class Kinded:
+    kind: ClassVar[str] = "kinded"
+    rule: LearningRule
+    times: tuple[float, ...]
+    extra: dict
+    cap: float
+    grid: GridSpec | None = None
+
+
+def test_as_json_is_the_one_converter(tmp_path):
+    value = Kinded(LearningRule.FICTITIOUS_STOCHASTIC, (0.0, 0.5), {"inner": {"pair": (1, -math.inf)}}, math.inf)
+    assert as_json(value) == {
+        "kind": "kinded",
+        "rule": "fictitious_stochastic",
+        "times": [0.0, 0.5],
+        "extra": {"inner": {"pair": [1, "-inf"]}},
+        "cap": "inf",
+    }
+    result = ComparisonResult(sup_norm=0.25, rmse=0.125, t_at_max=0.5, n_points=7)
+    assert as_json(result) == dataclasses.asdict(result)
+    # a numpy integer is not converted: writing one is an error, not a silent cast
+    with pytest.raises(TypeError, match="int64"):
+        write_json(tmp_path / "r.json", {"n": np.int64(3)})
