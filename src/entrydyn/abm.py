@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .core import BLOCK_AGENTS as _BLOCK
 from .core import GameParams, LearningRule, ProbabilityModel
 from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
@@ -53,10 +54,18 @@ class Gaussian:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
-        q = self.mean + self.sd * rng.standard_normal(params.n_agents)
+        # in place, so the draw holds one float per agent; every pass rounds
+        # as mean + sd * x and mean + round((q - mean) / h) * h do
+        q = rng.standard_normal(params.n_agents)
+        q *= self.sd
+        q += self.mean
         if self.snap_to_lattice:
             h = params.payoff_scale
-            q = self.mean + np.round((q - self.mean) / h) * h
+            q -= self.mean
+            q /= h
+            np.round(q, out=q)
+            q *= h
+            q += self.mean
         return q
 
     def density(self, spec: GridSpec) -> DensityGrid:
@@ -137,11 +146,6 @@ def init_population(
     return init.population(params, np.random.default_rng(seed))
 
 
-# Agents per block of a round.  Unrecorded rounds run every block's passes on
-# one block-sized scratch pair, p[:_BLOCK] and work[:_BLOCK], which stays in cache.
-_BLOCK = 2**16
-
-
 def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: float, params: GameParams) -> None:
     """Apply one round's learning rule in place to one block of agents.
 
@@ -162,14 +166,20 @@ def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: fl
 
 
 def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """a = mean p and b = mean p(1 - p), using work (p's size) as scratch.
+    """a = mean p and b = mean p(1 - p); p is overwritten with p(1 - p).
 
-    Each mean is the pairwise sum and the one division ndarray.mean does,
-    without its Python wrapper.
+    work is a scratch block of at most p's size.  Each mean is the pairwise
+    sum of the whole array and the one division ndarray.mean does, without
+    its Python wrapper.  p(1 - p) is formed block by block as p * (1 - p),
+    the same products as (1 - p) * p.
     """
-    np.subtract(1.0, p, out=work)
-    work *= p
-    return float(np.add.reduce(p)) / p.size, float(np.add.reduce(work)) / work.size
+    a = float(np.add.reduce(p)) / p.size
+    for i in range(0, p.size, work.size):
+        p_b = p[i : i + work.size]
+        work_s = work[: p_b.size]
+        np.subtract(1.0, p_b, out=work_s)
+        p_b *= work_s
+    return a, float(np.add.reduce(p)) / p.size
 
 
 @dataclass
@@ -201,16 +211,19 @@ def simulate(
     model.enters: for the logistic model that compares u with a fast
     vectorised p and recomputes p exactly only for the agents whose draw
     lies within core._TIE (2**-40) of it, so the decisions, and every
-    output, are bit-identical to comparing with the exact p.  Propensities
-    are updated in place: no agent-sized float array is allocated per
-    round, except for a requested density snapshot.
+    output, are bit-identical to comparing with the exact p.
 
-    A round is one sweep over blocks of _BLOCK agents.  Its update needs m,
-    so it is deferred: the next round applies it to each block just before
-    the block's draws, and a record first applies it to every block.  The
-    draws fill consecutive slices of one Generator stream, every pass is
-    elementwise, and a record's p and its moments are taken over the whole
-    population, so the outputs are bit-identical to whole-array passes.
+    A run holds q and p (8 bytes per agent each), the decisions (1 byte)
+    and one block of float scratch; propensities are updated in place, and
+    no round allocates an agent-sized array.  A round is one sweep over
+    blocks of _BLOCK agents.  Its update needs m, so it is deferred: the
+    next round applies it to each block just before the block's draws, and
+    a record first applies it to every block.  A record then evaluates p
+    on the whole population, its round draws against p, and only then do
+    the moments overwrite p with p(1 - p).  p stays whole because a and b
+    are pairwise sums over the whole array.  The draws fill consecutive
+    slices of one Generator stream and every pass is elementwise, so the
+    outputs are bit-identical to whole-array passes.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -222,7 +235,7 @@ def simulate(
     rng = np.random.default_rng(seed)
     q = init_population(params, init, rng)
     p = np.empty_like(q)
-    work = np.empty_like(q)
+    work = np.empty(min(q.size, _BLOCK))
     entered = np.empty(q.shape, dtype=bool)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
     # per block: its q, entered and p views, and the scratch pair p[:size] and work[:size]
@@ -238,8 +251,6 @@ def simulate(
                 for q_b, entered_b, _, _, work_s in blocks:
                     _update(q_b, work_s, entered_b, gain, params)
             model.prob(q, out=p)
-            a, b = _moments(p, work)
-            recorder.record(n * params.tau, a, b, lambda: histogram_density(snapshot_grid, q), n == n_rounds)
         if n < n_rounds:
             m = 0
             for q_b, entered_b, p_b, p_s, work_s in blocks:
@@ -253,9 +264,11 @@ def simulate(
                     model.enters(q_b, work_s, entered_b, p_s)
                 m += int(np.count_nonzero(entered_b))
             gain = params.payoff_scale * (params.capacity - m)
-            if is_record:
-                m_frac.append(m / params.n_agents)
-    m_frac.append(math.nan)
+        if is_record:
+            # after the draws, which read p
+            a, b = _moments(p, work)
+            recorder.record(n * params.tau, a, b, lambda: histogram_density(snapshot_grid, q), n == n_rounds)
+            m_frac.append(m / params.n_agents if n < n_rounds else math.nan)
 
     series = recorder.series(m_frac=m_frac)
     return SimulationResult(series=series, snapshots=recorder.snapshots, final=q)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameParams, ProbabilityModel, predicted_time_scales
+from .core import BLOCK_AGENTS, GameParams, ProbabilityModel, predicted_time_scales
 from .grid import DensityGrid
 from .observables import ObservableSeries
 
@@ -147,10 +147,18 @@ def initial_learning_constant(density: DensityGrid, model: ProbabilityModel) -> 
 
 
 def initial_learning_constant_from_propensities(propensities, model: ProbabilityModel) -> float:
-    """c_p = mean of p'(q_i) p(q_i) over an agent population."""
+    """c_p = mean of p'(q_i) p(q_i) over an agent population.
+
+    p'(q) p(q) overwrites p(q) a block at a time, so the population costs
+    one float per agent beyond q, and the mean is the one np.mean of the
+    whole array.
+    """
     q = np.asarray(propensities, dtype=float)
-    p = model.prob(q)
-    return float(np.mean(model.dprob(q, p) * p))
+    p = model.prob(q, out=np.empty_like(q))
+    for i in range(0, q.size, BLOCK_AGENTS):
+        p_b = p[i : i + BLOCK_AGENTS]
+        p_b *= model.dprob(q[i : i + BLOCK_AGENTS], p_b)
+    return float(np.mean(p))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,10 @@ from scipy.special import expit
 # 2 * _TIE, so the exact path runs about once in 5e5 rounds at N = 10^6.
 _TIE = 2.0**-40
 
+# Agents per block of a pass over a population: a block of floats (512 KiB)
+# stays in a core's cache while the block's passes run.
+BLOCK_AGENTS = 2**16
+
 
 class DomainError(ValueError):
     """A propensity left the domain of the active probability model."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Logistic, ProbabilityModel
+from .core import BLOCK_AGENTS, Logistic, ProbabilityModel
 
 # Nodes for Gauss-Hermite quadrature of E[g(Q)], Q standard normal.
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
@@ -86,19 +86,25 @@ def histogram_density(spec: GridSpec, points) -> DensityGrid:
 
     Points are clipped to the end cell centres: points outside [q_min,
     q_max] count in the end cells, with a warning, and none is lost where
-    the last edge q_min + n_cells * dq rounds below q_max.
+    the last edge q_min + n_cells * dq rounds below q_max.  The points
+    are clipped and binned a block at a time and the integer counts summed,
+    so no temporary is larger than a block.
     """
     points = np.asarray(points, dtype=float)
-    outside = int(np.count_nonzero((points < spec.q_min) | (points > spec.q_max)))
+    centers = spec.centers()
+    edges = spec.q_min + np.arange(spec.n_cells + 1) * spec.dq
+    counts = np.zeros(spec.n_cells, dtype=np.intp)
+    outside = 0
+    for i in range(0, points.size, BLOCK_AGENTS):
+        block = points[i : i + BLOCK_AGENTS]
+        outside += int(np.count_nonzero((block < spec.q_min) | (block > spec.q_max)))
+        counts += np.histogram(np.clip(block, centers[0], centers[-1]), bins=edges)[0]
     if outside:
         warnings.warn(
             f"{outside} propensities outside [{spec.q_min:g}, {spec.q_max:g}] "
             "accumulated in the end cells",
             stacklevel=2,
         )
-    centers = spec.centers()
-    edges = spec.q_min + np.arange(spec.n_cells + 1) * spec.dq
-    counts, _ = np.histogram(np.clip(points, centers[0], centers[-1]), bins=edges)
     return DensityGrid(spec, counts / (points.size * spec.dq))
 
 

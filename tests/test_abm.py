@@ -218,9 +218,9 @@ class TestPlayRound:
 
 
 def record_moments(q):
-    """a and b as simulate records them, through abm._moments."""
+    """a and b as simulate records them, through abm._moments and a one-block scratch."""
     p = MODEL.prob(np.asarray(q, dtype=float))
-    return _moments(p, np.empty_like(p))
+    return _moments(p, np.empty(min(p.size, abm._BLOCK)))
 
 
 class TestEmpiricalMoments:
@@ -549,19 +549,37 @@ class TestSimulate:
         assert n_records == (13 if record_stride == 1 else 5)
         assert [call for call in model.calls if call[0] == 50] == [(50, True)] * n_records
 
-    def test_round_loop_allocates_no_agent_arrays(self):
-        # the run holds q, p and work (8 bytes per agent each) and entered
-        # (1 byte); a further float array allocated in any round would lift
-        # the peak to about 4.1 * 8 * n
-        n = 100_000
-        params = make_params(n=n, c=n // 2, h=1e-5)
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["rounds", "snapshot"])
+    @pytest.mark.parametrize("record_stride", [1, 3])
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_round_loop_allocates_no_agent_arrays(self, rule, record_stride, snapshot):
+        # the run holds q and p (8 bytes per agent each), entered (1 byte)
+        # and one block of float scratch, which with the rounds' block
+        # temporaries stays under two blocks; a snapshot bins a block at a
+        # time, in under two more.  At n of four blocks a further float
+        # array allocated in any round would add four blocks to the peak
+        n = 4 * abm._BLOCK + 17
+        params = make_params(n=n, c=n // 2, h=1e-5, rule=rule)
+        snapshots = ((0.03,), GridSpec(-8.0, 8.0, 800)) if snapshot else ((), None)
         tracemalloc.start()
         try:
-            simulate(params, MODEL, AllEqual(0.0), 0.2, 3)
+            result = simulate(params, MODEL, AllEqual(0.0), 0.07, 3, record_stride, *snapshots)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * n
+        assert len(result.snapshots) == int(snapshot)
+        assert peak < 17 * n + (4 if snapshot else 2) * 8 * abm._BLOCK
+
+    def test_lattice_start_holds_one_float_per_agent(self):
+        # the draw is scaled, shifted and snapped in place
+        n = 4 * abm._BLOCK + 17
+        tracemalloc.start()
+        try:
+            init_population(make_params(n=n, c=n // 2), Gaussian(0.3, 2.0, snap_to_lattice=True), 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 8 * abm._BLOCK
 
     @settings(max_examples=40, deadline=None)
     @given(

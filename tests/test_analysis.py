@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,16 @@ from entrydyn.analysis import (
     sorting_fit,
     within_factor,
 )
-from entrydyn.core import GameParams, LearningRule, Logistic, aggregate_learning_rate, sorting_rate
+from entrydyn.core import (
+    BLOCK_AGENTS,
+    DomainError,
+    ErevRothRatio,
+    GameParams,
+    LearningRule,
+    Logistic,
+    aggregate_learning_rate,
+    sorting_rate,
+)
 from entrydyn.observables import ObservableSeries
 
 from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
@@ -248,6 +259,42 @@ class TestLearningConstant:
         assert len(model.calls) == 1
         plain = Logistic(1.3, 0.2)
         assert value == float(np.mean(plain.dprob(q) * plain.prob(q)))
+
+    @pytest.mark.parametrize(
+        "model", [MODEL, Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["standard", "affine", "ratio"]
+    )
+    @pytest.mark.parametrize("size", [1, *(BLOCK_AGENTS + k for k in (-1, 0, 1)), 3 * BLOCK_AGENTS + 5])
+    def test_blocked_value_is_bit_identical(self, model, size):
+        q = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size))
+        if isinstance(model, Logistic):
+            q -= 1.0
+        p = model.prob(q)
+        value = initial_learning_constant_from_propensities(q, model)
+        assert np.float64(value).tobytes() == np.float64(np.mean(model.dprob(q, p) * p)).tobytes()
+
+    @pytest.mark.parametrize(
+        "model, floor", [(Logistic(1.3, 0.2), 8), (ErevRothRatio(3.0), 9)], ids=["logistic", "ratio"]
+    )
+    def test_memory_beyond_the_population(self, model, floor):
+        # p'(q) p(q) overwrites the one float array of p(q) block by block;
+        # the ratio model's domain check adds a bool array.  Another float
+        # array would add four blocks at n of four blocks
+        n = 4 * BLOCK_AGENTS + 17
+        q = np.abs(np.random.default_rng(0).normal(0.5, 2.0, n))
+        tracemalloc.start()
+        try:
+            initial_learning_constant_from_propensities(q, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < floor * n + 2 * 8 * BLOCK_AGENTS
+
+    def test_ratio_domain_error_names_the_population_minimum(self):
+        # negatives in blocks 0 and 2; the error names the lower one
+        q = np.full(3 * BLOCK_AGENTS + 5, 2.0)
+        q[10], q[2 * BLOCK_AGENTS + 3] = -0.5, -2.25
+        with pytest.raises(DomainError, match=r"got minimum -2\.25$"):
+            initial_learning_constant_from_propensities(q, ErevRothRatio(3.0))
 
     def test_predicted_rate_matches_acceptance_scenario(self, acceptance_f0):
         c_p = initial_learning_constant(acceptance_f0, MODEL)

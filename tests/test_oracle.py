@@ -348,15 +348,19 @@ class TestBlocks:
         drawn, cap = case
         split = list(blocks(drawn))
         assert [len(block) for block in split] == ([len(drawn)] if len(drawn) <= cap else [cap, 1])
-        singles = {id(instance): enumerate_block([instance]) for instance in drawn}
+        # each distinct instance's own law and recurrence row, once
+        singles = {}
+        for instance in {id(instance): instance for instance in drawn}.values():
+            single = enumerate_block([instance])
+            singles[id(instance)] = single, poisson_binomial_rows(single.probs)[0]
         for block in split:
             law = enumerate_block(block)
             pmf = poisson_binomial_rows(law.probs)
             for b, instance in enumerate(block):
-                single = singles[id(instance)]
+                single, single_pmf = singles[id(instance)]
                 for name in (*LAW_FIELDS, "propensities", "drift"):
                     assert getattr(law, name)[b].tobytes() == getattr(single, name)[0].tobytes(), name
-                assert pmf[b].tobytes() == poisson_binomial_rows(single.probs)[0].tobytes()
+                assert pmf[b].tobytes() == single_pmf.tobytes()
 
     def test_groups_in_drawn_order(self):
         rng = np.random.default_rng(59)
