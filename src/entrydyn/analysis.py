@@ -6,7 +6,7 @@ separated time scales: the entry-fraction gap |a - kappa| closes first
 agents commit.  Rates are measured by least squares on the log of the gap,
 windowed to the part of the series where the signal is clean.  This module
 only measures; `entrydyn analyze` compares each fitted rate with core's
-predictions c_p * r and r*h/2.
+predictions c_p * r and r*h/2, with c_p from core.learning_constant.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_AGENTS, GameParams, ProbabilityModel, predicted_time_scales
-from .grid import DensityGrid
+from .core import GameParams, predicted_time_scales
 from .observables import ObservableSeries
 
 MIN_FIT_POINTS = 5
@@ -136,29 +135,6 @@ def within_factor(rate: float, predicted: float, factor: float = 2.0) -> bool:
     if not factor >= 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     return predicted / factor <= rate <= predicted * factor
-
-
-def initial_learning_constant(density: DensityGrid, model: ProbabilityModel) -> float:
-    """c_p = int p'(q) p(q) f(q) dq for a grid density."""
-    q = density.centers()
-    p = model.prob(q)
-    weights = model.dprob(q, p) * p
-    return float(weights @ (density.values * density.dq))
-
-
-def initial_learning_constant_from_propensities(propensities, model: ProbabilityModel) -> float:
-    """c_p = mean of p'(q_i) p(q_i) over an agent population.
-
-    p'(q) p(q) overwrites p(q) a block at a time, so the population costs
-    one float per agent beyond q, and the mean is the one np.mean of the
-    whole array.
-    """
-    q = np.asarray(propensities, dtype=float)
-    p = model.prob(q, out=np.empty_like(q))
-    for i in range(0, q.size, BLOCK_AGENTS):
-        p_b = p[i : i + BLOCK_AGENTS]
-        p_b *= model.dprob(q[i : i + BLOCK_AGENTS], p_b)
-    return float(np.mean(p))
 
 
 @dataclass(frozen=True)

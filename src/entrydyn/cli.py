@@ -24,13 +24,12 @@ from .analysis import (
     FitError,
     aggregate_learning_fit,
     compare_series,
-    initial_learning_constant,
-    initial_learning_constant_from_propensities,
     sorting_fit,
     within_factor,
 )
 from .config import ConfigError, RunConfig, load_config, read_number, read_section
-from .core import DomainError, GameParams, aggregate_learning_rate, predicted_time_scales, sorting_rate
+from .core import DomainError, GameParams, aggregate_learning_rate, learning_constant
+from .core import predicted_time_scales, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
 from .oracle import MAX_AGENTS, blocks, enumerate_block, poisson_binomial_rows, random_instance
@@ -69,9 +68,7 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind:
 def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
     # the start population serves c_p only; it is not kept through the run
-    learning_constant = initial_learning_constant_from_propensities(
-        init_population(cfg.game, cfg.init, cfg.seed), cfg.model
-    )
+    c_p = learning_constant(init_population(cfg.game, cfg.init, cfg.seed), cfg.model)
     if cfg.replicas > 1:
         series = ensemble_run(
             cfg.game,
@@ -82,7 +79,7 @@ def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
             base_seed=cfg.seed,
             record_stride=cfg.record_stride,
         )
-        return learning_constant, series, [], {}
+        return c_p, series, [], {}
     result = simulate(
         cfg.game,
         cfg.model,
@@ -93,13 +90,13 @@ def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
         snapshot_times=cfg.snapshot_times,
         snapshot_grid=cfg.grid,
     )
-    return learning_constant, result.series, result.snapshots, {}
+    return c_p, result.series, result.snapshots, {}
 
 
 def _pde_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of a density run, and its step statistics."""
     f0 = cfg.initial_density()
-    learning_constant = initial_learning_constant(f0, cfg.model)
+    c_p = learning_constant(f0.centers(), cfg.model, f0.values * f0.dq)
     result = solve(f0, cfg.game, cfg.model, cfg.t_end, cfg.solver, cfg.snapshot_times)
     stats = {
         "mass_residual": result.max_mass_residual,
@@ -107,7 +104,7 @@ def _pde_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
         "dt_min": result.dt_min,
         "dt_max": result.dt_max,
     }
-    return learning_constant, result.series, result.snapshots, stats
+    return c_p, result.series, result.snapshots, stats
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -123,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.engine == "both":
         out = out / engine
     run = _abm_run if engine == "abm" else _pde_run
-    learning_constant, series, snapshots, stats = run(cfg)
+    c_p, series, snapshots, stats = run(cfg)
 
     out.mkdir(parents=True, exist_ok=True)
     runio.write_series(out / "series.csv", series)
@@ -144,9 +141,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "tau_al": scales.aggregate_learning,
             "tau_s": scales.sorting,
         },
-        "learning_constant": learning_constant,
+        "learning_constant": c_p,
         "predicted_rates": {
-            "aggregate_learning": aggregate_learning_rate(p, learning_constant),
+            "aggregate_learning": aggregate_learning_rate(p, c_p),
             "sorting": sorting_rate(p),
         },
         "seed": cfg.seed,
@@ -173,13 +170,13 @@ def _load_run_dir(run_dir: Path) -> tuple[GameParams, float]:
     """The game and the learning constant c_p of a finished run."""
     with _run_record(run_dir / "run.json") as record:
         params = read_section(GameParams, record["config"]["game"], "game")
-        learning_constant = read_number(record["learning_constant"], "learning_constant")
-    return params, learning_constant
+        c_p = read_number(record["learning_constant"], "learning_constant")
+    return params, c_p
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    params, learning_constant = _load_run_dir(run_dir)
+    params, c_p = _load_run_dir(run_dir)
     series = runio.read_series(run_dir / "series.csv")
 
     fits: dict = {"factor": args.factor, "epsilon": args.epsilon, "pass": None}
@@ -188,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     measurements = (
         (
             "aggregate_learning",
-            aggregate_learning_rate(params, learning_constant),
+            aggregate_learning_rate(params, c_p),
             lambda: aggregate_learning_fit(series, params),
         ),
         ("sorting", sorting_rate(params), lambda: sorting_fit(series, params, epsilon=args.epsilon)),

@@ -10,7 +10,8 @@ between rounds according to a learning rule.
 Aggregate behavior is summarized by two observables over the propensity
 distribution: the mean entry fraction a = E[p] and the sorting coefficient
 b = E[p(1-p)], which vanishes once every agent is committed to entering or
-staying out.
+staying out.  Each closed form has its one home here: the one-round drift
+expected_drift, the learning constant c_p, and the predicted rates.
 """
 
 from __future__ import annotations
@@ -214,14 +215,16 @@ class ErevRothRatio:
 
     def dprob(self, q, p=None):
         """p'(q); p is accepted for the common signature and not needed."""
-        arr = _nonnegative(q)
-        return self.baseline / (arr + self.baseline) ** 2
+        # the quotient overwrites the square, so an array q costs one temporary
+        square = (_nonnegative(q) + self.baseline) ** 2
+        return np.divide(self.baseline, square, out=square if square.ndim else None)
 
 
 def _nonnegative(q) -> np.ndarray:
     """q as a float array, or DomainError if any entry is negative."""
     arr = np.asarray(q, dtype=float)
-    if (arr < 0).any():
+    # a reduction allocates no array of q's size; fmin skips NaN, as `< 0` does
+    if np.fmin.reduce(arr, axis=None, initial=np.inf) < 0:
         raise DomainError(
             "ratio probability model requires nonnegative propensities, "
             f"got minimum {arr.min():g}"
@@ -253,6 +256,35 @@ def predicted_time_scales(params: GameParams) -> TimeScales:
         sorting=2.0 / (r * params.payoff_scale),
         separation=2.0 / params.payoff_scale,
     )
+
+
+def expected_drift(p, h, c, rule: LearningRule):
+    """E[q'_i - q_i] over one round in closed form, with S = sum_j p_j over p's last axis:
+      basic reinforcement   E[dq_i] = h p_i (c - 1 - (S - p_i))
+      fictitious play       E[dq_i] = h (c - S) - h (1 - p_i)
+    (condition on agent i's own decision).  h and c broadcast against p, as
+    (B, 1) columns for B instances; the oracle checks the enumerated round.
+    """
+    total = p.sum(axis=-1, keepdims=True)
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        return h * p * (c - 1.0 - (total - p))
+    return h * (c - total) - h * (1.0 - p)
+
+
+def learning_constant(q, model: ProbabilityModel, weights=None) -> float:
+    """c_p = E[p'(q) p(q)] over propensities q: their mean, or their sum
+    against weights (a density's cell masses, with q its cell centres).
+
+    p'(q) p(q) overwrites one float array of p(q) a block at a time, so the
+    terms cost one float per entry of q, and a DomainError names the
+    minimum over all of q.
+    """
+    q = np.asarray(q, dtype=float)
+    terms = model.prob(q, out=np.empty_like(q))
+    for i in range(0, q.size, BLOCK_AGENTS):
+        block = terms[i : i + BLOCK_AGENTS]
+        block *= model.dprob(q[i : i + BLOCK_AGENTS], block)
+    return float(np.mean(terms)) if weights is None else float(terms @ weights)
 
 
 def aggregate_learning_rate(params: GameParams, learning_constant: float) -> float:

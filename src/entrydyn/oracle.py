@@ -6,13 +6,13 @@ agent's own decision, hence the exact expected post-round propensities and
 observables one round ahead.  The entrant-count law is independently
 reproducible through the Poisson-binomial convolution recurrence
 (poisson_binomial_rows), and the expected propensity drift has a closed
-form in the entry probabilities; both serve as cross-checks on any
-simulation engine.  enumerate_block is the one entry point: it takes a
-block of instances with one N and one rule and returns one RoundLaw whose
-fields stack the instances along a leading axis, the closed-form drift
-beside the enumerated one.  The kernel works row by row, so a sweep pays
-numpy's per-call cost once per block rather than per instance; a single
-instance is a block of one.
+form, core.expected_drift; both serve as cross-checks on any simulation
+engine, and this module only enumerates.  enumerate_block is the one
+entry point: it takes a block of instances with one N and one rule and
+returns one RoundLaw whose fields stack the instances along a leading
+axis, the closed-form drift beside the enumerated one.  The kernel works
+row by row, so a sweep pays numpy's per-call cost once per block rather
+than per instance; a single instance is a block of one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel
+from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel, expected_drift
 
 MAX_AGENTS = 12
 # cap on a block's (B, 2^N) weight table, the shape of the kernel's largest
@@ -43,7 +43,7 @@ class RoundLaw:
     expected_b[b]           E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
     probs[b]                p(q_i), the entry probabilities the round used
     propensities[b]         q_i, the state the round starts from
-    predicted_drift[b]      E[q'_i - q_i] in closed form, as enumerate_block states it
+    predicted_drift[b]      E[q'_i - q_i] in closed form, core.expected_drift
     """
 
     m_probs: np.ndarray
@@ -126,12 +126,8 @@ def enumerate_block(instances) -> RoundLaw:
     model) instances with one N and one rule, such as blocks() yields; a
     single instance is a block of one.
 
-    Conditioning on agent i's own decision gives the expected propensity
-    change in closed form in the entry probabilities (S = sum_j p_j):
-      basic reinforcement   E[dq_i] = h p_i (c - 1 - (S - p_i))
-      fictitious play       E[dq_i] = h (c - S) - h (1 - p_i)
-    The law carries it as predicted_drift; the enumerated drift must
-    reproduce it to round-off.
+    The law carries core.expected_drift of the block as predicted_drift;
+    the enumerated drift must reproduce it to round-off.
     """
     games = [params for _, params, _ in instances]
     if not games:
@@ -185,14 +181,11 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
     gain = h * (c - np.arange(n + 1))
     moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
-    total = p.sum(axis=1, keepdims=True)
     if rule is LearningRule.BASIC_REINFORCEMENT:
         drift = gain[:, None, :] @ enter_law
-        predicted = h * p * (c - 1.0 - (total - p))
         cells = moved[:, 1:]
     else:
         drift = gain[:, None, :] @ enter_law + (gain - h)[:, None, :] @ stay_law
-        predicted = h * (c - total) - h * (1.0 - p)
         cells = np.concatenate((moved[:, 1:], moved[:, :-1] - h[:, :, None]), axis=1)
     p_next = np.empty_like(cells)
     for b, model in enumerate(models):
@@ -205,7 +198,7 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     p_next = p_next.reshape(size, -1, 1)
     expected_a = (cell_law @ p_next)[:, 0, 0] / n
     expected_b = (cell_law @ (p_next * (1.0 - p_next)))[:, 0, 0] / n
-    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p, q, predicted)
+    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p, q, expected_drift(p, h, c, rule))
 
 
 def random_instance(

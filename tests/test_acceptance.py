@@ -20,13 +20,11 @@ from entrydyn.abm import AllEqual, Gaussian, TwoSpike, ensemble_run, init_popula
 from entrydyn.analysis import (
     aggregate_learning_fit,
     compare_series,
-    initial_learning_constant,
-    initial_learning_constant_from_propensities,
     sorting_fit,
     within_factor,
 )
 from entrydyn.cli import main
-from entrydyn.core import GameParams, LearningRule, aggregate_learning_rate, sorting_rate
+from entrydyn.core import GameParams, LearningRule, aggregate_learning_rate, learning_constant, sorting_rate
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, _Stencil, diffusion_coefficient, solve
 from entrydyn.observables import ObservableSeries
@@ -117,12 +115,12 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
 ):
     # fitted |a - kappa| decay within a factor 2 of the moment-equation
     # prediction c_p * r, measured from each engine's own initial state
-    c_pde = initial_learning_constant(acceptance_f0, MODEL)
+    c_pde = learning_constant(acceptance_f0.centers(), MODEL, acceptance_f0.values * acceptance_f0.dq)
     fit_pde = aggregate_learning_fit(pde_acceptance.series, PDE_PARAMS)
     target_pde = aggregate_learning_rate(PDE_PARAMS, c_pde)
 
     start_pop = init_population(ABM_BASIC_PARAMS, Gaussian(init_mean, 1.5), BASE_SEED)
-    c_abm = initial_learning_constant_from_propensities(start_pop, MODEL)
+    c_abm = learning_constant(start_pop, MODEL)
     fit_abm = aggregate_learning_fit(abm_basic_ensemble, ABM_BASIC_PARAMS)
     target_abm = aggregate_learning_rate(ABM_BASIC_PARAMS, c_abm)
 

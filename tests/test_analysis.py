@@ -10,8 +10,6 @@ from entrydyn.analysis import (
     aggregate_learning_fit,
     compare_series,
     fit_exponential_decay,
-    initial_learning_constant,
-    initial_learning_constant_from_propensities,
     learning_window,
     sorting_fit,
     within_factor,
@@ -24,8 +22,10 @@ from entrydyn.core import (
     LearningRule,
     Logistic,
     aggregate_learning_rate,
+    learning_constant,
     sorting_rate,
 )
+from entrydyn.grid import GridSpec
 from entrydyn.observables import ObservableSeries
 
 from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
@@ -239,23 +239,23 @@ class TestCompareSeries:
 class TestLearningConstant:
     def test_density_and_sample_estimates_agree(self, init_mean):
         density = Gaussian(init_mean, 1.5).density(GRID)
-        from_density = initial_learning_constant(density, MODEL)
+        from_density = learning_constant(density.centers(), MODEL, density.values * density.dq)
         rng = np.random.default_rng(11)
         draws = init_mean + 1.5 * rng.standard_normal(200_000)
-        from_sample = initial_learning_constant_from_propensities(draws, MODEL)
+        from_sample = learning_constant(draws, MODEL)
         assert from_density == pytest.approx(from_sample, abs=5e-4)
         assert 0.0 < from_density < 0.25
 
     def test_point_mass_value(self):
         # all agents at p = 0.2: c_p = p^2 (1 - p) = 0.032
         q = np.full(100, float(np.log(0.2 / 0.8)))
-        value = initial_learning_constant_from_propensities(q, MODEL)
+        value = learning_constant(q, MODEL)
         assert value == pytest.approx(0.032, abs=1e-12)
 
     def test_one_probability_evaluation_same_value(self):
         model = CountingLogistic(1.3, 0.2)
         q = np.random.default_rng(4).normal(0.0, 2.0, 1000)
-        value = initial_learning_constant_from_propensities(q, model)
+        value = learning_constant(q, model)
         assert len(model.calls) == 1
         plain = Logistic(1.3, 0.2)
         assert value == float(np.mean(plain.dprob(q) * plain.prob(q)))
@@ -263,39 +263,52 @@ class TestLearningConstant:
     @pytest.mark.parametrize(
         "model", [MODEL, Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["standard", "affine", "ratio"]
     )
-    @pytest.mark.parametrize("size", [1, *(BLOCK_AGENTS + k for k in (-1, 0, 1)), 3 * BLOCK_AGENTS + 5])
-    def test_blocked_value_is_bit_identical(self, model, size):
-        q = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size))
-        if isinstance(model, Logistic):
-            q -= 1.0
-        p = model.prob(q)
-        value = initial_learning_constant_from_propensities(q, model)
-        assert np.float64(value).tobytes() == np.float64(np.mean(model.dprob(q, p) * p)).tobytes()
-
     @pytest.mark.parametrize(
-        "model, floor", [(Logistic(1.3, 0.2), 8), (ErevRothRatio(3.0), 9)], ids=["logistic", "ratio"]
+        "size, on_grid",
+        [
+            *((size, False) for size in (1, *(BLOCK_AGENTS + k for k in (-1, 0, 1)), 3 * BLOCK_AGENTS + 5)),
+            *((cells, True) for cells in (2, 800, 70_001)),
+        ],
     )
-    def test_memory_beyond_the_population(self, model, floor):
-        # p'(q) p(q) overwrites the one float array of p(q) block by block;
-        # the ratio model's domain check adds a bool array.  Another float
+    def test_blocked_value_is_bit_identical(self, model, size, on_grid):
+        # the agents' mean and a density's sum against its cell masses,
+        # each against the one-expression form it replaced
+        if on_grid:
+            lo = 0.0 if isinstance(model, ErevRothRatio) else -6.0
+            density = Gaussian(lo + 3.0, 1.5).density(GridSpec(lo, lo + 12.0, size))
+            q, weights = density.centers(), density.values * density.dq
+        else:
+            q, weights = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size)), None
+            if isinstance(model, Logistic):
+                q -= 1.0
+        p = model.prob(q)
+        terms = model.dprob(q, p) * p
+        expected = np.mean(terms) if weights is None else terms @ weights
+        value = learning_constant(q, model, weights)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("model", [Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["logistic", "ratio"])
+    def test_memory_beyond_the_population(self, model):
+        # p'(q) p(q) overwrites the one float array of p(q) block by block,
+        # and the ratio model's domain check is a reduction.  Another float
         # array would add four blocks at n of four blocks
         n = 4 * BLOCK_AGENTS + 17
         q = np.abs(np.random.default_rng(0).normal(0.5, 2.0, n))
         tracemalloc.start()
         try:
-            initial_learning_constant_from_propensities(q, model)
+            learning_constant(q, model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < floor * n + 2 * 8 * BLOCK_AGENTS
+        assert peak < 8 * n + 2 * 8 * BLOCK_AGENTS
 
     def test_ratio_domain_error_names_the_population_minimum(self):
         # negatives in blocks 0 and 2; the error names the lower one
         q = np.full(3 * BLOCK_AGENTS + 5, 2.0)
         q[10], q[2 * BLOCK_AGENTS + 3] = -0.5, -2.25
         with pytest.raises(DomainError, match=r"got minimum -2\.25$"):
-            initial_learning_constant_from_propensities(q, ErevRothRatio(3.0))
+            learning_constant(q, ErevRothRatio(3.0))
 
     def test_predicted_rate_matches_acceptance_scenario(self, acceptance_f0):
-        c_p = initial_learning_constant(acceptance_f0, MODEL)
+        c_p = learning_constant(acceptance_f0.centers(), MODEL, acceptance_f0.values * acceptance_f0.dq)
         assert c_p * PDE_PARAMS.r == pytest.approx(36.8, abs=1.0)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from scipy.special import expit
 
 from entrydyn import core
 from entrydyn.core import (
+    BLOCK_AGENTS,
     DomainError,
     ErevRothRatio,
     GameParams,
     LearningRule,
     Logistic,
+    expected_drift,
     predicted_time_scales,
 )
 
@@ -94,6 +97,24 @@ class TestProbabilityModels:
             m.dprob(np.array([0.5, -1e-9]))
         with pytest.raises(DomainError):
             m.prob(np.array([0.5, -1e-9]), out=np.empty(2))
+
+    def test_ratio_domain_check_allocates_no_population_array(self):
+        # a bool per agent of the four blocks would be four times the bound
+        q = np.abs(np.random.default_rng(2).normal(0.5, 2.0, 4 * BLOCK_AGENTS))
+        p = np.empty_like(q)
+        tracemalloc.start()
+        try:
+            ErevRothRatio().prob(q, out=p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_AGENTS
+
+    @pytest.mark.parametrize("q", [np.nan, np.array([np.nan, 1.0]), np.array([]), np.array([[0.0, 2.0]])])
+    def test_ratio_domain_check_passes_nan_and_empty(self, q):
+        # NaN compares False against 0, so only a negative entry is out of the domain
+        p = ErevRothRatio().prob(q)
+        assert np.shape(p) == np.shape(q)
 
     def test_ratio_derivative_matches_finite_difference(self):
         m = ErevRothRatio(0.7)
@@ -280,6 +301,44 @@ class TestPredictedTimeScales:
                 assert ts.sorting > ts.aggregate_learning
 
 
+class TestExpectedDrift:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        probs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=40),
+        h=st.floats(1e-4, 1.0),
+        rounds=st.integers(1, 5000),
+        capacity_share=st.floats(0.0, 1.0),
+        rule=st.sampled_from([BASIC, FICT]),
+    )
+    def test_scaled_drift_is_the_mean_field_velocity_plus_the_own_decision_term(
+        self, probs, h, rounds, capacity_share, rule
+    ):
+        # put S = N a and c = N kappa, and multiply by M: the closed form is
+        # the density engine's velocity plus -M h p (1 - p) (basic) or
+        # -M h (1 - p) (fictitious)
+        p = np.array(probs)
+        n = p.size
+        c = max(1, math.ceil(capacity_share * n))
+        params = GameParams(n, c, h, rounds, rule)
+        a = float(np.mean(p))
+        if rule is BASIC:
+            velocity = params.r * (params.kappa - a) * p - rounds * h * p * (1.0 - p)
+        else:
+            velocity = params.r * (params.kappa - a) - rounds * h * (1.0 - p)
+        scaled = rounds * expected_drift(p, h, c, rule)
+        np.testing.assert_allclose(scaled, velocity, rtol=1e-12, atol=1e-12 * (params.r + rounds * h))
+
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_a_block_is_its_rows(self, rule):
+        # one row per instance, with h and c as columns
+        rng = np.random.default_rng(9)
+        p = rng.uniform(0.05, 0.95, (3, 5))
+        h, c = np.array([[0.1], [0.02], [0.3]]), np.array([[2], [5], [1]])
+        block = expected_drift(p, h, c, rule)
+        for b in range(3):
+            assert block[b].tobytes() == expected_drift(p[b], h[b, 0], c[b, 0], rule).tobytes()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -306,6 +365,31 @@ def test_no_module_imports_a_private_name():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+# entrydyn's modules by rank: each imports only modules of lower rank, so the
+# engines, the oracle and analysis all read core's closed forms, none another's
+MODULE_RANKS = {
+    "core": 0,
+    "grid": 1,
+    "observables": 2,
+    **dict.fromkeys(("abm", "kinetic", "oracle", "analysis", "runio"), 3),
+    "config": 4,
+    "cli": 5,
+}
+
+
+def test_modules_import_only_lower_ranks():
+    paths = {path.stem: path for path in Path(core.__file__).parent.glob("*.py")}
+    assert set(paths) - {"__init__"} == set(MODULE_RANKS)
+    found = []
+    for name, rank in MODULE_RANKS.items():
+        for node in ast.walk(ast.parse(paths[name].read_text(), filename=str(paths[name]))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                # `from . import abm` names modules; `from .core import x` names one
+                targets = [alias.name for alias in node.names] if node.module is None else [node.module]
+                found += [f"{name} -> {t}" for t in targets if MODULE_RANKS[t.split(".")[0]] >= rank]
     assert found == []
 
 

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from entrydyn.abm import Gaussian, TwoSpike
 from entrydyn.analysis import (
     fit_exponential_decay,
-    initial_learning_constant,
     learning_window,
     sorting_fit,
 )
-from entrydyn.core import ErevRothRatio, GameParams, LearningRule, sorting_rate
+from entrydyn.core import ErevRothRatio, GameParams, LearningRule, learning_constant, sorting_rate
 from entrydyn.grid import DensityGrid, GridSpec
 from entrydyn.kinetic import (
     SolverOptions,
@@ -378,7 +377,8 @@ class TestSolve:
         series = pde_acceptance.series
         window = learning_window(series.t, series.a, PDE_PARAMS.kappa)
         fit = fit_exponential_decay(series.t, series.a, PDE_PARAMS.kappa, window)
-        predicted = initial_learning_constant(acceptance_f0, MODEL) * PDE_PARAMS.r
+        f0 = acceptance_f0
+        predicted = learning_constant(f0.centers(), MODEL, f0.values * f0.dq) * PDE_PARAMS.r
         assert predicted / 2 <= fit.rate <= predicted * 2
         assert fit.r_squared > 0.98
 
