@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import BLOCK_AGENTS as _BLOCK
-from .core import GameParams, LearningRule, ProbabilityModel
+from .core import DomainError, GameParams, LearningRule, ProbabilityModel
 from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
 
@@ -211,7 +211,10 @@ def simulate(
     model.enters: for the logistic model that compares u with a fast
     vectorised p and recomputes p exactly only for the agents whose draw
     lies within core._TIE (2**-40) of it, so the decisions, and every
-    output, are bit-identical to comparing with the exact p.
+    output, are bit-identical to comparing with the exact p.  A ratio
+    model's DomainError names the minimum of the whole population in any
+    round: when a block's draws raise it, the rest of the population
+    takes the pending update and p of all of q raises it again.
 
     A run holds q and p (8 bytes per agent each), the decisions (1 byte)
     and one block of float scratch; propensities are updated in place, and
@@ -253,7 +256,7 @@ def simulate(
             model.prob(q, out=p)
         if n < n_rounds:
             m = 0
-            for q_b, entered_b, p_b, p_s, work_s in blocks:
+            for k, (q_b, entered_b, p_b, p_s, work_s) in enumerate(blocks):
                 if is_record:
                     rng.random(out=work_s)
                     np.less(work_s, p_b, out=entered_b)
@@ -261,7 +264,15 @@ def simulate(
                     # round n - 1's update, then the draws, with the free p as scratch
                     _update(q_b, work_s, entered_b, gain, params)
                     rng.random(out=work_s)
-                    model.enters(q_b, work_s, entered_b, p_s)
+                    try:
+                        model.enters(q_b, work_s, entered_b, p_s)
+                    except DomainError:
+                        # finish round n - 1's update, so that p of the whole
+                        # population raises and names its minimum, as in a record
+                        for q_l, entered_l, _, _, work_l in blocks[k + 1 :]:
+                            _update(q_l, work_l, entered_l, gain, params)
+                        model.prob(q, out=p)
+                        raise
                 m += int(np.count_nonzero(entered_b))
             gain = params.payoff_scale * (params.capacity - m)
         if is_record:

@@ -19,6 +19,9 @@ from .core import GameParams, predicted_time_scales
 from .observables import ObservableSeries
 
 MIN_FIT_POINTS = 5
+# fractions of the starting gap that open and close the learning window
+WINDOW_UPPER = 0.8
+WINDOW_LOWER = 0.2
 
 
 class FitError(ValueError):
@@ -78,10 +81,8 @@ def fit_exponential_decay(t, x, x_inf: float, window: tuple[float, float]) -> De
     )
 
 
-def learning_window(
-    t, x, x_inf: float, upper: float = 0.8, lower: float = 0.2
-) -> tuple[float, float]:
-    """Window where the gap sits between the upper and lower fractions of its start.
+def learning_window(t, x, x_inf: float) -> tuple[float, float]:
+    """Window where the gap sits between WINDOW_UPPER and WINDOW_LOWER of its start.
 
     Skips the earliest records (transients not yet in the exponential regime)
     and the late floor where noise dominates.
@@ -90,11 +91,11 @@ def learning_window(
     gap = np.abs(np.asarray(x, dtype=float) - x_inf)
     if gap[0] <= 0:
         raise FitError("series starts exactly at the asymptote; nothing to fit")
-    below_hi = np.nonzero(gap <= upper * gap[0])[0]
-    below_lo = np.nonzero(gap <= lower * gap[0])[0]
+    below_hi = np.nonzero(gap <= WINDOW_UPPER * gap[0])[0]
+    below_lo = np.nonzero(gap <= WINDOW_LOWER * gap[0])[0]
     if below_hi.size == 0 or below_lo.size == 0:
         raise FitError(
-            f"gap never fell below {lower:.0%} of its initial value; "
+            f"gap never fell below {WINDOW_LOWER:.0%} of its initial value; "
             "extend the run before fitting"
         )
     return float(t[below_hi[0]]), float(t[below_lo[0]])

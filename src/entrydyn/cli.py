@@ -13,7 +13,6 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +200,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             errors.append(f"{name.replace('_', '-')} fit: {exc}")
             continue
         fits[name] = {
-            **asdict(fit),
+            **runio.as_json(fit),
             "tau": fit.tau,
             "predicted_rate": predicted,
             "ratio": fit.rate / predicted,

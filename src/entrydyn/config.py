@@ -190,7 +190,8 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     if not 0.0 < target < 1.0:
         raise ConfigError(f"init.target_entry_fraction: must lie in (0, 1), got {target}")
     try:
-        # the mean solve is the first to see, and reject, a negative sd
+        # the mean solve is the first to see, and reject, a nonpositive sd,
+        # with the message Gaussian gives for a start with its mean
         mean = gaussian_mean_for_entry_fraction(model, sd, target)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from None

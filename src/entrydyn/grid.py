@@ -119,8 +119,8 @@ def gaussian_mean_for_entry_fraction(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target entry fraction must lie in (0, 1), got {target}")
-    if not sd >= 0:
-        raise ValueError(f"sd must be nonnegative, got {sd}")
+    if not sd > 0:
+        raise ValueError(f"sd must be positive, got {sd}")
     offsets = np.sqrt(2.0) * sd * _GH_NODES
 
     def gap(mean: float) -> float:

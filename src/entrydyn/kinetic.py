@@ -121,7 +121,8 @@ class _Stencil:
             # v = drive and mu = D at every face: the basic forms with p = 1, p' = 0
             self.p_face, self.dp_face = np.ones(faces.size), np.zeros(faces.size)
         else:
-            self.p_face, self.dp_face = model.prob(faces), model.dprob(faces)
+            self.p_face = model.prob(faces)
+            self.dp_face = model.dprob(faces, self.p_face)
 
     def moments(self, f: np.ndarray) -> tuple[float, float]:
         """Entry fraction a and sorting coefficient b of cell values f."""

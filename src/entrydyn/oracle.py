@@ -152,16 +152,27 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     """Exact laws of a block of instances by summing over all 2^N entry patterns.
 
     q'_i depends on the pattern only through e_i and m, so the sum yields the
-    joint law P(m, e_i); each instance's model then sees its q and the
-    (m, e) cells reached, in two calls.  P(m, e_i = 1) is summed one agent
-    at a time through one scratch table, so no temporary is larger than the
-    (B, 2^N) weights.  Every step acts on each row alone, so row b is bit
-    for bit the law of instance b in a block of its own.
+    joint law P(m, e_i).  Every propensity the round touches, q and the
+    (m, e) cells reached, is formed first, so each instance's model is
+    evaluated in one call.  P(m, e_i = 1) is summed one agent at a time
+    through one scratch table, so no temporary is larger than the (B, 2^N)
+    weights.  Every step acts on each row alone, so row b is bit for bit
+    the law of instance b in a block of its own.
     """
     size, n = q.shape
-    p = np.empty_like(q)
+    gain = h * (c - np.arange(n + 1))
+    moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        # a stay-out's propensity does not move
+        stay = np.broadcast_to(q[:, None, :], (size, n, n))
+    else:
+        stay = moved[:, :-1] - h[:, :, None]
+    # q, then the reachable cells: entrants at m = 1..n, stay-outs at m = 0..n-1
+    points = np.concatenate((q[:, None, :], moved[:, 1:], stay), axis=1)
+    probs = np.empty_like(points)
     for b, model in enumerate(models):
-        model.prob(q[b], out=p[b])
+        model.prob(points[b], out=probs[b])
+    p, p_next = probs[:, 0], probs[:, 1:]
     order, entered, starts = _patterns(n)
     # doubling: the patterns with bit i set take p_i, the others 1 - p_i
     factors = np.stack((1.0 - p, p), axis=1)
@@ -179,21 +190,9 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
         np.add.reduceat(scratch, starts, axis=1, out=sums[:, i, :])
     enter_law = sums.transpose(0, 2, 1)
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
-    gain = h * (c - np.arange(n + 1))
-    moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
-    if rule is LearningRule.BASIC_REINFORCEMENT:
-        drift = gain[:, None, :] @ enter_law
-        cells = moved[:, 1:]
-    else:
-        drift = gain[:, None, :] @ enter_law + (gain - h)[:, None, :] @ stay_law
-        cells = np.concatenate((moved[:, 1:], moved[:, :-1] - h[:, :, None]), axis=1)
-    p_next = np.empty_like(cells)
-    for b, model in enumerate(models):
-        model.prob(cells[b], out=p_next[b])
-    if rule is LearningRule.BASIC_REINFORCEMENT:
-        # a stay-out's propensity does not move, so neither does its p
-        p_next = np.concatenate((p_next, np.broadcast_to(p[:, None, :], (size, n, n))), axis=1)
-    # reachable cells: entrants at m = 1..n, then stay-outs at m = 0..n-1
+    drift = gain[:, None, :] @ enter_law
+    if rule is LearningRule.FICTITIOUS_STOCHASTIC:
+        drift += (gain - h)[:, None, :] @ stay_law
     cell_law = np.concatenate((enter_law[:, 1:], stay_law[:, :-1]), axis=1).reshape(size, 1, -1)
     p_next = p_next.reshape(size, -1, 1)
     expected_a = (cell_law @ p_next)[:, 0, 0] / n

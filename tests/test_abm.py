@@ -517,12 +517,14 @@ class TestSimulate:
         with pytest.raises(DomainError, match=re.escape(f"got minimum {q[-1]:g}") + "$"):
             simulate(params, model, init, 0.05, 4, record_stride=5)
 
-    def test_ratio_domain_error_names_the_population_minimum(self, monkeypatch):
+    @pytest.mark.parametrize("record_stride", [1, 5])
+    def test_ratio_domain_error_names_the_population_minimum(self, monkeypatch, record_stride):
         # every agent but two enters almost surely, so m > c and the
         # fictitious rule drives both negative in round 0: the agent at 0.5
         # in block 0 and, lower, the agent at 0.0 (p = 0, it never enters)
-        # in block 2.  Round 1 is recorded, so p is evaluated on the whole
-        # population and the error names its minimum, not block 0's
+        # in block 2.  Whether round 1 is recorded or its block 0 draws
+        # meet the first, the error names the population's minimum, not
+        # block 0's
         monkeypatch.setattr(abm, "_BLOCK", 7)
         params = make_params(n=400, c=1, rule=FICT)
         values = [1e6] * 400
@@ -532,7 +534,7 @@ class TestSimulate:
         q, _, _ = play_round(init_population(params, init, 0), params, model, np.random.default_rng(4))
         assert q[20] < q[3] < 0 <= np.delete(q, [3, 20]).min()
         with pytest.raises(DomainError, match=re.escape(f"got minimum {q[20]:g}") + "$"):
-            simulate(params, model, init, 0.05, 4, record_stride=1)
+            simulate(params, model, init, 0.05, 4, record_stride=record_stride)
 
     @pytest.mark.parametrize("block", [abm._BLOCK, 7])
     @pytest.mark.parametrize("record_stride", [1, 3])

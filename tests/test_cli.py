@@ -567,6 +567,16 @@ class TestConfigRejection:
         err = capsys.readouterr().err
         assert "init" in err and key in err
 
+    @pytest.mark.parametrize("start", [{"mean": 0.0}, {"target_entry_fraction": 0.2}], ids=["mean", "target"])
+    @pytest.mark.parametrize("sd", [0.0, -1.0])
+    def test_gaussian_sd_has_one_rule(self, tmp_path, capsys, sd, start):
+        # a gaussian start with its mean given or solved for rejects a
+        # nonpositive sd alike
+        init = {"kind": "gaussian", "sd": sd, **start}
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), init=init)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        assert f"init: sd must be positive, got {sd}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "overrides, key",
         [

@@ -24,6 +24,7 @@ from conftest import (
     MODEL,
     PDE_FICT_PARAMS,
     PDE_PARAMS,
+    CountingLogistic,
     step_advective_dt,
     step_apply,
     step_face_coefficients,
@@ -103,6 +104,14 @@ class TestCoefficients:
         d_expected = 0.5 * PDE_PARAMS.r * PDE_PARAMS.payoff_scale * b
         assert np.all(v <= 0)
         assert np.allclose(mu, d_expected * MODEL.prob(q), atol=1e-12)
+
+    def test_face_probabilities_evaluated_once(self):
+        # p at the 800 centres and at the 799 interior faces, once each: p'
+        # at the faces reuses their p, and matches evaluating it afresh
+        model = CountingLogistic()
+        stencil = _Stencil(GRID, PDE_PARAMS, model)
+        assert [size for size, _ in model.calls] == [800, 799]
+        assert stencil.dp_face.tobytes() == MODEL.dprob(GRID.interior_faces()).tobytes()
 
     def test_diffusion_coefficient_value(self):
         # D = 0.5 * r * (N h gap^2 + h b)

@@ -232,15 +232,15 @@ class TestEnumerateRound:
         assert abs(law.expected_b[0] - ref.expected_b) <= 1e-13
 
     def test_model_sees_exactly_the_reachable_cells(self):
-        # one call on q, one batched call on the (m, e) cells: together they
-        # cover every post-round propensity of the table and nothing else
+        # one call per instance, on q and the (m, e) cells together: it
+        # covers every post-round propensity of the table and nothing else
         rng = np.random.default_rng(41)
         for _ in range(200):
             q, params, model = random_instance(rng, max_agents=8)
             recording = Recording(model)
             enumerate_block([(q, params, recording)])
             _, q_next = table_round(q, params, model)
-            assert len(recording.seen) == 2
+            assert len(recording.seen) == 1
             assert set(np.concatenate(recording.seen).tolist()) == set(q_next.ravel().tolist())
 
     def test_ratio_domain_error_parity(self):
