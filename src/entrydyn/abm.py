@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import BLOCK_AGENTS as _BLOCK
-from .core import DomainError, GameParams, LearningRule, ProbabilityModel
+from .core import DomainError, GameParams, LearningRule, Logistic, ProbabilityModel
 from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
+
+# Nodes for Gauss-Hermite quadrature of E[g(Q)], Q standard normal.
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
+_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,28 @@ class Gaussian:
     def __post_init__(self) -> None:
         if not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
+
+    @staticmethod
+    def mean_for_entry_fraction(model: ProbabilityModel, sd: float, target: float) -> float:
+        """Mean of a normal propensity population whose expected entry fraction is target.
+
+        Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by
+        Gauss-Hermite quadrature and bisection; p is strictly increasing so the
+        root is unique.
+        """
+        if not 0.0 < target < 1.0:
+            raise ValueError(f"target entry fraction must lie in (0, 1), got {target}")
+        if not sd > 0:
+            raise ValueError(f"sd must be positive, got {sd}")
+        offsets = np.sqrt(2.0) * sd * _GH_NODES
+
+        def gap(mean: float) -> float:
+            return float(_GH_WEIGHTS @ model.prob(mean + offsets)) - target
+
+        if not isinstance(model, Logistic):
+            raise ValueError("gaussian mean solving is supported for the logistic model only")
+        span = 60.0 * model.scale + 10.0 * sd
+        return brentq(gap, model.center - span, model.center + span, xtol=1e-13)
 
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
         # in place, so the draw holds one float per agent; every pass rounds
@@ -135,15 +162,6 @@ class TwoSpike:
 
 
 InitialCondition = AllEqual | Gaussian | Explicit | TwoSpike
-
-
-def init_population(
-    params: GameParams,
-    init: InitialCondition,
-    seed: int | np.random.Generator,
-) -> np.ndarray:
-    """The agents' start propensities, one float per agent."""
-    return init.population(params, np.random.default_rng(seed))
 
 
 def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: float, params: GameParams) -> None:
@@ -236,7 +254,7 @@ def simulate(
         raise ValueError("snapshot_times given without a snapshot_grid")
 
     rng = np.random.default_rng(seed)
-    q = init_population(params, init, rng)
+    q = init.population(params, rng)
     p = np.empty_like(q)
     work = np.empty(min(q.size, _BLOCK))
     entered = np.empty(q.shape, dtype=bool)

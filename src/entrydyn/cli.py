@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runio
-from .abm import ensemble_run, init_population, simulate
+from .abm import ensemble_run, simulate
 from .analysis import (
     FitError,
     aggregate_learning_fit,
@@ -66,8 +66,8 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind:
 
 def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
-    # the start population serves c_p only; it is not kept through the run
-    c_p = learning_constant(init_population(cfg.game, cfg.init, cfg.seed), cfg.model)
+    # the start population serves c_p only; the engine draws it again from the same seed
+    c_p = learning_constant(cfg.init.population(cfg.game, np.random.default_rng(cfg.seed)), cfg.model)
     if cfg.replicas > 1:
         series = ensemble_run(
             cfg.game,
@@ -94,7 +94,11 @@ def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
 
 def _pde_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of a density run, and its step statistics."""
-    f0 = cfg.initial_density()
+    try:
+        f0 = cfg.init.density(cfg.grid)
+    except ValueError as exc:
+        # a start that parsed may still not fit the grid
+        raise ConfigError(f"init: {exc}") from None
     c_p = learning_constant(f0.centers(), cfg.model, f0.values * f0.dq)
     result = solve(f0, cfg.game, cfg.model, cfg.t_end, cfg.solver, cfg.snapshot_times)
     stats = {

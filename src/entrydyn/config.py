@@ -28,7 +28,7 @@ from typing import get_args, get_type_hints
 
 from . import abm, runio
 from .core import GameParams, LearningRule, Logistic, ProbabilityModel
-from .grid import DensityGrid, GridSpec, default_grid, gaussian_mean_for_entry_fraction
+from .grid import GridSpec, default_grid
 from .kinetic import SolverOptions
 
 
@@ -192,7 +192,7 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     try:
         # the mean solve is the first to see, and reject, a nonpositive sd,
         # with the message Gaussian gives for a start with its mean
-        mean = gaussian_mean_for_entry_fraction(model, sd, target)
+        mean = abm.Gaussian.mean_for_entry_fraction(model, sd, target)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from None
     return _build(cls, section, "init", mean=mean)
@@ -263,16 +263,6 @@ class RunConfig:
                 raise ValueError(
                     f"init.values: has {len(self.init.values)} entries for {self.game.n_agents} agents"
                 )
-
-    def initial_density(self) -> DensityGrid:
-        """The init section realized as a unit-mass density on the pde grid."""
-        if self.grid is None:
-            raise ConfigError("grid: required for the pde engine")
-        try:
-            return self.init.density(self.grid)
-        except ValueError as exc:
-            # a start that parsed may still not fit the grid
-            raise ConfigError(f"init: {exc}") from None
 
     def resolved(self) -> dict:
         """The full configuration with every default filled in; reparses cleanly."""

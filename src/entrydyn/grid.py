@@ -13,13 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import BLOCK_AGENTS, Logistic, ProbabilityModel
-
-# Nodes for Gauss-Hermite quadrature of E[g(Q)], Q standard normal.
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
-_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
+from .core import BLOCK_AGENTS, Logistic
 
 
 @dataclass(frozen=True)
@@ -106,27 +101,3 @@ def histogram_density(spec: GridSpec, points) -> DensityGrid:
             stacklevel=2,
         )
     return DensityGrid(spec, counts / (points.size * spec.dq))
-
-
-def gaussian_mean_for_entry_fraction(
-    model: ProbabilityModel, sd: float, target: float
-) -> float:
-    """Mean of a normal propensity population whose expected entry fraction is target.
-
-    Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by
-    Gauss-Hermite quadrature and bisection; p is strictly increasing so the
-    root is unique.
-    """
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target entry fraction must lie in (0, 1), got {target}")
-    if not sd > 0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    offsets = np.sqrt(2.0) * sd * _GH_NODES
-
-    def gap(mean: float) -> float:
-        return float(_GH_WEIGHTS @ model.prob(mean + offsets)) - target
-
-    if not isinstance(model, Logistic):
-        raise ValueError("gaussian mean solving is supported for the logistic model only")
-    span = 60.0 * model.scale + 10.0 * sd
-    return brentq(gap, model.center - span, model.center + span, xtol=1e-13)

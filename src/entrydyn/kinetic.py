@@ -33,14 +33,12 @@ nonnegative combination of cell values.  I + dt A is an M-matrix with
 zero column sums (its inverse is nonnegative and preserves the sum).
 So cell averages stay nonnegative and mass is conserved to round-off at
 any diffusion strength; only the advective bound and the output interval
-limit dt.  On the README acceptance run (800 cells, t_end 0.6) this
-takes 1,352 steps for basic reinforcement and 750 for fictitious play.
+limit dt.
 
 Cost: a step is call overhead on small arrays more than arithmetic.  It
 calls face_coefficients, advective_dt, apply, f.min() and moments: 23
 numpy calls and 11 temporary arrays, with dptsv overwriting its inputs
-in place of copying them.  On the acceptance run that is about 71 us
-per step on a 2-vCPU host, the dptsv call about 18 us of it.
+in place of copying them.
 
 Only the logistic probability model is accepted: the grid spans the
 whole line and the coefficients need p'(q).

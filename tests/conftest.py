@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
-from entrydyn.grid import GridSpec, gaussian_mean_for_entry_fraction
+from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
 
 MODEL = Logistic(scale=1.0, center=0.0)
@@ -158,7 +158,7 @@ def walls() -> dict[str, float]:
 
 @pytest.fixture(scope="session")
 def init_mean() -> float:
-    return gaussian_mean_for_entry_fraction(MODEL, INIT_SD, TARGET_A0)
+    return Gaussian.mean_for_entry_fraction(MODEL, INIT_SD, TARGET_A0)
 
 
 @pytest.fixture(scope="session")

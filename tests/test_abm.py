@@ -18,7 +18,6 @@ from entrydyn.abm import (
     TwoSpike,
     _moments,
     ensemble_run,
-    init_population,
     simulate,
 )
 from entrydyn.analysis import fit_exponential_decay
@@ -50,7 +49,7 @@ BIT_IDENTITY_MODELS = pytest.mark.parametrize(
 def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot_times, grid):
     """simulate() as a loop of rounds on fresh buffers, p evaluated apart for records."""
     rng = np.random.default_rng(seed)
-    q = init_population(params, init, rng)
+    q = init.population(params, rng)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
     pending = sorted(snapshot_times)
     rows, snapshots = [], []
@@ -75,16 +74,16 @@ def reference_simulate(params, model, init, t_end, seed, record_stride, snapshot
 
 class TestInitPopulation:
     def test_all_equal(self):
-        q = init_population(make_params(n=4, c=2), AllEqual(0.0), 0)
+        q = AllEqual(0.0).population(make_params(n=4, c=2), np.random.default_rng(0))
         assert np.array_equal(q, np.zeros(4))
 
     def test_explicit(self):
-        q = init_population(make_params(n=2, c=1), Explicit((0.1, 0.2)), 0)
+        q = Explicit((0.1, 0.2)).population(make_params(n=2, c=1), np.random.default_rng(0))
         assert np.array_equal(q, [0.1, 0.2])
 
     def test_explicit_wrong_length(self):
         with pytest.raises(ValueError):
-            init_population(make_params(n=3, c=1), Explicit((0.1, 0.2)), 0)
+            Explicit((0.1, 0.2)).population(make_params(n=3, c=1), np.random.default_rng(0))
 
     def test_explicit_without_values_rejected(self):
         # the density engine does not check the count, so the start itself must
@@ -98,14 +97,37 @@ class TestInitPopulation:
 
     def test_lattice_snap(self):
         params = make_params(h=0.01)
-        q = init_population(params, Gaussian(0.3, 2.0, snap_to_lattice=True), 7)
+        q = Gaussian(0.3, 2.0, snap_to_lattice=True).population(params, np.random.default_rng(7))
         steps = (q - 0.3) / params.payoff_scale
         assert np.max(np.abs(steps - np.round(steps))) <= 1e-9
 
     def test_seed_reproducibility(self):
-        a = init_population(make_params(), Gaussian(0.0, 1.0), 42)
-        b = init_population(make_params(), Gaussian(0.0, 1.0), 42)
+        a = Gaussian(0.0, 1.0).population(make_params(), np.random.default_rng(42))
+        b = Gaussian(0.0, 1.0).population(make_params(), np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+
+class TestMeanForEntryFraction:
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("model", [MODEL, Logistic(0.7, -1.3)], ids=["unit", "shifted"])
+    def test_start_enters_at_the_target_fraction(self, model, target):
+        sd = 1.5
+        mean = Gaussian.mean_for_entry_fraction(model, sd, target)
+        # E[p(Q)] by the trapezoid rule over 16 sd either side
+        q = np.linspace(mean - 16 * sd, mean + 16 * sd, 20_001)
+        weights = np.exp(-0.5 * ((q - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+        values = weights * model.prob(q)
+        entry = float((values[1:] + values[:-1]).sum() / 2 * (q[1] - q[0]))
+        assert entry == pytest.approx(target, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_target_outside_the_open_unit_interval(self, target):
+        with pytest.raises(ValueError, match=r"target entry fraction must lie in \(0, 1\)"):
+            Gaussian.mean_for_entry_fraction(MODEL, 1.0, target)
+
+    def test_logistic_model_only(self):
+        with pytest.raises(ValueError, match="logistic model only"):
+            Gaussian.mean_for_entry_fraction(ErevRothRatio(1.0), 1.0, 0.2)
 
 
 # one small instance of each start type; a start type missing here fails the guard below
@@ -147,7 +169,7 @@ class TestPlayRound:
     def test_binomial_entrant_count_statistics(self):
         # fixed state, repeated draws: m ~ Binomial(1000, 0.5)
         params = make_params()
-        q = init_population(params, AllEqual(0.0), 1)
+        q = AllEqual(0.0).population(params, np.random.default_rng(1))
         rng = np.random.default_rng(99)
         ms = np.array([play_round(q, params, MODEL, rng)[2] for _ in range(10_000)])
         sd_exact = np.sqrt(1000 * 0.25)  # 15.81
@@ -171,7 +193,7 @@ class TestPlayRound:
         # fictitious rule from a common start: exactly two propensity values,
         # split by h, both computed from the same realized m
         params = make_params(n=200, c=100, rule=FICT)
-        q = init_population(params, AllEqual(0.0), 3)
+        q = AllEqual(0.0).population(params, np.random.default_rng(3))
         new, _, m = play_round(q, params, MODEL, np.random.default_rng(3))
         values = np.unique(new)
         assert values.size == 2
@@ -181,7 +203,7 @@ class TestPlayRound:
 
     def test_outsiders_frozen_under_basic(self):
         params = make_params(n=200, c=100, rule=BASIC)
-        q = init_population(params, Gaussian(0.0, 1.0), 8)
+        q = Gaussian(0.0, 1.0).population(params, np.random.default_rng(8))
         new, entered, m = play_round(q, params, MODEL, np.random.default_rng(8))
         assert np.array_equal(new[~entered], q[~entered])
         assert m == int(entered.sum())
@@ -209,7 +231,7 @@ class TestPlayRound:
         # overcrowding drives propensities negative; must be a hard error.
         # small baseline makes entry near-certain, so m > c on round one
         params = GameParams(4, 1, 0.1, 10, BASIC)
-        q = init_population(params, AllEqual(0.05), 0)
+        q = AllEqual(0.05).population(params, np.random.default_rng(0))
         model = ErevRothRatio(0.01)
         rng = np.random.default_rng(2)
         with pytest.raises(DomainError, match="nonnegative"):
@@ -241,6 +263,11 @@ class TestEmpiricalMoments:
 
 
 class TestEmpiricalDensity:
+    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1), ()])
+    def test_values_must_fill_the_cells(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"values shape {shape} does not match 8 cells")):
+            DensityGrid(GridSpec(-1.0, 1.0, 8), np.ones(shape))
+
     def test_point_mass(self):
         spec = GridSpec(-1.0, 1.0, 20)
         q = np.full(50, 0.333)
@@ -370,7 +397,7 @@ class TestSimulate:
             params, MODEL, Gaussian(0.0, 1.0), 0.02, 10, snapshot_times=(5e-13, 0.01), snapshot_grid=grid
         )
         assert [t for t, _ in result.snapshots] == [0.0, 0.01]
-        start = histogram_density(grid, init_population(params, Gaussian(0.0, 1.0), 10))
+        start = histogram_density(grid, Gaussian(0.0, 1.0).population(params, np.random.default_rng(10)))
         assert result.snapshots[0][1].values.tobytes() == start.values.tobytes()
 
     def test_snapshot_placement_matches_solve(self):
@@ -512,7 +539,8 @@ class TestSimulate:
         params = make_params(n=400, c=1, rule=FICT)
         init = Explicit((1e6,) * 399 + (0.0,))
         model = ErevRothRatio(1.0)
-        q, _, _ = play_round(init_population(params, init, 0), params, model, np.random.default_rng(4))
+        start = init.population(params, np.random.default_rng(0))
+        q, _, _ = play_round(start, params, model, np.random.default_rng(4))
         assert q[-1] < 0 <= q[:-1].min()
         with pytest.raises(DomainError, match=re.escape(f"got minimum {q[-1]:g}") + "$"):
             simulate(params, model, init, 0.05, 4, record_stride=5)
@@ -531,7 +559,8 @@ class TestSimulate:
         values[3], values[20] = 0.5, 0.0
         init = Explicit(tuple(values))
         model = ErevRothRatio(1.0)
-        q, _, _ = play_round(init_population(params, init, 0), params, model, np.random.default_rng(4))
+        start = init.population(params, np.random.default_rng(0))
+        q, _, _ = play_round(start, params, model, np.random.default_rng(4))
         assert q[20] < q[3] < 0 <= np.delete(q, [3, 20]).min()
         with pytest.raises(DomainError, match=re.escape(f"got minimum {q[20]:g}") + "$"):
             simulate(params, model, init, 0.05, 4, record_stride=record_stride)
@@ -577,7 +606,9 @@ class TestSimulate:
         n = 4 * abm._BLOCK + 17
         tracemalloc.start()
         try:
-            init_population(make_params(n=n, c=n // 2), Gaussian(0.3, 2.0, snap_to_lattice=True), 7)
+            Gaussian(0.3, 2.0, snap_to_lattice=True).population(
+                make_params(n=n, c=n // 2), np.random.default_rng(7)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -16,7 +16,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from entrydyn.abm import AllEqual, Gaussian, TwoSpike, ensemble_run, init_population
+from entrydyn.abm import AllEqual, Gaussian, TwoSpike, ensemble_run
 from entrydyn.analysis import (
     aggregate_learning_fit,
     compare_series,
@@ -74,7 +74,7 @@ def test_criterion_2_simulator_matches_exact_law():
     # three symmetric agents: simulated entrant counts against the
     # enumerated distribution {1/8, 3/8, 3/8, 1/8} at the 99.9% level
     params = GameParams(3, 2, 0.1, 10, LearningRule.BASIC_REINFORCEMENT)
-    q = init_population(params, AllEqual(0.0), 0)
+    q = AllEqual(0.0).population(params, np.random.default_rng(0))
     m_probs = enumerate_block([(q, params, MODEL)]).m_probs[0]
     rng = np.random.default_rng(BASE_SEED)
     n_rounds = 100_000
@@ -119,7 +119,7 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
     fit_pde = aggregate_learning_fit(pde_acceptance.series, PDE_PARAMS)
     target_pde = aggregate_learning_rate(PDE_PARAMS, c_pde)
 
-    start_pop = init_population(ABM_BASIC_PARAMS, Gaussian(init_mean, 1.5), BASE_SEED)
+    start_pop = Gaussian(init_mean, 1.5).population(ABM_BASIC_PARAMS, np.random.default_rng(BASE_SEED))
     c_abm = learning_constant(start_pop, MODEL)
     fit_abm = aggregate_learning_fit(abm_basic_ensemble, ABM_BASIC_PARAMS)
     target_abm = aggregate_learning_rate(ABM_BASIC_PARAMS, c_abm)

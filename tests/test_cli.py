@@ -316,7 +316,7 @@ class TestConfig:
         )
         (t0, agents), = result.snapshots
         assert t0 == 0.0
-        return np.flatnonzero(cfg.initial_density().values).tolist(), np.flatnonzero(agents.values).tolist()
+        return np.flatnonzero(cfg.init.density(cfg.grid).values).tolist(), np.flatnonzero(agents.values).tolist()
 
     @pytest.mark.parametrize(
         "doc",
@@ -703,6 +703,17 @@ class TestConfigRejection:
         assert main(["abm", "--config", str(cfg)]) == 2
         assert "snapshot" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["[]", "0.5", '"abm"', "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        # the file reader checks before it applies the flags; the parser
+        # checks again for a document handed to it in process
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["abm", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: top level must be a JSON object\n"
+        with pytest.raises(ConfigError, match=re.escape(f"top level: expected an object, got {json.loads(text)!r}")):
+            parse_config(json.loads(text))
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["abm", "--config", str(tmp_path / "nope.json")]) == 2

@@ -278,6 +278,15 @@ class TestEnumerateRound:
             with pytest.raises(ValueError):
                 table[0] = 0
 
+    def test_rejects_a_propensity_count_other_than_n_agents(self):
+        params = GameParams(3, 2, 0.1, 10, BASIC)
+        for q in (np.zeros(2), np.zeros(4), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match=f"got {q.size} propensities for n_agents=3"):
+                enumerate_block([(q, params, MODEL)])
+        # a later instance is checked against its own n_agents
+        with pytest.raises(ValueError, match="got 2 propensities for n_agents=3"):
+            enumerate_block([(np.zeros(3), params, MODEL), (np.zeros(2), params, MODEL)])
+
     def test_rejects_large_populations(self):
         n = MAX_AGENTS + 1
         params = GameParams(n, 2, 0.1, 10, BASIC)
@@ -321,6 +330,28 @@ class TestExpectedDriftCheck:
             recording = Recording(model)
             enumerate_block([(q, params, recording)])
             assert len(recording.seen) <= 2
+
+
+class TestLearningLaw:
+    @pytest.mark.parametrize("rule", [BASIC, FICT])
+    def test_one_round_change_of_a_by_rule(self, rule):
+        # to first order in h one round moves a by
+        # N h (kappa - a) E[w p'] - h E[w p' (1 - p)], with w = p under the
+        # basic rule (an agent moves only when it enters) and w = 1 under
+        # the fictitious rule (every agent moves); the relative gap to the
+        # enumerated change falls in proportion to h
+        q = -0.8 + 1.5 * np.random.default_rng(3).standard_normal(12)
+        p = MODEL.prob(q)
+        dp = MODEL.dprob(q, p)
+        w = p if rule is BASIC else 1.0
+        a, kappa = p.mean(), 6 / 12
+        gaps = []
+        for h in (0.02, 0.005, 0.00125):
+            law = enumerate_block([(q, GameParams(12, 6, h, 100, rule), MODEL)])
+            closed = 12 * h * (kappa - a) * np.mean(w * dp) - h * np.mean(w * dp * (1.0 - p))
+            gaps.append(abs(1.0 - closed / (law.expected_a[0] - a)))
+        assert gaps[0] < 0.01
+        assert gaps[1] <= gaps[0] / 3 and gaps[2] <= gaps[1] / 3
 
 
 @st.composite
@@ -394,6 +425,12 @@ class TestPoissonBinomial:
     def test_degenerate_probabilities(self):
         pmf = poisson_binomial_rows(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
         assert np.allclose(pmf, [[0, 0, 1, 0], [1, 0, 0, 0]], atol=1e-15)
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.5], np.zeros((2, 0)), np.zeros((0, 0)), np.zeros((1, 2, 2))],
+                             ids=["1-d", "empty-rows", "no-rows", "3-d"])
+    def test_rejects_anything_but_nonempty_rows(self, probs):
+        with pytest.raises(ValueError, match="2-d array of nonempty rows"):
+            poisson_binomial_rows(probs)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

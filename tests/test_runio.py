@@ -85,6 +85,17 @@ def test_read_series_rejects(tmp_path, text, message):
         read_series(path)
 
 
+def test_read_series_skips_blank_lines(tmp_path):
+    # a blank line holds no record, and still counts in an error's line number
+    path = tmp_path / "s.csv"
+    path.write_text("t,a,b\n\n0.0,0.5,0.1\n\n0.1,0.4,0.2\n")
+    series = read_series(path)
+    assert series.t.tolist() == [0.0, 0.1] and series.b.tolist() == [0.1, 0.2]
+    path.write_text("t,a,b\n0.0,0.5,0.1\n\n0.1,0.5\n")
+    with pytest.raises(ValueError, match=r"s\.csv:4: expected 3 fields, got 2"):
+        read_series(path)
+
+
 GOOD = {"t": [0.0, 0.1], "a": [0.5, 0.4], "b": [0.1, 0.2]}
 
 
