@@ -10,7 +10,7 @@ does no file I/O; series and density snapshots are handed to callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -58,27 +58,24 @@ class Gaussian:
         if not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
-    @staticmethod
-    def mean_for_entry_fraction(model: ProbabilityModel, sd: float, target: float) -> float:
-        """Mean of a normal propensity population whose expected entry fraction is target.
+    def with_entry_fraction(self, model: ProbabilityModel, target: float) -> Gaussian:
+        """This start with its mean moved so that its expected entry fraction is target.
 
         Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by
         Gauss-Hermite quadrature and bisection; p is strictly increasing so the
         root is unique.
         """
+        if not isinstance(model, Logistic):
+            raise ValueError("target_entry_fraction is solvable for the logistic model only; give mean instead")
         if not 0.0 < target < 1.0:
-            raise ValueError(f"target entry fraction must lie in (0, 1), got {target}")
-        if not sd > 0:
-            raise ValueError(f"sd must be positive, got {sd}")
-        offsets = np.sqrt(2.0) * sd * _GH_NODES
+            raise ValueError(f"target_entry_fraction must lie in (0, 1), got {target}")
+        offsets = np.sqrt(2.0) * self.sd * _GH_NODES
 
         def gap(mean: float) -> float:
             return float(_GH_WEIGHTS @ model.prob(mean + offsets)) - target
 
-        if not isinstance(model, Logistic):
-            raise ValueError("gaussian mean solving is supported for the logistic model only")
-        span = 60.0 * model.scale + 10.0 * sd
-        return brentq(gap, model.center - span, model.center + span, xtol=1e-13)
+        span = 60.0 * model.scale + 10.0 * self.sd
+        return replace(self, mean=brentq(gap, model.center - span, model.center + span, xtol=1e-13))
 
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
         # in place, so the draw holds one float per agent; every pass rounds

@@ -6,7 +6,7 @@ separated time scales: the entry-fraction gap |a - kappa| closes first
 agents commit.  Rates are measured by least squares on the log of the gap,
 windowed to the part of the series where the signal is clean.  This module
 only measures; `entrydyn analyze` compares each fitted rate with core's
-predictions c_p * r and r*h/2, with c_p from core.learning_constant.
+predictions c_p * r and r*h/2, with c_p the rule's core.learning_constant.
 """
 
 from __future__ import annotations

@@ -67,7 +67,9 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind:
 def _abm_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     """c_p, the series and the snapshots of an agent run; it adds no run.json fields."""
     # the start population serves c_p only; the engine draws it again from the same seed
-    c_p = learning_constant(cfg.init.population(cfg.game, np.random.default_rng(cfg.seed)), cfg.model)
+    c_p = learning_constant(
+        cfg.init.population(cfg.game, np.random.default_rng(cfg.seed)), cfg.model, cfg.game.rule
+    )
     if cfg.replicas > 1:
         series = ensemble_run(
             cfg.game,
@@ -99,7 +101,7 @@ def _pde_run(cfg: RunConfig) -> tuple[float, ObservableSeries, list, dict]:
     except ValueError as exc:
         # a start that parsed may still not fit the grid
         raise ConfigError(f"init: {exc}") from None
-    c_p = learning_constant(f0.centers(), cfg.model, f0.values * f0.dq)
+    c_p = learning_constant(f0.centers(), cfg.model, cfg.game.rule, f0.values * f0.dq)
     result = solve(f0, cfg.game, cfg.model, cfg.t_end, cfg.solver, cfg.snapshot_times)
     stats = {
         "mass_residual": result.max_mass_residual,

@@ -172,30 +172,18 @@ def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
     """Validate the init section and build its start state, with the mean resolved."""
     section = _as_section(raw, "init")
     cls = _kind(section, _INIT_TYPES, "init", "initial condition")
-    if cls is not abm.Gaussian:
-        return read_section(cls, section, "init", "kind")
     # a gaussian may give its mean implicitly, as the start's expected entry fraction
+    if cls is not abm.Gaussian or "target_entry_fraction" not in section:
+        return read_section(cls, section, "init", "kind")
     _check_keys(section, _field_names(cls, "kind", "target_entry_fraction"), "init")
-    sd = read_number(_require(section, "sd", "init"), "init.sd")
-    if ("mean" in section) == ("target_entry_fraction" in section):
-        raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
     if "mean" in section:
-        return _build(cls, section, "init")
+        raise ConfigError("init: give exactly one of init.mean and init.target_entry_fraction")
     target = read_number(section["target_entry_fraction"], "init.target_entry_fraction")
-    if not isinstance(model, Logistic):
-        raise ConfigError(
-            "init.target_entry_fraction: only solvable for the logistic model; "
-            "give init.mean instead"
-        )
-    if not 0.0 < target < 1.0:
-        raise ConfigError(f"init.target_entry_fraction: must lie in (0, 1), got {target}")
+    start = _build(cls, section, "init", mean=0.0)
     try:
-        # the mean solve is the first to see, and reject, a nonpositive sd,
-        # with the message Gaussian gives for a start with its mean
-        mean = abm.Gaussian.mean_for_entry_fraction(model, sd, target)
+        return start.with_entry_fraction(model, target)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from None
-    return _build(cls, section, "init", mean=mean)
 
 
 # the reader of a config value, by the annotation of the field it fills

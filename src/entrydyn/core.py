@@ -271,24 +271,28 @@ def expected_drift(p, h, c, rule: LearningRule):
     return h * (c - total) - h * (1.0 - p)
 
 
-def learning_constant(q, model: ProbabilityModel, weights=None) -> float:
-    """c_p = E[p'(q) p(q)] over propensities q: their mean, or their sum
+def learning_constant(q, model: ProbabilityModel, rule: LearningRule, weights=None) -> float:
+    """The rule's c_p = E[w p'(q)], w = p(q) under basic reinforcement and 1
+    under fictitious play, over propensities q: their mean, or their sum
     against weights (a density's cell masses, with q its cell centres).
 
-    p'(q) p(q) overwrites one float array of p(q) a block at a time, so the
-    terms cost one float per entry of q, and a DomainError names the
-    minimum over all of q.
+    The terms overwrite one float array of p(q) a block at a time, so they
+    cost one float per entry of q, and a DomainError names the minimum
+    over all of q.
     """
     q = np.asarray(q, dtype=float)
     terms = model.prob(q, out=np.empty_like(q))
     for i in range(0, q.size, BLOCK_AGENTS):
         block = terms[i : i + BLOCK_AGENTS]
-        block *= model.dprob(q[i : i + BLOCK_AGENTS], block)
+        if rule is LearningRule.BASIC_REINFORCEMENT:
+            block *= model.dprob(q[i : i + BLOCK_AGENTS], block)
+        else:
+            block[...] = model.dprob(q[i : i + BLOCK_AGENTS], block)
     return float(np.mean(terms)) if weights is None else float(terms @ weights)
 
 
 def aggregate_learning_rate(params: GameParams, learning_constant: float) -> float:
-    """Predicted decay rate c_p * r of |a - kappa|, c_p = E[p'(q) p(q)] at the start."""
+    """Predicted decay rate c_p * r of |a - kappa|, c_p the rule's learning_constant at the start."""
     return learning_constant * params.r
 
 

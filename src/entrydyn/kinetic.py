@@ -35,10 +35,8 @@ So cell averages stay nonnegative and mass is conserved to round-off at
 any diffusion strength; only the advective bound and the output interval
 limit dt.
 
-Cost: a step is call overhead on small arrays more than arithmetic.  It
-calls face_coefficients, advective_dt, apply, f.min() and moments: 23
-numpy calls and 11 temporary arrays, with dptsv overwriting its inputs
-in place of copying them.
+Cost: a step is call overhead on small arrays more than arithmetic, so
+it works in place: dptsv overwrites its inputs rather than copying them.
 
 Only the logistic probability model is accepted: the grid spans the
 whole line and the coefficients need p'(q).

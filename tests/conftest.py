@@ -158,7 +158,7 @@ def walls() -> dict[str, float]:
 
 @pytest.fixture(scope="session")
 def init_mean() -> float:
-    return Gaussian.mean_for_entry_fraction(MODEL, INIT_SD, TARGET_A0)
+    return Gaussian(0.0, INIT_SD).with_entry_fraction(MODEL, TARGET_A0).mean
 
 
 @pytest.fixture(scope="session")

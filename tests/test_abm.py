@@ -112,7 +112,7 @@ class TestMeanForEntryFraction:
     @pytest.mark.parametrize("model", [MODEL, Logistic(0.7, -1.3)], ids=["unit", "shifted"])
     def test_start_enters_at_the_target_fraction(self, model, target):
         sd = 1.5
-        mean = Gaussian.mean_for_entry_fraction(model, sd, target)
+        mean = Gaussian(0.0, sd).with_entry_fraction(model, target).mean
         # E[p(Q)] by the trapezoid rule over 16 sd either side
         q = np.linspace(mean - 16 * sd, mean + 16 * sd, 20_001)
         weights = np.exp(-0.5 * ((q - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
@@ -122,12 +122,12 @@ class TestMeanForEntryFraction:
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 1.5, math.nan])
     def test_target_outside_the_open_unit_interval(self, target):
-        with pytest.raises(ValueError, match=r"target entry fraction must lie in \(0, 1\)"):
-            Gaussian.mean_for_entry_fraction(MODEL, 1.0, target)
+        with pytest.raises(ValueError, match=r"target_entry_fraction must lie in \(0, 1\)"):
+            Gaussian(0.0, 1.0).with_entry_fraction(MODEL, target)
 
     def test_logistic_model_only(self):
         with pytest.raises(ValueError, match="logistic model only"):
-            Gaussian.mean_for_entry_fraction(ErevRothRatio(1.0), 1.0, 0.2)
+            Gaussian(0.0, 1.0).with_entry_fraction(ErevRothRatio(1.0), 0.2)
 
 
 # one small instance of each start type; a start type missing here fails the guard below

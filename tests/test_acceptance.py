@@ -115,12 +115,14 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
 ):
     # fitted |a - kappa| decay within a factor 2 of the moment-equation
     # prediction c_p * r, measured from each engine's own initial state
-    c_pde = learning_constant(acceptance_f0.centers(), MODEL, acceptance_f0.values * acceptance_f0.dq)
+    c_pde = learning_constant(
+        acceptance_f0.centers(), MODEL, PDE_PARAMS.rule, acceptance_f0.values * acceptance_f0.dq
+    )
     fit_pde = aggregate_learning_fit(pde_acceptance.series, PDE_PARAMS)
     target_pde = aggregate_learning_rate(PDE_PARAMS, c_pde)
 
     start_pop = Gaussian(init_mean, 1.5).population(ABM_BASIC_PARAMS, np.random.default_rng(BASE_SEED))
-    c_abm = learning_constant(start_pop, MODEL)
+    c_abm = learning_constant(start_pop, MODEL, ABM_BASIC_PARAMS.rule)
     fit_abm = aggregate_learning_fit(abm_basic_ensemble, ABM_BASIC_PARAMS)
     target_abm = aggregate_learning_rate(ABM_BASIC_PARAMS, c_abm)
 

@@ -30,7 +30,9 @@ from entrydyn.observables import ObservableSeries
 
 from conftest import GRID, MODEL, PDE_PARAMS, CountingLogistic
 
-PARAMS = GameParams(1000, 500, 0.01, 100, LearningRule.BASIC_REINFORCEMENT)
+BASIC = LearningRule.BASIC_REINFORCEMENT
+FICT = LearningRule.FICTITIOUS_STOCHASTIC
+PARAMS = GameParams(1000, 500, 0.01, 100, BASIC)
 
 
 def decay_series(rate_a=10.0, rate_b=2.0, a0=0.2, t_end=1.0, dt=0.01):
@@ -239,27 +241,28 @@ class TestCompareSeries:
 class TestLearningConstant:
     def test_density_and_sample_estimates_agree(self, init_mean):
         density = Gaussian(init_mean, 1.5).density(GRID)
-        from_density = learning_constant(density.centers(), MODEL, density.values * density.dq)
+        from_density = learning_constant(density.centers(), MODEL, BASIC, density.values * density.dq)
         rng = np.random.default_rng(11)
         draws = init_mean + 1.5 * rng.standard_normal(200_000)
-        from_sample = learning_constant(draws, MODEL)
+        from_sample = learning_constant(draws, MODEL, BASIC)
         assert from_density == pytest.approx(from_sample, abs=5e-4)
         assert 0.0 < from_density < 0.25
 
     def test_point_mass_value(self):
         # all agents at p = 0.2: c_p = p^2 (1 - p) = 0.032
         q = np.full(100, float(np.log(0.2 / 0.8)))
-        value = learning_constant(q, MODEL)
+        value = learning_constant(q, MODEL, BASIC)
         assert value == pytest.approx(0.032, abs=1e-12)
 
     def test_one_probability_evaluation_same_value(self):
         model = CountingLogistic(1.3, 0.2)
         q = np.random.default_rng(4).normal(0.0, 2.0, 1000)
-        value = learning_constant(q, model)
+        value = learning_constant(q, model, BASIC)
         assert len(model.calls) == 1
         plain = Logistic(1.3, 0.2)
         assert value == float(np.mean(plain.dprob(q) * plain.prob(q)))
 
+    @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
     @pytest.mark.parametrize(
         "model", [MODEL, Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["standard", "affine", "ratio"]
     )
@@ -270,9 +273,10 @@ class TestLearningConstant:
             *((cells, True) for cells in (2, 800, 70_001)),
         ],
     )
-    def test_blocked_value_is_bit_identical(self, model, size, on_grid):
+    def test_blocked_value_is_bit_identical(self, model, size, on_grid, rule):
         # the agents' mean and a density's sum against its cell masses,
-        # each against the one-expression form it replaced
+        # each against the one-expression form of the rule's E[w p'],
+        # w = p (basic) or 1 (fictitious)
         if on_grid:
             lo = 0.0 if isinstance(model, ErevRothRatio) else -6.0
             density = Gaussian(lo + 3.0, 1.5).density(GridSpec(lo, lo + 12.0, size))
@@ -281,22 +285,26 @@ class TestLearningConstant:
             q, weights = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size)), None
             if isinstance(model, Logistic):
                 q -= 1.0
-        p = model.prob(q)
-        terms = model.dprob(q, p) * p
+        if rule is BASIC:
+            p = model.prob(q)
+            terms = model.dprob(q, p) * p
+        else:
+            terms = model.dprob(q)
         expected = np.mean(terms) if weights is None else terms @ weights
-        value = learning_constant(q, model, weights)
+        value = learning_constant(q, model, rule, weights)
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
     @pytest.mark.parametrize("model", [Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["logistic", "ratio"])
-    def test_memory_beyond_the_population(self, model):
-        # p'(q) p(q) overwrites the one float array of p(q) block by block,
+    def test_memory_beyond_the_population(self, model, rule):
+        # p'(q) p(q), or p'(q), overwrites the one float array of p(q) block by block,
         # and the ratio model's domain check is a reduction.  Another float
         # array would add four blocks at n of four blocks
         n = 4 * BLOCK_AGENTS + 17
         q = np.abs(np.random.default_rng(0).normal(0.5, 2.0, n))
         tracemalloc.start()
         try:
-            learning_constant(q, model)
+            learning_constant(q, model, rule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,8 +315,9 @@ class TestLearningConstant:
         q = np.full(3 * BLOCK_AGENTS + 5, 2.0)
         q[10], q[2 * BLOCK_AGENTS + 3] = -0.5, -2.25
         with pytest.raises(DomainError, match=r"got minimum -2\.25$"):
-            learning_constant(q, ErevRothRatio(3.0))
+            learning_constant(q, ErevRothRatio(3.0), BASIC)
 
     def test_predicted_rate_matches_acceptance_scenario(self, acceptance_f0):
-        c_p = learning_constant(acceptance_f0.centers(), MODEL, acceptance_f0.values * acceptance_f0.dq)
+        f0 = acceptance_f0
+        c_p = learning_constant(f0.centers(), MODEL, BASIC, f0.values * f0.dq)
         assert c_p * PDE_PARAMS.r == pytest.approx(36.8, abs=1.0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrydyn import cli, oracle, runio
-from entrydyn.abm import simulate
+from entrydyn.abm import Gaussian, simulate
 from entrydyn.cli import main
 from entrydyn.config import ConfigError, load_config, parse_config
 from entrydyn.observables import ObservableSeries
@@ -67,6 +67,13 @@ def write_cfg(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def readme_config():
+    """The config document in README's command-line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
 
 
 def header(run_dir):
@@ -357,11 +364,24 @@ class TestConfig:
         assert parse_config(doc).resolved() == doc
 
     def test_readme_config_block_round_trips(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## Command line\n", 1)[1]
-        block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-        cfg = parse_config(json.loads(block))
+        cfg = parse_config(readme_config())
         assert parse_config(cfg.resolved()) == cfg
+
+    @pytest.mark.parametrize("snap", [False, True])
+    @pytest.mark.parametrize(
+        "model", [{"kind": "logistic"}, {"kind": "logistic", "scale": 0.7, "center": -1.3}], ids=["unit", "shifted"]
+    )
+    def test_target_start_is_the_gaussian_moved_to_it(self, model, snap):
+        # the parsed start is the start the method returns: its mean bit for
+        # bit, its sd and snap kept, and the resolved init writes that mean
+        init = {"kind": "gaussian", "target_entry_fraction": 0.3, "sd": 1.2, "snap_to_lattice": snap}
+        cfg = parse_config({"engine": "abm", "game": dict(GAME_SMALL), "model": model, "init": init, "t_end": 0.1})
+        expected = Gaussian(0.0, 1.2, snap).with_entry_fraction(cfg.model, 0.3)
+        assert cfg.init == expected
+        assert np.float64(cfg.init.mean).tobytes() == np.float64(expected.mean).tobytes()
+        assert (cfg.init.sd, cfg.init.snap_to_lattice) == (1.2, snap)
+        resolved = {"kind": "gaussian", "mean": expected.mean, "sd": 1.2, "snap_to_lattice": snap}
+        assert cfg.resolved()["init"] == resolved
 
     def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
         # 0.0 is the face between cells 3 and 4 of this grid
@@ -817,6 +837,21 @@ class TestAnalyze:
         for name in ("aggregate_learning", "sorting"):
             assert run["predicted_rates"][name] > 0
             assert fits[name]["predicted_rate"] == run["predicted_rates"][name]
+
+    def test_fictitious_readme_run_meets_its_learning_rate(self, tmp_path):
+        # under the fictitious rule the constant is E[p'], not E[p p']; the
+        # sorting fit misses its band (criterion 5), so analyze exits 1
+        doc = readme_config()
+        doc["game"]["rule"] = "fictitious_stochastic"
+        doc["out_dir"] = str(tmp_path / "out")
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["pde", "--config", str(tmp_path / "c.json")]) == 0
+        out = tmp_path / "out" / "pde"
+        assert main(["analyze", str(out)]) == 1
+        run = read_json(out / "run.json")
+        fits = read_json(out / "fits.json")
+        assert fits["aggregate_learning"]["pass"] is True
+        assert fits["aggregate_learning"]["predicted_rate"] == run["learning_constant"] * run["derived"]["r"]
 
     def test_min_ratio_flag_can_fail_the_run(self, tmp_path):
         run_dir = tmp_path / "run"

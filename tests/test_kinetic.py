@@ -387,7 +387,7 @@ class TestSolve:
         window = learning_window(series.t, series.a, PDE_PARAMS.kappa)
         fit = fit_exponential_decay(series.t, series.a, PDE_PARAMS.kappa, window)
         f0 = acceptance_f0
-        predicted = learning_constant(f0.centers(), MODEL, f0.values * f0.dq) * PDE_PARAMS.r
+        predicted = learning_constant(f0.centers(), MODEL, PDE_PARAMS.rule, f0.values * f0.dq) * PDE_PARAMS.r
         assert predicted / 2 <= fit.rate <= predicted * 2
         assert fit.r_squared > 0.98
 

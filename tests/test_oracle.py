@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
+from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic, learning_constant
 from entrydyn.oracle import (
     BLOCK_ELEMENTS,
     MAX_AGENTS,
@@ -338,17 +338,19 @@ class TestLearningLaw:
         # to first order in h one round moves a by
         # N h (kappa - a) E[w p'] - h E[w p' (1 - p)], with w = p under the
         # basic rule (an agent moves only when it enters) and w = 1 under
-        # the fictitious rule (every agent moves); the relative gap to the
-        # enumerated change falls in proportion to h
+        # the fictitious rule (every agent moves), and E[w p'] is the rule's
+        # learning constant; the relative gap to the enumerated change falls
+        # in proportion to h
         q = -0.8 + 1.5 * np.random.default_rng(3).standard_normal(12)
         p = MODEL.prob(q)
         dp = MODEL.dprob(q, p)
         w = p if rule is BASIC else 1.0
         a, kappa = p.mean(), 6 / 12
+        c_p = learning_constant(q, MODEL, rule)
         gaps = []
         for h in (0.02, 0.005, 0.00125):
             law = enumerate_block([(q, GameParams(12, 6, h, 100, rule), MODEL)])
-            closed = 12 * h * (kappa - a) * np.mean(w * dp) - h * np.mean(w * dp * (1.0 - p))
+            closed = 12 * h * (kappa - a) * c_p - h * np.mean(w * dp * (1.0 - p))
             gaps.append(abs(1.0 - closed / (law.expected_a[0] - a)))
         assert gaps[0] < 0.01
         assert gaps[1] <= gaps[0] / 3 and gaps[2] <= gaps[1] / 3
