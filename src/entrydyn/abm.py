@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import BLOCK_AGENTS as _BLOCK
-from .core import DomainError, GameParams, LearningRule, Logistic, ProbabilityModel
+from .core import DomainError, GameParams, LearningRule, Logistic, ProbabilityModel, pairwise_fold, pairwise_leaves
 from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
 
@@ -180,21 +180,18 @@ def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: fl
         q_b -= work_b
 
 
-def _moments(p: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """a = mean p and b = mean p(1 - p); p is overwritten with p(1 - p).
+def _moment_sums(p_b: np.ndarray, work_b: np.ndarray) -> tuple[float, float]:
+    """The sums of p and of p(1 - p) over one leaf; p_b is overwritten with p(1 - p).
 
-    work is a scratch block of at most p's size.  Each mean is the pairwise
-    sum of the whole array and the one division ndarray.mean does, without
-    its Python wrapper.  p(1 - p) is formed block by block as p * (1 - p),
-    the same products as (1 - p) * p.
+    work_b (p_b's size) is scratch.  Each sum is np.add.reduce of the leaf,
+    so core.pairwise_fold of the leaves' sums is the pairwise sum of the
+    whole population.  p(1 - p) is formed as p * (1 - p), the same
+    products as (1 - p) * p.
     """
-    a = float(np.add.reduce(p)) / p.size
-    for i in range(0, p.size, work.size):
-        p_b = p[i : i + work.size]
-        work_s = work[: p_b.size]
-        np.subtract(1.0, p_b, out=work_s)
-        p_b *= work_s
-    return a, float(np.add.reduce(p)) / p.size
+    a = float(np.add.reduce(p_b))
+    np.subtract(1.0, p_b, out=work_b)
+    p_b *= work_b
+    return a, float(np.add.reduce(p_b))
 
 
 @dataclass
@@ -228,20 +225,25 @@ def simulate(
     lies within core._TIE (2**-40) of it, so the decisions, and every
     output, are bit-identical to comparing with the exact p.  A ratio
     model's DomainError names the minimum of the whole population in any
-    round: when a block's draws raise it, the rest of the population
+    round: when a leaf's p or draws raise it, the rest of the population
     takes the pending update and p of all of q raises it again.
 
-    A run holds q and p (8 bytes per agent each), the decisions (1 byte)
-    and one block of float scratch; propensities are updated in place, and
-    no round allocates an agent-sized array.  A round is one sweep over
-    blocks of _BLOCK agents.  Its update needs m, so it is deferred: the
-    next round applies it to each block just before the block's draws, and
-    a record first applies it to every block.  A record then evaluates p
-    on the whole population, its round draws against p, and only then do
-    the moments overwrite p with p(1 - p).  p stays whole because a and b
-    are pairwise sums over the whole array.  The draws fill consecutive
-    slices of one Generator stream and every pass is elementwise, so the
-    outputs are bit-identical to whole-array passes.
+    A run holds q (8 bytes per agent), the decisions (1 byte) and two
+    leaf-sized float buffers, p and scratch: about 9 bytes per agent.
+    Propensities are updated in place, and no round allocates an
+    agent-sized array.  A round is one sweep over the leaves of
+    core.pairwise_leaves(N, _BLOCK), consecutive slices of at most
+    max(_BLOCK, 128) agents (16 leaves of about 62,500 at N = 10^6).  Its
+    update needs m, so it is deferred: the next round, or the final
+    record, applies it to each leaf just before the leaf's own passes.  A
+    recorded leaf then evaluates p into the p buffer, draws against it,
+    and sums p and p(1 - p) with np.add.reduce; core.pairwise_fold adds
+    the leaves' sums in numpy's own tree order, so a and b are the
+    pairwise sums over the whole population bit for bit.  A population of
+    at most max(_BLOCK, 128) agents is one leaf, so a record evaluates p
+    of all of it in one call.  The draws fill consecutive slices of one
+    Generator stream and every other pass is elementwise, so the outputs
+    are bit-identical to whole-array passes.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -252,49 +254,54 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     q = init.population(params, rng)
-    p = np.empty_like(q)
-    work = np.empty(min(q.size, _BLOCK))
+    leaves = pairwise_leaves(q.size, _BLOCK)
+    p = np.empty(max(j - i for i, j in leaves))
+    work = np.empty_like(p)
     entered = np.empty(q.shape, dtype=bool)
     n_rounds = max(1, math.ceil(t_end * params.rounds_per_unit - 1e-9))
-    # per block: its q, entered and p views, and the scratch pair p[:size] and work[:size]
-    edges = [*range(0, q.size, _BLOCK), q.size]
-    blocks = [(q[i:j], entered[i:j], p[i:j], p[: j - i], work[: j - i]) for i, j in zip(edges, edges[1:])]
+    # per leaf: its q and entered views, and the scratch pair p[:size] and work[:size]
+    views = [(q[i:j], entered[i:j], p[: j - i], work[: j - i]) for i, j in leaves]
     recorder = Recorder(snapshot_times)
     m_frac: list[float] = []
 
     for n in range(n_rounds + 1):
         is_record = (n % record_stride == 0) or (n == n_rounds)
-        if is_record:
+        plays = n < n_rounds
+        m = 0
+        sums = []
+        for k, (q_b, entered_b, p_b, work_b) in enumerate(views):
             if n > 0:  # round n - 1's update is still pending
-                for q_b, entered_b, _, _, work_s in blocks:
-                    _update(q_b, work_s, entered_b, gain, params)
-            model.prob(q, out=p)
-        if n < n_rounds:
-            m = 0
-            for k, (q_b, entered_b, p_b, p_s, work_s) in enumerate(blocks):
+                _update(q_b, work_b, entered_b, gain, params)
+            try:
                 if is_record:
-                    rng.random(out=work_s)
-                    np.less(work_s, p_b, out=entered_b)
+                    model.prob(q_b, out=p_b)
                 else:
-                    # round n - 1's update, then the draws, with the free p as scratch
-                    _update(q_b, work_s, entered_b, gain, params)
-                    rng.random(out=work_s)
-                    try:
-                        model.enters(q_b, work_s, entered_b, p_s)
-                    except DomainError:
-                        # finish round n - 1's update, so that p of the whole
-                        # population raises and names its minimum, as in a record
-                        for q_l, entered_l, _, _, work_l in blocks[k + 1 :]:
-                            _update(q_l, work_l, entered_l, gain, params)
-                        model.prob(q, out=p)
-                        raise
+                    rng.random(out=work_b)
+                    model.enters(q_b, work_b, entered_b, p_b)
+            except DomainError:
+                # finish round n - 1's update, so that p of the whole
+                # population raises and names its minimum
+                if n > 0:
+                    for q_l, entered_l, _, work_l in views[k + 1 :]:
+                        _update(q_l, work_l, entered_l, gain, params)
+                model.prob(q)
+                raise
+            if is_record:
+                if plays:
+                    rng.random(out=work_b)
+                    np.less(work_b, p_b, out=entered_b)
+                # after the draws, which read p
+                sums.append(_moment_sums(p_b, work_b))
+            if plays:
                 m += int(np.count_nonzero(entered_b))
+        if plays:
             gain = params.payoff_scale * (params.capacity - m)
         if is_record:
-            # after the draws, which read p
-            a, b = _moments(p, work)
+            a_sums, b_sums = zip(*sums)
+            a = pairwise_fold(a_sums, q.size, _BLOCK) / q.size
+            b = pairwise_fold(b_sums, q.size, _BLOCK) / q.size
             recorder.record(n * params.tau, a, b, lambda: histogram_density(snapshot_grid, q), n == n_rounds)
-            m_frac.append(m / params.n_agents if n < n_rounds else math.nan)
+            m_frac.append(m / params.n_agents if plays else math.nan)
 
     series = recorder.series(m_frac=m_frac)
     return SimulationResult(series=series, snapshots=recorder.snapshots, final=q)

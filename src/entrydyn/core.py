@@ -33,6 +33,59 @@ _TIE = 2.0**-40
 # stays in a core's cache while the block's passes run.
 BLOCK_AGENTS = 2**16
 
+# numpy sums a contiguous float array of more than _PAIRWISE_NODE items as
+# the sum of its two halves, and at most that many with eight running sums.
+_PAIRWISE_NODE = 128
+
+
+def _pairwise_half(size: int) -> int:
+    """Where numpy's pairwise summation splits a node of size items."""
+    half = size // 2
+    return half - half % 8
+
+
+def pairwise_leaves(n: int, cap: int = BLOCK_AGENTS) -> list[tuple[int, int]]:
+    """The leaves of numpy's pairwise summation of n items, as [start, stop) in order.
+
+    np.add.reduce sums a node of more than 128 items as the sum of its
+    first _pairwise_half(size) items and the rest, recursively.  A node
+    here becomes a leaf once it holds at most max(cap, 128) items, so
+    np.add.reduce of each leaf, combined by pairwise_fold, is
+    np.add.reduce of all n items bit for bit.  The leaves tile [0, n).
+    """
+    cap = max(cap, _PAIRWISE_NODE)
+    leaves = []
+
+    def walk(start: int, size: int) -> None:
+        if size <= cap:
+            leaves.append((start, start + size))
+        else:
+            half = _pairwise_half(size)
+            walk(start, half)
+            walk(start + half, size - half)
+
+    walk(0, n)
+    return leaves
+
+
+def pairwise_fold(sums, n: int, cap: int = BLOCK_AGENTS) -> float:
+    """np.add.reduce of n items from np.add.reduce of each of pairwise_leaves(n, cap).
+
+    sums holds the leaves' sums in order; they are added in numpy's own
+    tree order, so the result is bit-identical to one reduction of the
+    whole array, signed zeros included.
+    """
+    cap = max(cap, _PAIRWISE_NODE)
+    leaf_sums = iter(sums)
+
+    def walk(size: int) -> float:
+        if size <= cap:
+            return float(next(leaf_sums))
+        half = _pairwise_half(size)
+        return walk(half) + walk(size - half)
+
+    return walk(n)
+
 
 class DomainError(ValueError):
     """A propensity left the domain of the active probability model."""
@@ -276,19 +329,38 @@ def learning_constant(q, model: ProbabilityModel, rule: LearningRule, weights=No
     under fictitious play, over propensities q: their mean, or their sum
     against weights (a density's cell masses, with q its cell centres).
 
-    The terms overwrite one float array of p(q) a block at a time, so they
-    cost one float per entry of q, and a DomainError names the minimum
-    over all of q.
+    The mean forms its terms one leaf of pairwise_leaves(q.size) at a
+    time in one leaf-sized buffer and folds the leaves' sums, so it holds
+    no array of q's size and equals np.mean of all the terms bit for bit.
+    The sum against weights overwrites one float array of p(q) a block at
+    a time.  Either way a DomainError names the minimum over all of q.
     """
     q = np.asarray(q, dtype=float)
-    terms = model.prob(q, out=np.empty_like(q))
-    for i in range(0, q.size, BLOCK_AGENTS):
-        block = terms[i : i + BLOCK_AGENTS]
-        if rule is LearningRule.BASIC_REINFORCEMENT:
-            block *= model.dprob(q[i : i + BLOCK_AGENTS], block)
-        else:
-            block[...] = model.dprob(q[i : i + BLOCK_AGENTS], block)
-    return float(np.mean(terms)) if weights is None else float(terms @ weights)
+    if weights is not None:
+        terms = model.prob(q, out=np.empty_like(q))
+        for i in range(0, q.size, BLOCK_AGENTS):
+            _rule_terms(q[i : i + BLOCK_AGENTS], terms[i : i + BLOCK_AGENTS], model, rule)
+        return float(terms @ weights)
+    leaves = pairwise_leaves(q.size)
+    buffer = np.empty(max(j - i for i, j in leaves))
+    try:
+        sums = [
+            np.add.reduce(_rule_terms(q[i:j], model.prob(q[i:j], out=buffer[: j - i]), model, rule))
+            for i, j in leaves
+        ]
+    except DomainError:
+        model.prob(q)  # raises again, naming the minimum over all of q
+        raise
+    return pairwise_fold(sums, q.size) / q.size
+
+
+def _rule_terms(q, p, model: ProbabilityModel, rule: LearningRule):
+    """p, which holds p(q), overwritten with learning_constant's terms w p'(q)."""
+    if rule is LearningRule.BASIC_REINFORCEMENT:
+        p *= model.dprob(q, p)
+    else:
+        p[...] = model.dprob(q, p)
+    return p
 
 
 def aggregate_learning_rate(params: GameParams, learning_constant: float) -> float:

@@ -16,12 +16,12 @@ from entrydyn.abm import (
     Explicit,
     Gaussian,
     TwoSpike,
-    _moments,
+    _moment_sums,
     ensemble_run,
     simulate,
 )
 from entrydyn.analysis import fit_exponential_decay
-from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic
+from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic, pairwise_fold, pairwise_leaves
 from entrydyn.grid import DensityGrid, GridSpec, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import Recorder
@@ -240,9 +240,11 @@ class TestPlayRound:
 
 
 def record_moments(q):
-    """a and b as simulate records them, through abm._moments and a one-block scratch."""
+    """a and b as simulate records them: abm._moment_sums of each leaf, folded."""
     p = MODEL.prob(np.asarray(q, dtype=float))
-    return _moments(p, np.empty(min(p.size, abm._BLOCK)))
+    leaves = pairwise_leaves(p.size, abm._BLOCK)
+    a_sums, b_sums = zip(*(_moment_sums(p[i:j], np.empty(j - i)) for i, j in leaves))
+    return tuple(pairwise_fold(sums, p.size, abm._BLOCK) / p.size for sums in (a_sums, b_sums))
 
 
 class TestEmpiricalMoments:
@@ -471,26 +473,29 @@ class TestSimulate:
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, init, record_stride)
 
-    # N = 400 spans 7 blocks of 64 and 58 blocks of 7, the last of 16 and 1
-    # agents.  Each round's update waits for the next round's sweep or for the
-    # next record, so the strides place records around those boundaries over
-    # the 30 rounds: every round, 3 and 7 (7 leaves 2 rounds before the final
-    # record, and both put the 0.1 snapshot on a record right after
-    # unrecorded rounds), and 40, beyond the run, which records only round 0
-    # and the final round
-    @pytest.mark.parametrize("block", [64, 7])
+    # N = 777 spans the leaves of numpy's pairwise sum: with a cap of 200,
+    # 192, 192, 192, 96 and 105 agents; with a cap of 7, which the tree
+    # never splits below (a node of at most 128 items is one leaf), seven
+    # of 96 and one of 105.  Each round's update waits for the next round's
+    # sweep or for the next record, so the strides place records around
+    # those boundaries over the 30 rounds: every round, 3 and 7 (7 leaves 2
+    # rounds before the final record, and both put the 0.1 snapshot on a
+    # record right after unrecorded rounds), and 40, beyond the run, which
+    # records only round 0 and the final round
+    @pytest.mark.parametrize("block", [200, 7])
     @pytest.mark.parametrize("record_stride", [1, 3, 7, 40])
     @BIT_IDENTITY_MODELS
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_blocked_round_is_bit_identical(self, monkeypatch, rule, model, init, record_stride, block):
         monkeypatch.setattr(abm, "_BLOCK", block)
-        params = make_params(n=400, c=200, rule=rule)
+        assert len({j - i for i, j in pairwise_leaves(777, block)}) > 1
+        params = make_params(n=777, c=388, rule=rule)
         self.assert_matches_play_round_loop(params, model, init, record_stride)
 
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_multi_block_run_is_bit_identical(self, rule):
-        # two full blocks of the module's own size and a short third, over
-        # recorded and unrecorded rounds
+        # four leaves under the module's own cap, 32768, 32776, 32768 and
+        # 32777 agents, over recorded and unrecorded rounds
         n = 2 * abm._BLOCK + 17
         params = make_params(n=n, c=n // 2, h=1e-4, rule=rule)
         self.assert_matches_play_round_loop(params, Logistic(1.3, 0.2), Gaussian(0.0, 1.5), 2, t_end=0.05)
@@ -504,14 +509,14 @@ class TestSimulate:
         params = make_params(n=400, c=200, rule=rule)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
 
-    @pytest.mark.parametrize("block", [64, 7])
+    @pytest.mark.parametrize("block", [200, 7])
     @pytest.mark.parametrize("model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"])
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_forced_exact_recheck_in_blocks_is_bit_identical(self, monkeypatch, rule, model, block):
-        # the exact path of every block after the first indexes its own views
+        # the exact path of every leaf after the first indexes its own views
         monkeypatch.setattr(core, "_TIE", 1.0)
         monkeypatch.setattr(abm, "_BLOCK", block)
-        params = make_params(n=400, c=200, rule=rule)
+        params = make_params(n=777, c=388, rule=rule)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
 
     @pytest.mark.parametrize("record_stride", [1, 2])
@@ -534,10 +539,10 @@ class TestSimulate:
         # every agent but the last enters almost surely, so m > c and the
         # fictitious rule drives the last agent, which never enters (p = 0),
         # negative in round 0; round 1 is not recorded, so only the decisions
-        # of the last block, a block of that one agent, can meet it
+        # of the last of eight leaves, agents 672-776, can meet it
         monkeypatch.setattr(abm, "_BLOCK", 7)
-        params = make_params(n=400, c=1, rule=FICT)
-        init = Explicit((1e6,) * 399 + (0.0,))
+        params = make_params(n=777, c=1, rule=FICT)
+        init = Explicit((1e6,) * 776 + (0.0,))
         model = ErevRothRatio(1.0)
         start = init.population(params, np.random.default_rng(0))
         q, _, _ = play_round(start, params, model, np.random.default_rng(4))
@@ -549,20 +554,20 @@ class TestSimulate:
     def test_ratio_domain_error_names_the_population_minimum(self, monkeypatch, record_stride):
         # every agent but two enters almost surely, so m > c and the
         # fictitious rule drives both negative in round 0: the agent at 0.5
-        # in block 0 and, lower, the agent at 0.0 (p = 0, it never enters)
-        # in block 2.  Whether round 1 is recorded or its block 0 draws
-        # meet the first, the error names the population's minimum, not
-        # block 0's
+        # in leaf 0 (agents 0-95) and, lower, the agent at 0.0 (p = 0, it
+        # never enters) in leaf 2 (agents 192-287).  Whether round 1 is
+        # recorded and leaf 0's p meets the first or its draws do, the error
+        # names the population's minimum, not leaf 0's
         monkeypatch.setattr(abm, "_BLOCK", 7)
-        params = make_params(n=400, c=1, rule=FICT)
-        values = [1e6] * 400
-        values[3], values[20] = 0.5, 0.0
+        params = make_params(n=777, c=1, rule=FICT)
+        values = [1e6] * 777
+        values[3], values[200] = 0.5, 0.0
         init = Explicit(tuple(values))
         model = ErevRothRatio(1.0)
         start = init.population(params, np.random.default_rng(0))
         q, _, _ = play_round(start, params, model, np.random.default_rng(4))
-        assert q[20] < q[3] < 0 <= np.delete(q, [3, 20]).min()
-        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[20]:g}") + "$"):
+        assert q[200] < q[3] < 0 <= np.delete(q, [3, 200]).min()
+        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[200]:g}") + "$"):
             simulate(params, model, init, 0.05, 4, record_stride=record_stride)
 
     @pytest.mark.parametrize("block", [abm._BLOCK, 7])
@@ -570,8 +575,8 @@ class TestSimulate:
     def test_one_probability_evaluation_per_round(self, monkeypatch, record_stride, block):
         # the exact p of the whole population is evaluated, into simulate's
         # buffer, once per record and never on other rounds, which draw
-        # through model.enters; in blocks of 7 as well, where records still
-        # evaluate p on all 50 agents at once
+        # through model.enters; under a cap of 7 as well, where the 50
+        # agents are still one leaf and records evaluate p on all at once
         monkeypatch.setattr(abm, "_BLOCK", block)
         model = CountingLogistic()
         params = make_params(n=50, c=25)
@@ -584,11 +589,12 @@ class TestSimulate:
     @pytest.mark.parametrize("record_stride", [1, 3])
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_round_loop_allocates_no_agent_arrays(self, rule, record_stride, snapshot):
-        # the run holds q and p (8 bytes per agent each), entered (1 byte)
-        # and one block of float scratch, which with the rounds' block
-        # temporaries stays under two blocks; a snapshot bins a block at a
-        # time, in under two more.  At n of four blocks a further float
-        # array allocated in any round would add four blocks to the peak
+        # the run holds q (8 bytes per agent), entered (1 byte) and two
+        # leaf-sized float buffers of at most a block each, which with the
+        # rounds' small temporaries stay under three blocks; a snapshot bins
+        # a block at a time, in under two more.  At n of four blocks a
+        # further float array allocated in any round would add four blocks
+        # to the peak
         n = 4 * abm._BLOCK + 17
         params = make_params(n=n, c=n // 2, h=1e-5, rule=rule)
         snapshots = ((0.03,), GridSpec(-8.0, 8.0, 800)) if snapshot else ((), None)
@@ -599,7 +605,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert len(result.snapshots) == int(snapshot)
-        assert peak < 17 * n + (4 if snapshot else 2) * 8 * abm._BLOCK
+        assert peak < 9 * n + (5 if snapshot else 3) * 8 * abm._BLOCK
 
     def test_lattice_start_holds_one_float_per_agent(self):
         # the draw is scaled, shifted and snapped in place

@@ -297,9 +297,10 @@ class TestLearningConstant:
     @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
     @pytest.mark.parametrize("model", [Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["logistic", "ratio"])
     def test_memory_beyond_the_population(self, model, rule):
-        # p'(q) p(q), or p'(q), overwrites the one float array of p(q) block by block,
-        # and the ratio model's domain check is a reduction.  Another float
-        # array would add four blocks at n of four blocks
+        # p'(q) p(q), or p'(q), is formed a leaf at a time in one buffer of
+        # p(q), at most a block, and with dprob's temporary stays under
+        # three blocks; the ratio model's domain check is a reduction.  A
+        # float array of q's size would add four blocks at n of four blocks
         n = 4 * BLOCK_AGENTS + 17
         q = np.abs(np.random.default_rng(0).normal(0.5, 2.0, n))
         tracemalloc.start()
@@ -308,10 +309,11 @@ class TestLearningConstant:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n + 2 * 8 * BLOCK_AGENTS
+        assert peak < 3 * 8 * BLOCK_AGENTS
 
     def test_ratio_domain_error_names_the_population_minimum(self):
-        # negatives in blocks 0 and 2; the error names the lower one
+        # negatives in leaves 0 and 2 (of four of about 49,152); the error
+        # names the lower one
         q = np.full(3 * BLOCK_AGENTS + 5, 2.0)
         q[10], q[2 * BLOCK_AGENTS + 3] = -0.5, -2.25
         with pytest.raises(DomainError, match=r"got minimum -2\.25$"):

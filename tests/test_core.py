@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -22,6 +22,8 @@ from entrydyn.core import (
     LearningRule,
     Logistic,
     expected_drift,
+    pairwise_fold,
+    pairwise_leaves,
     predicted_time_scales,
 )
 
@@ -338,6 +340,55 @@ class TestExpectedDrift:
         for b in range(3):
             assert block[b].tobytes() == expected_drift(p[b], h[b, 0], c[b, 0], rule).tobytes()
 
+
+CAPS = st.sampled_from([1, 7, 128, 129, 1000, BLOCK_AGENTS])
+
+
+class TestPairwiseFold:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3 * BLOCK_AGENTS + 5), cap=CAPS)
+    def test_leaves_tile_the_items_in_order(self, n, cap):
+        leaves = pairwise_leaves(n, cap)
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(leaves, leaves[1:]))
+        assert all(0 < j - i <= max(cap, 128) for i, j in leaves)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3 * BLOCK_AGENTS + 5),
+        cap=CAPS,
+        spread=st.integers(0, 300),
+        zero_share=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=777, cap=200, spread=300, zero_share=0.0, seed=6)  # leaves 192, 192, 192, 96, 105
+    @example(n=128, cap=7, spread=20, zero_share=0.1, seed=0)
+    @example(n=129, cap=7, spread=20, zero_share=0.1, seed=1)
+    @example(n=BLOCK_AGENTS - 1, cap=BLOCK_AGENTS, spread=300, zero_share=0.1, seed=2)
+    @example(n=BLOCK_AGENTS + 1, cap=BLOCK_AGENTS, spread=300, zero_share=0.1, seed=3)
+    @example(n=3 * BLOCK_AGENTS + 5, cap=BLOCK_AGENTS, spread=300, zero_share=0.0, seed=4)
+    @example(n=3 * BLOCK_AGENTS + 5, cap=1000, spread=0, zero_share=1.0, seed=5)
+    def test_folded_leaf_sums_are_the_whole_sum(self, n, cap, spread, zero_share, seed):
+        # numpy's own pairwise summation is the reference: a numpy that
+        # splits or orders its sums otherwise fails here, bit for bit.
+        # Magnitudes range over 10^(+-spread), and a share of the items is
+        # +0.0 or -0.0
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+        zeros = rng.random(n) < zero_share
+        x[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+        sums = [np.add.reduce(x[i:j]) for i, j in pairwise_leaves(n, cap)]
+        assert np.float64(pairwise_fold(sums, n, cap)).tobytes() == np.add.reduce(x).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 129, BLOCK_AGENTS + 1, 3 * BLOCK_AGENTS + 5])
+    def test_negative_zeros_fold_as_numpy_sums_them(self, n):
+        x = np.full(n, -0.0)
+        sums = [np.add.reduce(x[i:j]) for i, j in pairwise_leaves(n)]
+        assert np.float64(pairwise_fold(sums, n)).tobytes() == np.add.reduce(x).tobytes()
+
+    def test_a_million_is_sixteen_leaves(self):
+        sizes = [j - i for i, j in pairwise_leaves(10**6)]
+        assert len(sizes) == 16 and set(sizes) == {62_496, 62_504}
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
