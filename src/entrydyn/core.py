@@ -183,12 +183,19 @@ class Logistic:
         z = np.asarray(q, dtype=float)
         if self._is_standard():
             return expit(z, out=out)
-        if out is None:
-            out = np.empty_like(z)
-        np.subtract(z, self.center, out=out)
-        out /= self.scale
-        expit(out, out=out)
+        out = Logistic.prob_rows(z, self.scale, self.center, out)
         return out if out.ndim else out[()]
+
+    @staticmethod
+    def prob_rows(q, scale, center, out=None):
+        """prob of a float array q whose rows each take their own (B, 1, ...)
+        scale and center, with the bytes of each row's own prob; the standard
+        logistic's too, since (q - 0.0) / 1.0 is q exactly."""
+        if out is None:
+            out = np.empty_like(q)
+        np.subtract(q, center, out=out)
+        out /= scale
+        return expit(out, out=out)
 
     def enters(self, q, u, out, work):
         """Entry decisions u < prob(q) into out (bool, q's shape), bit-identically.
@@ -259,8 +266,17 @@ class ErevRothRatio:
         place into out and out is returned; the values are bit-identical to
         the allocating call.  Raises DomainError on a negative propensity.
         """
-        arr = _nonnegative(q)
-        return np.divide(arr, np.add(arr, self.baseline, out=out), out=out)
+        return _ratio(_nonnegative(q), self.baseline, out)
+
+    @staticmethod
+    def prob_rows(q, baseline, out=None):
+        """prob of a float array q whose rows each take their own (B, 1, ...)
+        baseline, with the bytes of each row's own prob.  A DomainError names
+        the first row with a negative entry and its minimum, as prob row by row would."""
+        if np.fmin.reduce(q, axis=None, initial=np.inf) < 0:
+            for row in q:
+                _nonnegative(row)
+        return _ratio(q, baseline, out)
 
     def enters(self, q, u, out, work):
         """Entry decisions u < prob(q) into out (bool), using work (float) as scratch."""
@@ -283,6 +299,10 @@ def _nonnegative(q) -> np.ndarray:
             f"got minimum {arr.min():g}"
         )
     return arr
+
+
+def _ratio(q, baseline, out):
+    return np.divide(q, np.add(q, baseline, out=out), out=out)
 
 
 ProbabilityModel = Logistic | ErevRothRatio

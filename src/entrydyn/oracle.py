@@ -7,12 +7,12 @@ observables one round ahead.  The entrant-count law is independently
 reproducible through the Poisson-binomial convolution recurrence
 (poisson_binomial_rows), and the expected propensity drift has a closed
 form, core.expected_drift; both serve as cross-checks on any simulation
-engine, and this module only enumerates.  enumerate_block is the one
-entry point: it takes a block of instances with one N and one rule and
-returns one RoundLaw whose fields stack the instances along a leading
-axis, the closed-form drift beside the enumerated one.  The kernel works
-row by row, so a sweep pays numpy's per-call cost once per block rather
-than per instance; a single instance is a block of one.
+engine, and this module only enumerates.  Instances travel as columns
+(Instances): random_instance draws a chunk, blocks() splits it into
+blocks of one N and one rule, and enumerate_block, the one entry point,
+returns one RoundLaw per block whose fields stack the instances along a
+leading axis.  The kernel works row by row, with one model call per kind,
+so a sweep pays numpy's per-call cost once per block, not per instance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ErevRothRatio, GameParams, LearningRule, Logistic, ProbabilityModel, expected_drift
+from .core import ErevRothRatio, LearningRule, Logistic, expected_drift
 
 MAX_AGENTS = 12
 # cap on a block's (B, 2^N) weight table, the shape of the kernel's largest
@@ -104,61 +104,101 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def blocks(instances):
-    """Split (propensities, params, model) instances into blocks for enumerate_block.
+@dataclass(eq=False)
+class Instances:
+    """Instances as columns, row b for instance b: N, c, h, the rule (True for
+    fictitious play), the model kind (True for ErevRothRatio), a Logistic's
+    scale and center, a ratio model's baseline, and the propensities, whose
+    columns past N are unused."""
 
-    A block holds instances of one N and one rule, in the order given, and
-    at most BLOCK_ELEMENTS >> N of them, which caps the block's (B, 2^N)
-    weight table.
-    """
-    groups: dict = {}
-    for instance in instances:
-        params = instance[1]
-        groups.setdefault((params.n_agents, params.rule), []).append(instance)
-    for (n, _), group in groups.items():
-        size = max(1, BLOCK_ELEMENTS >> n)
-        for start in range(0, len(group), size):
-            yield group[start : start + size]
+    n_agents: np.ndarray
+    capacity: np.ndarray
+    payoff_scale: np.ndarray
+    fictitious: np.ndarray
+    ratio: np.ndarray
+    scale: np.ndarray
+    center: np.ndarray
+    baseline: np.ndarray
+    propensities: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n_agents.size
+
+    @classmethod
+    def stack(cls, instances) -> Instances:
+        """(propensities, params, model) instances of one N as rows."""
+        rows = []
+        for q, params, model in instances:
+            q = np.asarray(q, dtype=float).ravel()
+            if q.size != params.n_agents:
+                raise ValueError(f"got {q.size} propensities for n_agents={params.n_agents}")
+            fictitious, ratio = params.rule is LearningRule.FICTITIOUS_STOCHASTIC, model.kind == ErevRothRatio.kind
+            parameters = (getattr(model, name, np.nan) for name in ("scale", "center", "baseline"))
+            rows.append((q.size, params.capacity, params.payoff_scale, fictitious, ratio, *parameters, q))
+        if len({row[0] for row in rows}) > 1:
+            raise ValueError("a block holds instances of one n_agents and one rule")
+        return cls(*map(np.array, zip(*rows)))
+
+    def take(self, rows) -> Instances:
+        """The instances at rows, which share one N, with N columns of propensities: a block."""
+        *columns, q = vars(self).values()
+        return Instances(*(column[rows] for column in columns), q[rows, : self.n_agents[rows[0]]])
+
+    def prob(self, points) -> np.ndarray:
+        """p of a (B, ...) array, row b under instance b's model, in one call per model kind."""
+        probs, column = np.empty_like(points), (-1,) + (1,) * (points.ndim - 1)
+        if not self.ratio.all():
+            rows = ~self.ratio
+            scale, center = self.scale[rows].reshape(column), self.center[rows].reshape(column)
+            probs[rows] = Logistic.prob_rows(points[rows], scale, center)
+        if self.ratio.any():
+            probs[self.ratio] = ErevRothRatio.prob_rows(points[self.ratio], self.baseline[self.ratio].reshape(column))
+        return probs
+
+
+def blocks(chunk: Instances):
+    """Split a chunk into blocks for enumerate_block, yielding each block's row
+    indices, chunk.take(rows) the block: rows of one N and one rule in drawn
+    order, at most BLOCK_ELEMENTS >> N of them, which caps the block's (B, 2^N)
+    weight table; (N, rule) pairs in order of first appearance."""
+    key = 2 * chunk.n_agents + chunk.fictitious
+    for first in np.sort(np.unique(key, return_index=True)[1]):
+        rows = np.flatnonzero(key == key[first])
+        size = max(1, BLOCK_ELEMENTS >> int(chunk.n_agents[first]))
+        for start in range(0, rows.size, size):
+            yield rows[start : start + size]
 
 
 def enumerate_block(instances) -> RoundLaw:
-    """Exact law of one round for each of a block of (propensities, params,
-    model) instances with one N and one rule, such as blocks() yields; a
-    single instance is a block of one.
-
-    The law carries core.expected_drift of the block as predicted_drift;
-    the enumerated drift must reproduce it to round-off.
-    """
-    games = [params for _, params, _ in instances]
-    if not games:
+    """Exact law of one round for each instance of a block with one N and one
+    rule: a chunk.take(rows) of blocks(), or (propensities, params, model)
+    instances, which are stacked; a single instance is a block of one.  The
+    law carries core.expected_drift as predicted_drift, which the enumerated
+    drift must reproduce to round-off."""
+    if not len(instances):
         raise ValueError("a block holds at least one instance")
-    n, rule = games[0].n_agents, games[0].rule
-    rows = []
-    for (q, _, _), params in zip(instances, games):
-        q = np.asarray(q, dtype=float)
-        if q.size != params.n_agents:
-            raise ValueError(f"got {q.size} propensities for n_agents={params.n_agents}")
-        if (params.n_agents, params.rule) != (n, rule):
-            raise ValueError("a block holds instances of one n_agents and one rule")
-        rows.append(q.reshape(n))
+    block = instances if isinstance(instances, Instances) else Instances.stack(instances)
+    n = block.propensities.shape[1]
+    if np.any(block.n_agents != n) or np.any(block.fictitious != block.fictitious[0]):
+        raise ValueError("a block holds instances of one n_agents and one rule")
     if n > MAX_AGENTS:
         raise ValueError(f"enumeration supports at most {MAX_AGENTS} agents, got {n}")
-    h = np.array([[params.payoff_scale] for params in games])
-    c = np.array([[params.capacity] for params in games])
-    return _round_block(np.array(rows), h, c, rule, [model for _, _, model in instances])
+    return _round_block(block)
 
 
-def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
+def _round_block(block: Instances) -> RoundLaw:
     """Exact laws of a block of instances by summing over all 2^N entry patterns.
 
     q'_i depends on the pattern only through e_i and m, so the sum yields the
     joint law P(m, e_i).  Every propensity the round touches, q and the
-    (m, e) cells reached, is formed first, so each instance's model is
-    evaluated in one call.  P(m, e_i = 1) is summed one agent at a time
-    through one scratch table, so no temporary is larger than the (B, 2^N)
-    weights.  Every step acts on each row alone, so row b is bit for bit
-    the law of instance b in a block of its own.
+    (m, e) cells reached, is formed first, so the block's models are
+    evaluated in one call per kind.  P(m, e_i = 1) is summed one agent at a
+    time through one scratch table, so no temporary is larger than the
+    (B, 2^N) weights.  Every step acts on each row alone, so row b is bit
+    for bit the law of instance b in a block of its own.
     """
+    q, h, c = block.propensities, block.payoff_scale[:, None], block.capacity[:, None]
+    rule = LearningRule.FICTITIOUS_STOCHASTIC if block.fictitious[0] else LearningRule.BASIC_REINFORCEMENT
     size, n = q.shape
     gain = h * (c - np.arange(n + 1))
     moved = q[:, None, :] + gain[:, :, None]  # q_i + h (c - m), row m
@@ -168,10 +208,8 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     else:
         stay = moved[:, :-1] - h[:, :, None]
     # q, then the reachable cells: entrants at m = 1..n, stay-outs at m = 0..n-1
-    points = np.concatenate((q[:, None, :], moved[:, 1:], stay), axis=1)
-    probs = np.empty_like(points)
-    for b, model in enumerate(models):
-        model.prob(points[b], out=probs[b])
+    probs = block.prob(np.concatenate((q[:, None, :], moved[:, 1:], stay), axis=1))
+    del moved, stay  # freed before the (B, 2^N) tables, which set the peak
     p, p_next = probs[:, 0], probs[:, 1:]
     order, entered, starts = _patterns(n)
     # doubling: the patterns with bit i set take p_i, the others 1 - p_i
@@ -179,15 +217,15 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     weights = np.ones((size, 1))
     for i in range(n):
         weights = (factors[:, :, i, None] * weights[:, None, :]).reshape(size, -1)
-    weights = np.take(weights, order, axis=1)
+    scratch, weights = weights, np.take(weights, order, axis=1)
     m_probs = np.add.reduceat(weights, starts, axis=1)
     # P(m, e_i = 1), kept as the transposed view of the sums: matmul rounds
     # by memory layout, and this is the layout every result was checked in
-    scratch = np.empty_like(weights)
     sums = np.empty((size, n, n + 1))
     for i in range(n):
         np.multiply(entered[i], weights, out=scratch)
         np.add.reduceat(scratch, starts, axis=1, out=sums[:, i, :])
+    del weights, scratch
     enter_law = sums.transpose(0, 2, 1)
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
     drift = gain[:, None, :] @ enter_law
@@ -200,29 +238,20 @@ def _round_block(q, h, c, rule: LearningRule, models) -> RoundLaw:
     return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p, q, expected_drift(p, h, c, rule))
 
 
-def random_instance(
-    rng: np.random.Generator, max_agents: int = MAX_AGENTS
-) -> tuple[np.ndarray, GameParams, ProbabilityModel]:
-    """One random small instance (propensities, params, model) for oracle sweeps.
-
-    Ratio-model propensities are lifted far enough above zero that a single
-    round cannot leave the model's domain.  Each draw is the value
-    Generator.uniform, normal or exponential would give, by a cheaper call.
-    """
-    n = int(rng.integers(1, max_agents + 1))
-    capacity = int(rng.integers(1, n + 1))
-    h = 0.005 + (0.2 - 0.005) * rng.random()
-    rule = LearningRule.BASIC_REINFORCEMENT if rng.random() < 0.5 else (
-        LearningRule.FICTITIOUS_STOCHASTIC
-    )
-    params = GameParams(n, capacity, h, int(rng.integers(1, 1000)), rule)
-
-    if rng.random() < 0.5:
-        scale, center = 0.5 + 1.5 * rng.random(), -1.0 + 2.0 * rng.random()
-        model: ProbabilityModel = Logistic(scale=scale, center=center)
-        q = model.center + (2.0 * model.scale) * rng.standard_normal(n)
-    else:
-        model = ErevRothRatio(baseline=0.5 + 1.5 * rng.random())
-        floor = h * (n + 1.0)
-        q = floor + rng.standard_exponential(n)
-    return q, params, model
+def random_instance(rng: np.random.Generator, max_agents: int, count: int) -> Instances:
+    """A chunk of count random instances in five Generator calls, whatever count
+    is.  Row b draws N on 1..max_agents, c on 1..N, h on [0.005, 0.2), the rule
+    and model kind at even odds, and both models: a Logistic's scale on [0.5, 2),
+    center on [-1, 1) and normal propensities of sd twice the scale about it, a
+    ratio model's baseline on [0.5, 2) and propensities h (N + 1) above a unit
+    exponential, so one round stays in its domain.  Each value is the one
+    Generator.integers, uniform, normal or exponential gives with size=."""
+    n = rng.integers(1, max_agents + 1, size=count)
+    capacity = rng.integers(1, n + 1, size=count)
+    u = rng.random((count, 6))
+    h, scale, center = 0.005 + (0.2 - 0.005) * u[:, 0], 0.5 + 1.5 * u[:, 3], -1.0 + 2.0 * u[:, 4]
+    normal = center[:, None] + (2.0 * scale)[:, None] * rng.standard_normal((count, max_agents))
+    lifted = (h * (n + 1.0))[:, None] + rng.standard_exponential((count, max_agents))
+    ratio = u[:, 2] >= 0.5
+    q = np.where(ratio[:, None], lifted, normal)
+    return Instances(n, capacity, h, u[:, 1] >= 0.5, ratio, scale, center, 0.5 + 1.5 * u[:, 5], q)

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
-from entrydyn.core import GameParams, LearningRule, Logistic
+from entrydyn.core import ErevRothRatio, GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
 
@@ -118,6 +118,23 @@ def play_round(q, params, model, rng):
         return q + gain * entered, entered, m
     return q + gain - h * ~entered, entered, m
 
+
+
+def instance_tuples(chunk):
+    """Each row of an oracle chunk, such as oracle.random_instance draws, as a
+    (propensities, params, model) instance: the reference form, one object
+    per instance.  The chunk has no rounds per unit; the oracle reads none."""
+    rules = (LearningRule.BASIC_REINFORCEMENT, LearningRule.FICTITIOUS_STOCHASTIC)
+    instances = []
+    for b in range(len(chunk)):
+        n = int(chunk.n_agents[b])
+        params = GameParams(n, int(chunk.capacity[b]), float(chunk.payoff_scale[b]), 10, rules[int(chunk.fictitious[b])])
+        if chunk.ratio[b]:
+            model = ErevRothRatio(float(chunk.baseline[b]))
+        else:
+            model = Logistic(float(chunk.scale[b]), float(chunk.center[b]))
+        instances.append((chunk.propensities[b, :n].copy(), params, model))
+    return instances
 
 # the density step in its allocating forms, the reference for kinetic's
 # in-place step: same operations in the same order, on fresh arrays

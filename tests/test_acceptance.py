@@ -55,7 +55,8 @@ def test_criterion_1_oracle_self_consistency(capsys):
     # exact round law vs the independent-entry recurrence, and the
     # one-round mean propensity change vs its closed form, over 1000
     # random instances of both rules and both probability models, run
-    # through the command that checks them
+    # through the command that checks them: two drawn chunks, enumerated
+    # a block at a time
     argv = ["oracle-check", "--instances", "1000", "--seed", str(BASE_SEED), "--tolerance", "1e-12"]
     start = time.perf_counter()
     code = main(argv)

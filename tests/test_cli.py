@@ -19,6 +19,8 @@ from entrydyn.config import ConfigError, load_config, parse_config
 from entrydyn.observables import ObservableSeries
 from entrydyn.runio import read_json, read_series, write_json, write_series
 
+from conftest import instance_tuples
+
 GAME_SMALL = {
     "n_agents": 40,
     "capacity": 20,
@@ -36,21 +38,31 @@ GAME_PDE = {
 
 
 def reference_oracle_check(instances, max_agents, seed, tolerance=1e-12):
-    """Reference: oracle-check's stdout from one instance at a time, in drawn order."""
+    """Reference: oracle-check's stdout from chunks drawn in turn, enumerated
+    one instance at a time in drawn order, and its counts from the chunks:
+    a block per BLOCK_ELEMENTS >> N instances of one N and one rule, or part
+    of one, and 2^N patterns per instance."""
     rng = np.random.default_rng(seed)
     worst_law = 0.0
     worst_drift = 0.0
-    for _ in range(instances):
-        propensities, params, model = oracle.random_instance(rng, max_agents=max_agents)
-        law = oracle.enumerate_block([(propensities, params, model)])
-        pmf = oracle.poisson_binomial_rows(law.probs)
-        worst_law = np.maximum(worst_law, np.max(np.abs(law.m_probs - pmf)))
-        worst_drift = np.maximum(worst_drift, law.max_abs_gap)
+    n_blocks = n_patterns = 0
+    for start in range(0, instances, cli.ORACLE_CHUNK):
+        chunk = oracle.random_instance(rng, max_agents, min(cli.ORACLE_CHUNK, instances - start))
+        for propensities, params, model in instance_tuples(chunk):
+            law = oracle.enumerate_block([(propensities, params, model)])
+            pmf = oracle.poisson_binomial_rows(law.probs)
+            worst_law = np.maximum(worst_law, np.max(np.abs(law.m_probs - pmf)))
+            worst_drift = np.maximum(worst_drift, law.max_abs_gap)
+            n_patterns += 2**params.n_agents
+        for n, fictitious in set(zip(chunk.n_agents.tolist(), chunk.fictitious.tolist())):
+            group = np.count_nonzero((chunk.n_agents == n) & (chunk.fictitious == fictitious))
+            n_blocks += math.ceil(group / max(1, oracle.BLOCK_ELEMENTS >> n))
     passed = worst_law <= tolerance and worst_drift <= tolerance
     return (
         f"oracle check: {instances} instances, up to {max_agents} agents, seed {seed}\n"
         f"  entrant-count law vs independent recurrence: worst gap {worst_law:.3e}\n"
         f"  one-round mean drift vs closed form:         worst gap {worst_drift:.3e}\n"
+        f"  enumerated {instances} instances in {n_blocks} blocks, {n_patterns} patterns\n"
         f"  tolerance {tolerance:g}: {'PASS' if passed else 'FAIL'}\n"
     )
 
@@ -996,6 +1008,9 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "100 instances" in out
+        # the counts line is not a third gap for the gap readers
+        assert len(re.findall(r"worst gap", out)) == 2
+        assert re.search(r"enumerated 100 instances in \d+ blocks, \d+ patterns", out)
 
     def test_agent_cap_enforced(self):
         assert main(["oracle-check", "--instances", "5", "--max-agents", "13"]) == 2

@@ -10,12 +10,15 @@ from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, 
 from entrydyn.oracle import (
     BLOCK_ELEMENTS,
     MAX_AGENTS,
+    Instances,
     _patterns,
     blocks,
     enumerate_block,
     poisson_binomial_rows,
     random_instance,
 )
+
+from conftest import instance_tuples
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
@@ -84,20 +87,24 @@ def loop_round(q, params, model):
     )
 
 
-def reference_random_instance(rng, max_agents=MAX_AGENTS):
-    """Reference: random_instance drawn through Generator.uniform, normal and exponential."""
-    n = int(rng.integers(1, max_agents + 1))
-    capacity = int(rng.integers(1, n + 1))
-    h = float(rng.uniform(0.005, 0.2))
-    rule = BASIC if rng.random() < 0.5 else FICT
-    params = GameParams(n, capacity, h, int(rng.integers(1, 1000)), rule)
-    if rng.random() < 0.5:
-        model = Logistic(scale=float(rng.uniform(0.5, 2.0)), center=float(rng.uniform(-1.0, 1.0)))
-        q = rng.normal(model.center, 2.0 * model.scale, size=n)
-    else:
-        model = ErevRothRatio(baseline=float(rng.uniform(0.5, 2.0)))
-        q = h * (n + 1.0) + rng.exponential(1.0, size=n)
-    return q, params, model
+def reference_random_instance(rng, max_agents, count):
+    """Reference: random_instance's chunk drawn through Generator.integers,
+    uniform, normal and exponential with size=, column by column."""
+    n = rng.integers(1, max_agents + 1, size=count)
+    capacity = rng.integers(1, n + 1, size=count)
+    # h, rule, model kind, scale, center, baseline
+    u = rng.uniform([0.005, 0.0, 0.0, 0.5, -1.0, 0.5], [0.2, 1.0, 1.0, 2.0, 1.0, 2.0], size=(count, 6))
+    h, rule, kind, scale, center, baseline = u.T
+    normal = rng.normal(center[:, None], 2.0 * scale[:, None], size=(count, max_agents))
+    lifted = (h * (n + 1.0))[:, None] + rng.exponential(1.0, size=(count, max_agents))
+    ratio = kind >= 0.5
+    return Instances(n, capacity, h, rule >= 0.5, ratio, scale, center, baseline,
+                     np.where(ratio[:, None], lifted, normal))
+
+
+def drawn(seed, count, max_agents=MAX_AGENTS):
+    """count instances of one chunk drawn at seed, as (propensities, params, model) tuples."""
+    return instance_tuples(random_instance(np.random.default_rng(seed), max_agents, count))
 
 
 LAW_FIELDS = ("m_probs", "expected_propensity", "expected_a", "expected_b", "probs", "predicted_drift")
@@ -119,16 +126,18 @@ def vector_pmf(p):
     return pmf
 
 
-class Recording:
-    """Delegates to a probability model and keeps every propensity it is asked about."""
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every stacked evaluation of a probability model from here on, as
+    (model kind, the propensities of each row)."""
+    seen = []
+    for kind in (Logistic, ErevRothRatio):
+        def record(q, *args, _kind=kind, _real=kind.prob_rows, **kwargs):
+            seen.append((_kind.kind, np.array(q, dtype=float).reshape(len(q), -1)))
+            return _real(q, *args, **kwargs)
 
-    def __init__(self, model):
-        self.model = model
-        self.seen = []
-
-    def prob(self, q, out=None):
-        self.seen.append(np.array(q, dtype=float).ravel())
-        return self.model.prob(q, out=out)
+        monkeypatch.setattr(kind, "prob_rows", staticmethod(record))
+    return seen
 
 
 @st.composite
@@ -149,18 +158,61 @@ class TestRandomInstance:
     def test_draws_the_generator_forms(self):
         for seed in range(10):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(500):
-                q, params, model = random_instance(rng)
-                ref_q, ref_params, ref_model = reference_random_instance(ref_rng)
-                assert q.tobytes() == ref_q.tobytes()
-                assert (params, model) == (ref_params, ref_model)
+            # consecutive chunks of several sizes continue one stream
+            for count, max_agents in ((500, MAX_AGENTS), (1, MAX_AGENTS), (37, 5)):
+                chunk = random_instance(rng, max_agents, count)
+                ref = reference_random_instance(ref_rng, max_agents, count)
+                assert len(chunk) == count
+                for name, column in vars(ref).items():
+                    value = getattr(chunk, name)
+                    assert (value.dtype, value.shape) == (column.dtype, column.shape), name
+                    assert value.tobytes() == column.tobytes(), name
+
+    def test_a_fixed_number_of_generator_calls(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def __getattr__(self, name):
+                self.calls += 1
+                return getattr(self.rng, name)
+
+        for count in (1, 2, 512):
+            rng = Counting(np.random.default_rng(0))
+            random_instance(rng, MAX_AGENTS, count)
+            assert rng.calls == 5
+
+    def test_marginals(self):
+        count = 40_000
+        chunk = random_instance(np.random.default_rng(7), MAX_AGENTS, count)
+        n = chunk.n_agents
+        # each N has count / 12 expected rows; 5 sd of the binomial count
+        frequencies = np.bincount(n, minlength=MAX_AGENTS + 1)
+        assert frequencies[0] == 0 and frequencies.size == MAX_AGENTS + 1
+        expected = count / MAX_AGENTS
+        assert np.all(np.abs(frequencies[1:] - expected) <= 5 * np.sqrt(expected * (1 - 1 / MAX_AGENTS)))
+        assert np.all((1 <= chunk.capacity) & (chunk.capacity <= n))
+        assert np.all((0.005 <= chunk.payoff_scale) & (chunk.payoff_scale < 0.2))
+        # a share of one half has sd 0.0025 at this count
+        assert abs(chunk.fictitious.mean() - 0.5) <= 0.0125
+        assert abs(chunk.ratio.mean() - 0.5) <= 0.0125
+        assert np.all((0.5 <= chunk.scale) & (chunk.scale < 2.0))
+        assert np.all((-1.0 <= chunk.center) & (chunk.center < 1.0))
+        assert np.all((0.5 <= chunk.baseline) & (chunk.baseline < 2.0))
+        agents = np.arange(MAX_AGENTS) < n[:, None]
+        ratio, logistic = agents & chunk.ratio[:, None], agents & ~chunk.ratio[:, None]
+        q = chunk.propensities
+        floor = chunk.payoff_scale * (n + 1.0)
+        assert np.all(q[ratio] >= np.broadcast_to(floor[:, None], q.shape)[ratio])
+        excess = (q - floor[:, None])[ratio]
+        assert abs(excess.mean() - 1.0) <= 0.02 and abs(excess.std() - 1.0) <= 0.03
+        z = ((q - chunk.center[:, None]) / (2.0 * chunk.scale[:, None]))[logistic]
+        assert abs(z.mean()) <= 0.02 and abs(z.std() - 1.0) <= 0.02
 
 
 class TestEnumerateRound:
     def test_bit_identical_to_loop_reference(self):
-        rng = np.random.default_rng(53)
-        for _ in range(300):
-            q, params, model = random_instance(rng)
+        for q, params, model in drawn(53, 300):
             assert_same_row(enumerate_block([(q, params, model)]), 0, loop_round(q, params, model))
 
     def test_three_fair_agents(self):
@@ -192,16 +244,13 @@ class TestEnumerateRound:
                 assert np.max(np.abs(law.m_probs[0] - binom.pmf(np.arange(n + 1), n, p))) <= 1e-12
 
     def test_law_is_a_distribution(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            law = enumerate_block([random_instance(rng)])
+        for instance in drawn(3, 100):
+            law = enumerate_block([instance])
             assert np.all(law.m_probs[0] >= 0)
             assert abs(law.m_probs[0].sum() - 1.0) <= 1e-12
 
     def test_matches_poisson_binomial_recurrence(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            q, params, model = random_instance(rng)
+        for q, params, model in drawn(11, 200):
             law = enumerate_block([(q, params, model)])
             probs = np.atleast_1d(model.prob(np.asarray(q)))
             assert np.max(np.abs(law.m_probs[0] - poisson_binomial_rows(probs[None])[0])) <= 1e-12
@@ -231,17 +280,40 @@ class TestEnumerateRound:
         assert abs(law.expected_a[0] - ref.expected_a) <= 1e-13
         assert abs(law.expected_b[0] - ref.expected_b) <= 1e-13
 
-    def test_model_sees_exactly_the_reachable_cells(self):
-        # one call per instance, on q and the (m, e) cells together: it
-        # covers every post-round propensity of the table and nothing else
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            q, params, model = random_instance(rng, max_agents=8)
-            recording = Recording(model)
-            enumerate_block([(q, params, recording)])
-            _, q_next = table_round(q, params, model)
-            assert len(recording.seen) == 1
-            assert set(np.concatenate(recording.seen).tolist()) == set(q_next.ravel().tolist())
+    def test_model_sees_exactly_the_reachable_cells(self, evaluations):
+        # one evaluation per model kind in a block, on q and the (m, e)
+        # cells together: row b covers every post-round propensity of
+        # instance b's table and nothing else
+        chunk = random_instance(np.random.default_rng(41), 8, 200)
+        tables = [table_round(*instance)[1] for instance in instance_tuples(chunk)]
+        for rows in blocks(chunk):
+            evaluations.clear()
+            enumerate_block(chunk.take(rows))
+            kinds = [ErevRothRatio.kind if chunk.ratio[b] else Logistic.kind for b in rows]
+            assert [kind for kind, _ in evaluations] == [k for k in (Logistic.kind, ErevRothRatio.kind) if k in kinds]
+            for kind, points in evaluations:
+                instances = [b for b, k in zip(rows, kinds) if k == kind]
+                assert len(points) == len(instances)
+                for b, row in zip(instances, points):
+                    assert set(row.tolist()) == set(tables[b].ravel().tolist())
+
+    def test_block_domain_error_names_the_first_failing_instance(self):
+        # both ratio instances reach negative cells at m = 2, -0.05 and
+        # -0.09; a check over the whole block would name -0.09
+        params = GameParams(2, 1, 0.1, 10, BASIC)
+        ratio = ErevRothRatio(1.0)
+        first = (np.array([0.05, 0.3]), params, ratio)
+        second = (np.array([0.01, 0.3]), params, ratio)
+        messages = []
+        for instance in (first, second):
+            with pytest.raises(DomainError) as single:
+                enumerate_block([instance])
+            messages.append(str(single.value))
+        assert messages[0] != messages[1]
+        fine = [(np.array([1.0, 2.0]), params, ratio), (np.array([-3.0, 0.5]), params, MODEL)]
+        with pytest.raises(DomainError) as block:
+            enumerate_block([fine[0], first, fine[1], second])
+        assert str(block.value) == messages[0]
 
     def test_ratio_domain_error_parity(self):
         # propensities on the payoff lattice put some cells at or below zero
@@ -264,9 +336,7 @@ class TestEnumerateRound:
         assert 0 < raised < 400
 
     def test_carries_its_probabilities(self):
-        rng = np.random.default_rng(47)
-        for _ in range(40):
-            q, params, model = random_instance(rng)
+        for q, params, model in drawn(47, 40):
             law = enumerate_block([(q, params, model)])
             assert law.probs[0].tobytes() == np.atleast_1d(model.prob(q)).tobytes()
             assert law.propensities[0].tobytes() == q.tobytes()
@@ -316,20 +386,23 @@ class TestExpectedDriftCheck:
         assert law.max_abs_gap <= 1e-14
 
     def test_identity_on_random_instances(self):
-        rng = np.random.default_rng(17)
         worst = 0.0
-        for _ in range(300):
+        for instance in drawn(17, 300):
             # np.maximum keeps a NaN gap, so a NaN fails the bound
-            worst = np.maximum(worst, enumerate_block([random_instance(rng)]).max_abs_gap)
+            worst = np.maximum(worst, enumerate_block([instance]).max_abs_gap)
         assert worst <= 1e-12
 
-    def test_at_most_two_probability_calls(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            q, params, model = random_instance(rng)
-            recording = Recording(model)
-            enumerate_block([(q, params, recording)])
-            assert len(recording.seen) <= 2
+    def test_at_most_two_probability_calls(self, evaluations):
+        # one per model kind in the block, whatever its size
+        chunk = random_instance(np.random.default_rng(31), MAX_AGENTS, 100)
+        for instance in instance_tuples(chunk):
+            evaluations.clear()
+            enumerate_block([instance])
+            assert len(evaluations) == 1
+        for rows in blocks(chunk):
+            evaluations.clear()
+            enumerate_block(chunk.take(rows))
+            assert len(evaluations) == np.unique(chunk.ratio[rows]).size <= 2
 
 
 class TestLearningLaw:
@@ -379,43 +452,83 @@ class TestBlocks:
     @given(mixed_blocks())
     def test_block_rows_equal_single_instances(self, case):
         drawn, cap = case
-        split = list(blocks(drawn))
-        assert [len(block) for block in split] == ([len(drawn)] if len(drawn) <= cap else [cap, 1])
+        chunk = Instances.stack(drawn)
+        split = list(blocks(chunk))
+        assert [len(rows) for rows in split] == ([len(drawn)] if len(drawn) <= cap else [cap, 1])
         # each distinct instance's own law and recurrence row, once
         singles = {}
         for instance in {id(instance): instance for instance in drawn}.values():
             single = enumerate_block([instance])
             singles[id(instance)] = single, poisson_binomial_rows(single.probs)[0]
-        for block in split:
-            law = enumerate_block(block)
+        for rows in split:
+            law = enumerate_block(chunk.take(rows))
             pmf = poisson_binomial_rows(law.probs)
-            for b, instance in enumerate(block):
-                single, single_pmf = singles[id(instance)]
+            for b, row in enumerate(rows):
+                single, single_pmf = singles[id(drawn[row])]
                 for name in (*LAW_FIELDS, "propensities", "drift"):
                     assert getattr(law, name)[b].tobytes() == getattr(single, name)[0].tobytes(), name
                 assert pmf[b].tobytes() == single_pmf.tobytes()
 
     def test_groups_in_drawn_order(self):
-        rng = np.random.default_rng(59)
-        drawn = [random_instance(rng) for _ in range(600)]
-        position = {id(instance): i for i, instance in enumerate(drawn)}
-        split = list(blocks(drawn))
-        assert sorted(position[id(x)] for block in split for x in block) == list(range(600))
-        for block in split:
-            n, rule = block[0][1].n_agents, block[0][1].rule
-            assert all((params.n_agents, params.rule) == (n, rule) for _, params, _ in block)
-            assert len(block) << n <= BLOCK_ELEMENTS
-            assert [position[id(x)] for x in block] == sorted(position[id(x)] for x in block)
+        chunk = random_instance(np.random.default_rng(59), MAX_AGENTS, 600)
+        split = list(blocks(chunk))
+        assert sorted(np.concatenate(split).tolist()) == list(range(600))
+        for rows in split:
+            n, fictitious = chunk.n_agents[rows[0]], chunk.fictitious[rows[0]]
+            assert np.all(chunk.n_agents[rows] == n) and np.all(chunk.fictitious[rows] == fictitious)
+            assert len(rows) << n <= BLOCK_ELEMENTS
+            assert rows.tolist() == sorted(rows.tolist())
+            # the block is those rows, propensities cut to N
+            block = chunk.take(rows)
+            for name, column in vars(chunk).items():
+                expected = column[rows, :n] if name == "propensities" else column[rows]
+                assert getattr(block, name).tobytes() == expected.tobytes(), name
 
     def test_rejects_a_mixed_block(self):
-        rng = np.random.default_rng(61)
-        q, params, model = random_instance(rng, max_agents=4)
+        [(q, params, model)] = drawn(61, 1, max_agents=4)
         other = GameParams(params.n_agents, params.capacity, params.payoff_scale, 10,
                            FICT if params.rule is BASIC else BASIC)
         with pytest.raises(ValueError):
             enumerate_block([(q, params, model), (q, other, model)])
         with pytest.raises(ValueError):
             enumerate_block([])
+        # a chunk is not a block: its rows mix N, its propensities are padded
+        with pytest.raises(ValueError, match="one n_agents and one rule"):
+            enumerate_block(random_instance(np.random.default_rng(61), 4, 50))
+
+
+# signed zeros, exp's overflow edge near 709.78, where expit's tail ends
+# and beyond
+EDGES = (0.0, -0.0, 709.782712893384, -709.782712893384, 709.8, -709.8, 745.0, -745.0, 800.0, -800.0)
+
+
+@st.composite
+def stacked_models(draw):
+    """Instances of one N under both model kinds, the standard logistic among
+    them, and a (B, k, N) stack of propensities for them to evaluate."""
+    n, k = draw(st.integers(1, MAX_AGENTS)), draw(st.integers(1, 3))
+    instances, points = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["standard", "logistic", "ratio"]))
+        if kind == "ratio":
+            model = ErevRothRatio(draw(st.floats(0.5, 2.0)))
+            values = st.one_of(st.sampled_from([x for x in EDGES if x >= 0]), st.floats(0.0, 800.0))
+        else:
+            model = Logistic() if kind == "standard" else Logistic(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+            values = st.one_of(st.sampled_from(EDGES), st.floats(-800.0, 800.0))
+        instances.append((np.zeros(n), GameParams(n, 1, 0.1, 10, BASIC), model))
+        points.append(draw(st.lists(values, min_size=k * n, max_size=k * n)))
+    return instances, np.array(points).reshape(len(instances), k, n)
+
+
+class TestStackedModels:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_models())
+    def test_rows_have_the_bytes_of_each_models_prob(self, case):
+        instances, points = case
+        probs = Instances.stack(instances).prob(points)
+        for b, (_, _, model) in enumerate(instances):
+            assert probs[b].tobytes() == model.prob(points[b]).tobytes()
 
 
 class TestPoissonBinomial:
