@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import BLOCK_AGENTS as _BLOCK
-from .core import DomainError, GameParams, LearningRule, Logistic, ProbabilityModel, pairwise_fold, pairwise_leaves
+from .core import GameParams, LearningRule, Logistic, pairwise_fold, pairwise_leaves
 from .grid import DensityGrid, GridSpec, histogram_density
 from .observables import ObservableSeries, Recorder
 
@@ -58,15 +58,13 @@ class Gaussian:
         if not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
-    def with_entry_fraction(self, model: ProbabilityModel, target: float) -> Gaussian:
+    def with_entry_fraction(self, model: Logistic, target: float) -> Gaussian:
         """This start with its mean moved so that its expected entry fraction is target.
 
         Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by
         Gauss-Hermite quadrature and bisection; p is strictly increasing so the
         root is unique.
         """
-        if not isinstance(model, Logistic):
-            raise ValueError("target_entry_fraction is solvable for the logistic model only; give mean instead")
         if not 0.0 < target < 1.0:
             raise ValueError(f"target_entry_fraction must lie in (0, 1), got {target}")
         offsets = np.sqrt(2.0) * self.sd * _GH_NODES
@@ -203,7 +201,7 @@ class SimulationResult:
 
 def simulate(
     params: GameParams,
-    model: ProbabilityModel,
+    model: Logistic,
     init: InitialCondition,
     t_end: float,
     seed: int | np.random.Generator,
@@ -220,13 +218,10 @@ def simulate(
     A recorded round evaluates the probability model exactly once, into a
     buffer that both the record and the round's entry draws read.  Other
     rounds need p only through the draws u < p, and take them from
-    model.enters: for the logistic model that compares u with a fast
-    vectorised p and recomputes p exactly only for the agents whose draw
-    lies within core._TIE (2**-40) of it, so the decisions, and every
-    output, are bit-identical to comparing with the exact p.  A ratio
-    model's DomainError names the minimum of the whole population in any
-    round: when a leaf's p or draws raise it, the rest of the population
-    takes the pending update and p of all of q raises it again.
+    model.enters, which compares u with a fast vectorised p and recomputes
+    p exactly only for the agents whose draw lies within core._TIE (2**-40)
+    of it, so the decisions, and every output, are bit-identical to
+    comparing with the exact p.
 
     A run holds q (8 bytes per agent), the decisions (1 byte) and two
     leaf-sized float buffers, p and scratch: about 9 bytes per agent.
@@ -269,29 +264,19 @@ def simulate(
         plays = n < n_rounds
         m = 0
         sums = []
-        for k, (q_b, entered_b, p_b, work_b) in enumerate(views):
+        for q_b, entered_b, p_b, work_b in views:
             if n > 0:  # round n - 1's update is still pending
                 _update(q_b, work_b, entered_b, gain, params)
-            try:
-                if is_record:
-                    model.prob(q_b, out=p_b)
-                else:
-                    rng.random(out=work_b)
-                    model.enters(q_b, work_b, entered_b, p_b)
-            except DomainError:
-                # finish round n - 1's update, so that p of the whole
-                # population raises and names its minimum
-                if n > 0:
-                    for q_l, entered_l, _, work_l in views[k + 1 :]:
-                        _update(q_l, work_l, entered_l, gain, params)
-                model.prob(q)
-                raise
             if is_record:
+                model.prob(q_b, out=p_b)
                 if plays:
                     rng.random(out=work_b)
                     np.less(work_b, p_b, out=entered_b)
                 # after the draws, which read p
                 sums.append(_moment_sums(p_b, work_b))
+            else:
+                rng.random(out=work_b)
+                model.enters(q_b, work_b, entered_b, p_b)
             if plays:
                 m += int(np.count_nonzero(entered_b))
         if plays:
@@ -309,7 +294,7 @@ def simulate(
 
 def ensemble_run(
     params: GameParams,
-    model: ProbabilityModel,
+    model: Logistic,
     init: InitialCondition,
     t_end: float,
     n_replicas: int,

@@ -4,7 +4,8 @@ One subcommand runs one job from a JSON config and leaves a directory of
 flat artifacts (series.csv, run.json, optional density snapshots) that
 the analyze/compare/make-plots subcommands consume. Exit codes: 0 ok,
 1 a requested check failed, 2 bad configuration or input, 3 runtime
-failure inside a run.
+failure inside a run: a density step that breaks conservation or
+positivity, or a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .analysis import (
     within_factor,
 )
 from .config import ConfigError, RunConfig, load_config, read_number, read_section
-from .core import DomainError, GameParams, aggregate_learning_rate, learning_constant
+from .core import GameParams, aggregate_learning_rate, learning_constant
 from .core import predicted_time_scales, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
@@ -417,9 +418,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import abm, runio
-from .core import GameParams, LearningRule, Logistic, ProbabilityModel
+from .core import GameParams, LearningRule, Logistic
 from .grid import GridSpec, default_grid
 from .kinetic import SolverOptions
 
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 _ENGINES = ("abm", "pde", "both")
 
-_MODEL_TYPES = {cls.kind: cls for cls in get_args(ProbabilityModel)}
+_MODEL_TYPES = {Logistic.kind: Logistic}
 _INIT_TYPES = {cls.kind: cls for cls in get_args(abm.InitialCondition)}
 
 
@@ -163,12 +163,12 @@ def read_section(cls: type, value, where: str, *extra: str):
     return _build(cls, section, where)
 
 
-def _as_model(value, where: str) -> ProbabilityModel:
+def _as_model(value, where: str) -> Logistic:
     cls = _kind(_as_section(value, where), _MODEL_TYPES, where, "model")
     return read_section(cls, value, where, "kind")
 
 
-def _parse_init(raw: dict, model: ProbabilityModel) -> abm.InitialCondition:
+def _parse_init(raw: dict, model: Logistic) -> abm.InitialCondition:
     """Validate the init section and build its start state, with the mean resolved."""
     section = _as_section(raw, "init")
     cls = _kind(section, _INIT_TYPES, "init", "initial condition")
@@ -195,7 +195,7 @@ _READERS = {
     str: _as_str,
     tuple[float, ...]: _as_numbers,
     LearningRule: _as_rule,
-    ProbabilityModel: _as_model,
+    Logistic: _as_model,
     GameParams: partial(read_section, GameParams),
     GridSpec | None: partial(read_section, GridSpec),
     SolverOptions: partial(read_section, SolverOptions),
@@ -210,7 +210,7 @@ class RunConfig:
 
     engine: str
     game: GameParams
-    model: ProbabilityModel
+    model: Logistic
     init: abm.InitialCondition
     t_end: float
     seed: int = 0
@@ -233,15 +233,11 @@ class RunConfig:
             raise ValueError(f"replicas: must be >= 1, got {self.replicas}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride: must be >= 1, got {self.record_stride}")
-        if self.engine != "abm" and not isinstance(self.model, Logistic):
-            raise ValueError("engine: the density solver supports only the logistic model")
         for t in self.snapshot_times:
             if t < 0:
                 raise ValueError(f"snapshot_times: must be nonnegative, got {t}")
-        # the pde engine and snapshots need a grid; the logistic model has a default one
+        # the pde engine and snapshots need a grid; the model has a default one
         if self.grid is None and (self.engine != "abm" or self.snapshot_times):
-            if not isinstance(self.model, Logistic):
-                raise ValueError("grid: required to bin snapshots for this model")
             try:
                 object.__setattr__(self, "grid", default_grid(self.model))
             except ValueError as exc:

@@ -4,8 +4,10 @@ Each round, N agents independently choose to enter a market of capacity c
 or stay out.  Entrants receive h*(c - m) on top of the outside payoff,
 where m is the realized number of entrants; outsiders receive the outside
 payoff alone (fixed to zero).  Every agent carries a real-valued propensity
-q, mapped to an entry probability by a probability model, and adjusts q
-between rounds according to a learning rule.
+q, mapped to an entry probability by the logistic model (Logistic), and
+adjusts q between rounds according to a learning rule.  The logistic is
+defined on the whole line, so the exact oracle, the agents and the
+density on its grid all use the same map.
 
 Aggregate behavior is summarized by two observables over the propensity
 distribution: the mean entry fraction a = E[p] and the sorting coefficient
@@ -85,10 +87,6 @@ def pairwise_fold(sums, n: int, cap: int = BLOCK_AGENTS) -> float:
         return walk(half) + walk(size - half)
 
     return walk(n)
-
-
-class DomainError(ValueError):
-    """A propensity left the domain of the active probability model."""
 
 
 class LearningRule(enum.Enum):
@@ -245,67 +243,9 @@ class Logistic:
         return p * (1.0 - p) / self.scale
 
 
-@dataclass(frozen=True)
-class ErevRothRatio:
-    """Ratio map p(q) = q / (q + baseline), defined for q >= 0 only.
-
-    Negative propensities are a hard domain error; callers must not clamp.
-    """
-
-    kind: ClassVar[str] = "erev_roth_ratio"
-    baseline: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.baseline > 0:
-            raise ValueError(f"baseline must be positive, got {self.baseline}")
-
-    def prob(self, q, out=None):
-        """Entry probability of each propensity.
-
-        With out (a float array shaped like q) the result is computed in
-        place into out and out is returned; the values are bit-identical to
-        the allocating call.  Raises DomainError on a negative propensity.
-        """
-        return _ratio(_nonnegative(q), self.baseline, out)
-
-    @staticmethod
-    def prob_rows(q, baseline, out=None):
-        """prob of a float array q whose rows each take their own (B, 1, ...)
-        baseline, with the bytes of each row's own prob.  A DomainError names
-        the first row with a negative entry and its minimum, as prob row by row would."""
-        if np.fmin.reduce(q, axis=None, initial=np.inf) < 0:
-            for row in q:
-                _nonnegative(row)
-        return _ratio(q, baseline, out)
-
-    def enters(self, q, u, out, work):
-        """Entry decisions u < prob(q) into out (bool), using work (float) as scratch."""
-        return np.less(u, self.prob(q, out=work), out=out)
-
-    def dprob(self, q, p=None):
-        """p'(q); p is accepted for the common signature and not needed."""
-        # the quotient overwrites the square, so an array q costs one temporary
-        square = (_nonnegative(q) + self.baseline) ** 2
-        return np.divide(self.baseline, square, out=square if square.ndim else None)
-
-
-def _nonnegative(q) -> np.ndarray:
-    """q as a float array, or DomainError if any entry is negative."""
-    arr = np.asarray(q, dtype=float)
-    # a reduction allocates no array of q's size; fmin skips NaN, as `< 0` does
-    if np.fmin.reduce(arr, axis=None, initial=np.inf) < 0:
-        raise DomainError(
-            "ratio probability model requires nonnegative propensities, "
-            f"got minimum {arr.min():g}"
-        )
-    return arr
-
-
-def _ratio(q, baseline, out):
-    return np.divide(q, np.add(q, baseline, out=out), out=out)
-
-
-ProbabilityModel = Logistic | ErevRothRatio
+# benchmark/layers.py reads this name until ROADMAP item 16 deletes its
+# tracer, which skips a target without `prob`; it is not a model
+ErevRothRatio = None
 
 
 @dataclass(frozen=True)
@@ -344,7 +284,7 @@ def expected_drift(p, h, c, rule: LearningRule):
     return h * (c - total) - h * (1.0 - p)
 
 
-def learning_constant(q, model: ProbabilityModel, rule: LearningRule, weights=None) -> float:
+def learning_constant(q, model: Logistic, rule: LearningRule, weights=None) -> float:
     """The rule's c_p = E[w p'(q)], w = p(q) under basic reinforcement and 1
     under fictitious play, over propensities q: their mean, or their sum
     against weights (a density's cell masses, with q its cell centres).
@@ -353,7 +293,7 @@ def learning_constant(q, model: ProbabilityModel, rule: LearningRule, weights=No
     time in one leaf-sized buffer and folds the leaves' sums, so it holds
     no array of q's size and equals np.mean of all the terms bit for bit.
     The sum against weights overwrites one float array of p(q) a block at
-    a time.  Either way a DomainError names the minimum over all of q.
+    a time.
     """
     q = np.asarray(q, dtype=float)
     if weights is not None:
@@ -363,18 +303,14 @@ def learning_constant(q, model: ProbabilityModel, rule: LearningRule, weights=No
         return float(terms @ weights)
     leaves = pairwise_leaves(q.size)
     buffer = np.empty(max(j - i for i, j in leaves))
-    try:
-        sums = [
-            np.add.reduce(_rule_terms(q[i:j], model.prob(q[i:j], out=buffer[: j - i]), model, rule))
-            for i, j in leaves
-        ]
-    except DomainError:
-        model.prob(q)  # raises again, naming the minimum over all of q
-        raise
+    sums = [
+        np.add.reduce(_rule_terms(q[i:j], model.prob(q[i:j], out=buffer[: j - i]), model, rule))
+        for i, j in leaves
+    ]
     return pairwise_fold(sums, q.size) / q.size
 
 
-def _rule_terms(q, p, model: ProbabilityModel, rule: LearningRule):
+def _rule_terms(q, p, model: Logistic, rule: LearningRule):
     """p, which holds p(q), overwritten with learning_constant's terms w p'(q)."""
     if rule is LearningRule.BASIC_REINFORCEMENT:
         p *= model.dprob(q, p)

@@ -38,8 +38,8 @@ limit dt.
 Cost: a step is call overhead on small arrays more than arithmetic, so
 it works in place: dptsv overwrites its inputs rather than copying them.
 
-Only the logistic probability model is accepted: the grid spans the
-whole line and the coefficients need p'(q).
+The probability model is the logistic, defined on the whole line the
+grid spans, and the coefficients take p'(q) from it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .core import GameParams, LearningRule, Logistic, ProbabilityModel
+from .core import GameParams, LearningRule, Logistic
 from .grid import DensityGrid, GridSpec
 from .observables import ObservableSeries, Recorder
 
@@ -101,12 +101,7 @@ def advective_dt(dq: float, v: np.ndarray, cfl_safety: float, cap: float) -> flo
 class _Stencil:
     """Grid moments and face coefficients, from terms computed once per grid."""
 
-    def __init__(self, spec: GridSpec, params: GameParams, model: ProbabilityModel) -> None:
-        if not isinstance(model, Logistic):
-            raise ValueError(
-                "the mean-field solver requires the logistic probability model; "
-                f"got {type(model).__name__} (its domain does not cover the grid)"
-            )
+    def __init__(self, spec: GridSpec, params: GameParams, model: Logistic) -> None:
         self.params = params
         self.dq = spec.dq
         centers = spec.centers()
@@ -192,7 +187,7 @@ def _split(remaining: float, bound: float) -> float:
 def solve(
     f0: DensityGrid,
     params: GameParams,
-    model: ProbabilityModel,
+    model: Logistic,
     t_end: float,
     options: SolverOptions = SolverOptions(),
     snapshot_times: tuple[float, ...] = (),

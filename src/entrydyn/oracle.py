@@ -11,7 +11,7 @@ engine, and this module only enumerates.  Instances travel as columns
 (Instances): random_instance draws a chunk, blocks() splits it into
 blocks of one N and one rule, and enumerate_block, the one entry point,
 returns one RoundLaw per block whose fields stack the instances along a
-leading axis.  The kernel works row by row, with one model call per kind,
+leading axis.  The kernel works row by row, with one model call per block,
 so a sweep pays numpy's per-call cost once per block, not per instance.
 """
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ErevRothRatio, LearningRule, Logistic, expected_drift
+from .core import LearningRule, Logistic, expected_drift
 
 MAX_AGENTS = 12
 # cap on a block's (B, 2^N) weight table, the shape of the kernel's largest
@@ -107,18 +107,15 @@ def _patterns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(eq=False)
 class Instances:
     """Instances as columns, row b for instance b: N, c, h, the rule (True for
-    fictitious play), the model kind (True for ErevRothRatio), a Logistic's
-    scale and center, a ratio model's baseline, and the propensities, whose
-    columns past N are unused."""
+    fictitious play), its Logistic's scale and center, and the propensities,
+    whose columns past N are unused."""
 
     n_agents: np.ndarray
     capacity: np.ndarray
     payoff_scale: np.ndarray
     fictitious: np.ndarray
-    ratio: np.ndarray
     scale: np.ndarray
     center: np.ndarray
-    baseline: np.ndarray
     propensities: np.ndarray
 
     def __len__(self) -> int:
@@ -132,9 +129,8 @@ class Instances:
             q = np.asarray(q, dtype=float).ravel()
             if q.size != params.n_agents:
                 raise ValueError(f"got {q.size} propensities for n_agents={params.n_agents}")
-            fictitious, ratio = params.rule is LearningRule.FICTITIOUS_STOCHASTIC, model.kind == ErevRothRatio.kind
-            parameters = (getattr(model, name, np.nan) for name in ("scale", "center", "baseline"))
-            rows.append((q.size, params.capacity, params.payoff_scale, fictitious, ratio, *parameters, q))
+            fictitious = params.rule is LearningRule.FICTITIOUS_STOCHASTIC
+            rows.append((q.size, params.capacity, params.payoff_scale, fictitious, model.scale, model.center, q))
         if len({row[0] for row in rows}) > 1:
             raise ValueError("a block holds instances of one n_agents and one rule")
         return cls(*map(np.array, zip(*rows)))
@@ -145,15 +141,9 @@ class Instances:
         return Instances(*(column[rows] for column in columns), q[rows, : self.n_agents[rows[0]]])
 
     def prob(self, points) -> np.ndarray:
-        """p of a (B, ...) array, row b under instance b's model, in one call per model kind."""
-        probs, column = np.empty_like(points), (-1,) + (1,) * (points.ndim - 1)
-        if not self.ratio.all():
-            rows = ~self.ratio
-            scale, center = self.scale[rows].reshape(column), self.center[rows].reshape(column)
-            probs[rows] = Logistic.prob_rows(points[rows], scale, center)
-        if self.ratio.any():
-            probs[self.ratio] = ErevRothRatio.prob_rows(points[self.ratio], self.baseline[self.ratio].reshape(column))
-        return probs
+        """p of a (B, ...) array, row b under instance b's Logistic, in one call."""
+        column = (-1,) + (1,) * (points.ndim - 1)
+        return Logistic.prob_rows(points, self.scale.reshape(column), self.center.reshape(column))
 
 
 def blocks(chunk: Instances):
@@ -192,7 +182,7 @@ def _round_block(block: Instances) -> RoundLaw:
     q'_i depends on the pattern only through e_i and m, so the sum yields the
     joint law P(m, e_i).  Every propensity the round touches, q and the
     (m, e) cells reached, is formed first, so the block's models are
-    evaluated in one call per kind.  P(m, e_i = 1) is summed one agent at a
+    evaluated in one call.  P(m, e_i = 1) is summed one agent at a
     time through one scratch table, so no temporary is larger than the
     (B, 2^N) weights.  Every step acts on each row alone, so row b is bit
     for bit the law of instance b in a block of its own.
@@ -239,19 +229,14 @@ def _round_block(block: Instances) -> RoundLaw:
 
 
 def random_instance(rng: np.random.Generator, max_agents: int, count: int) -> Instances:
-    """A chunk of count random instances in five Generator calls, whatever count
+    """A chunk of count random instances in four Generator calls, whatever count
     is.  Row b draws N on 1..max_agents, c on 1..N, h on [0.005, 0.2), the rule
-    and model kind at even odds, and both models: a Logistic's scale on [0.5, 2),
-    center on [-1, 1) and normal propensities of sd twice the scale about it, a
-    ratio model's baseline on [0.5, 2) and propensities h (N + 1) above a unit
-    exponential, so one round stays in its domain.  Each value is the one
-    Generator.integers, uniform, normal or exponential gives with size=."""
+    at even odds, a Logistic's scale on [0.5, 2) and center on [-1, 1), and
+    normal propensities of sd twice the scale about the center.  Each value is
+    the one Generator.integers, uniform or normal gives with size=."""
     n = rng.integers(1, max_agents + 1, size=count)
     capacity = rng.integers(1, n + 1, size=count)
-    u = rng.random((count, 6))
-    h, scale, center = 0.005 + (0.2 - 0.005) * u[:, 0], 0.5 + 1.5 * u[:, 3], -1.0 + 2.0 * u[:, 4]
-    normal = center[:, None] + (2.0 * scale)[:, None] * rng.standard_normal((count, max_agents))
-    lifted = (h * (n + 1.0))[:, None] + rng.standard_exponential((count, max_agents))
-    ratio = u[:, 2] >= 0.5
-    q = np.where(ratio[:, None], lifted, normal)
-    return Instances(n, capacity, h, u[:, 1] >= 0.5, ratio, scale, center, 0.5 + 1.5 * u[:, 5], q)
+    u = rng.random((count, 4))
+    h, scale, center = 0.005 + (0.2 - 0.005) * u[:, 0], 0.5 + 1.5 * u[:, 2], -1.0 + 2.0 * u[:, 3]
+    q = center[:, None] + (2.0 * scale)[:, None] * rng.standard_normal((count, max_agents))
+    return Instances(n, capacity, h, u[:, 1] >= 0.5, scale, center, q)

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
-from entrydyn.core import ErevRothRatio, GameParams, LearningRule, Logistic
+from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
 
@@ -129,10 +129,7 @@ def instance_tuples(chunk):
     for b in range(len(chunk)):
         n = int(chunk.n_agents[b])
         params = GameParams(n, int(chunk.capacity[b]), float(chunk.payoff_scale[b]), 10, rules[int(chunk.fictitious[b])])
-        if chunk.ratio[b]:
-            model = ErevRothRatio(float(chunk.baseline[b]))
-        else:
-            model = Logistic(float(chunk.scale[b]), float(chunk.center[b]))
+        model = Logistic(float(chunk.scale[b]), float(chunk.center[b]))
         instances.append((chunk.propensities[b, :n].copy(), params, model))
     return instances
 

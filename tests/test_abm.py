@@ -21,7 +21,7 @@ from entrydyn.abm import (
     simulate,
 )
 from entrydyn.analysis import fit_exponential_decay
-from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic, pairwise_fold, pairwise_leaves
+from entrydyn.core import GameParams, LearningRule, Logistic, pairwise_fold, pairwise_leaves
 from entrydyn.grid import DensityGrid, GridSpec, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import Recorder
@@ -38,11 +38,9 @@ def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
     return GameParams(n, c, h, m, rule)
 
 
-# a smooth and a domain-limited model for the round's bit-identity tests
+# an affine logistic model for the round's bit-identity tests
 BIT_IDENTITY_MODELS = pytest.mark.parametrize(
-    "model, init",
-    [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (ErevRothRatio(3.0), Gaussian(3.0, 0.5))],
-    ids=["logistic", "ratio"],
+    "model, init", [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5))], ids=["logistic"]
 )
 
 
@@ -124,10 +122,6 @@ class TestMeanForEntryFraction:
     def test_target_outside_the_open_unit_interval(self, target):
         with pytest.raises(ValueError, match=r"target_entry_fraction must lie in \(0, 1\)"):
             Gaussian(0.0, 1.0).with_entry_fraction(MODEL, target)
-
-    def test_logistic_model_only(self):
-        with pytest.raises(ValueError, match="logistic model only"):
-            Gaussian(0.0, 1.0).with_entry_fraction(ErevRothRatio(1.0), 0.2)
 
 
 # one small instance of each start type; a start type missing here fails the guard below
@@ -226,17 +220,6 @@ class TestPlayRound:
         assert m == int(entered.sum())
         expected = [update_propensity(qi, bool(ei), m, params) for qi, ei in zip(q, entered)]
         assert new.tolist() == expected
-
-    def test_ratio_model_negative_propensity_aborts(self):
-        # overcrowding drives propensities negative; must be a hard error.
-        # small baseline makes entry near-certain, so m > c on round one
-        params = GameParams(4, 1, 0.1, 10, BASIC)
-        q = AllEqual(0.05).population(params, np.random.default_rng(0))
-        model = ErevRothRatio(0.01)
-        rng = np.random.default_rng(2)
-        with pytest.raises(DomainError, match="nonnegative"):
-            for _ in range(50):
-                q, _, _ = play_round(q, params, model, rng)
 
 
 def record_moments(q):
@@ -534,41 +517,6 @@ class TestSimulate:
             for seed in range(10)
         ]
         assert np.any(np.concatenate(m_frac) == 0.5)
-
-    def test_ratio_domain_error_in_the_last_block(self, monkeypatch):
-        # every agent but the last enters almost surely, so m > c and the
-        # fictitious rule drives the last agent, which never enters (p = 0),
-        # negative in round 0; round 1 is not recorded, so only the decisions
-        # of the last of eight leaves, agents 672-776, can meet it
-        monkeypatch.setattr(abm, "_BLOCK", 7)
-        params = make_params(n=777, c=1, rule=FICT)
-        init = Explicit((1e6,) * 776 + (0.0,))
-        model = ErevRothRatio(1.0)
-        start = init.population(params, np.random.default_rng(0))
-        q, _, _ = play_round(start, params, model, np.random.default_rng(4))
-        assert q[-1] < 0 <= q[:-1].min()
-        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[-1]:g}") + "$"):
-            simulate(params, model, init, 0.05, 4, record_stride=5)
-
-    @pytest.mark.parametrize("record_stride", [1, 5])
-    def test_ratio_domain_error_names_the_population_minimum(self, monkeypatch, record_stride):
-        # every agent but two enters almost surely, so m > c and the
-        # fictitious rule drives both negative in round 0: the agent at 0.5
-        # in leaf 0 (agents 0-95) and, lower, the agent at 0.0 (p = 0, it
-        # never enters) in leaf 2 (agents 192-287).  Whether round 1 is
-        # recorded and leaf 0's p meets the first or its draws do, the error
-        # names the population's minimum, not leaf 0's
-        monkeypatch.setattr(abm, "_BLOCK", 7)
-        params = make_params(n=777, c=1, rule=FICT)
-        values = [1e6] * 777
-        values[3], values[200] = 0.5, 0.0
-        init = Explicit(tuple(values))
-        model = ErevRothRatio(1.0)
-        start = init.population(params, np.random.default_rng(0))
-        q, _, _ = play_round(start, params, model, np.random.default_rng(4))
-        assert q[200] < q[3] < 0 <= np.delete(q, [3, 200]).min()
-        with pytest.raises(DomainError, match=re.escape(f"got minimum {q[200]:g}") + "$"):
-            simulate(params, model, init, 0.05, 4, record_stride=record_stride)
 
     @pytest.mark.parametrize("block", [abm._BLOCK, 7])
     @pytest.mark.parametrize("record_stride", [1, 3])

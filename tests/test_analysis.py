@@ -16,8 +16,6 @@ from entrydyn.analysis import (
 )
 from entrydyn.core import (
     BLOCK_AGENTS,
-    DomainError,
-    ErevRothRatio,
     GameParams,
     LearningRule,
     Logistic,
@@ -264,7 +262,7 @@ class TestLearningConstant:
 
     @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
     @pytest.mark.parametrize(
-        "model", [MODEL, Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["standard", "affine", "ratio"]
+        "model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"]
     )
     @pytest.mark.parametrize(
         "size, on_grid",
@@ -278,13 +276,10 @@ class TestLearningConstant:
         # each against the one-expression form of the rule's E[w p'],
         # w = p (basic) or 1 (fictitious)
         if on_grid:
-            lo = 0.0 if isinstance(model, ErevRothRatio) else -6.0
-            density = Gaussian(lo + 3.0, 1.5).density(GridSpec(lo, lo + 12.0, size))
+            density = Gaussian(-3.0, 1.5).density(GridSpec(-6.0, 6.0, size))
             q, weights = density.centers(), density.values * density.dq
         else:
-            q, weights = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size)), None
-            if isinstance(model, Logistic):
-                q -= 1.0
+            q, weights = np.abs(np.random.default_rng(size).normal(0.5, 2.0, size)) - 1.0, None
         if rule is BASIC:
             p = model.prob(q)
             terms = model.dprob(q, p) * p
@@ -295,12 +290,12 @@ class TestLearningConstant:
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
-    @pytest.mark.parametrize("model", [Logistic(1.3, 0.2), ErevRothRatio(3.0)], ids=["logistic", "ratio"])
+    @pytest.mark.parametrize("model", [Logistic(1.3, 0.2)], ids=["logistic"])
     def test_memory_beyond_the_population(self, model, rule):
         # p'(q) p(q), or p'(q), is formed a leaf at a time in one buffer of
         # p(q), at most a block, and with dprob's temporary stays under
-        # three blocks; the ratio model's domain check is a reduction.  A
-        # float array of q's size would add four blocks at n of four blocks
+        # three blocks.  A float array of q's size would add four blocks at
+        # n of four blocks
         n = 4 * BLOCK_AGENTS + 17
         q = np.abs(np.random.default_rng(0).normal(0.5, 2.0, n))
         tracemalloc.start()
@@ -310,14 +305,6 @@ class TestLearningConstant:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * BLOCK_AGENTS
-
-    def test_ratio_domain_error_names_the_population_minimum(self):
-        # negatives in leaves 0 and 2 (of four of about 49,152); the error
-        # names the lower one
-        q = np.full(3 * BLOCK_AGENTS + 5, 2.0)
-        q[10], q[2 * BLOCK_AGENTS + 3] = -0.5, -2.25
-        with pytest.raises(DomainError, match=r"got minimum -2\.25$"):
-            learning_constant(q, ErevRothRatio(3.0), BASIC)
 
     def test_predicted_rate_matches_acceptance_scenario(self, acceptance_f0):
         f0 = acceptance_f0

@@ -3,13 +3,17 @@
 The benchmark's files change only in their own changes, so these tests
 pin what they use of the program: the config documents its workloads
 write, the engine names rep.py rebinds on entrydyn.cli to stamp the
-ready time, the stored series digest of the agent ensemble and the
-stored density solution its checks compare with. The tests read files
-under benchmark/ and write none.
+ready time, every name the traced run (--trace 1) reads directly when
+layers.install wraps its targets (the eight modules, config.RunConfig,
+core.Logistic and core.ErevRothRatio), the stored series digest of the
+agent ensemble and the stored density solution its checks compare
+with. The tests read files under benchmark/ and write none.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +23,8 @@ import pytest
 from entrydyn import abm, cli, kinetic, oracle
 from entrydyn.config import parse_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmark"))
 import checks  # noqa: E402
 import configs  # noqa: E402
 import rep  # noqa: E402
@@ -40,6 +45,18 @@ def test_cli_calls_the_engines_rep_rebinds():
     assert set(rep.ENGINES) == set(engines)
     for name, engine in engines.items():
         assert getattr(cli, name) is engine
+
+
+def test_traced_run_finds_every_name_it_wraps(tmp_path):
+    # install rebinds the program's functions, so it runs in a process of
+    # its own; a name it reads that the program no longer defines raises
+    paths = os.pathsep.join((str(ROOT / "src"), str(ROOT / "benchmark")))
+    env = {**os.environ, "PYTHONPATH": paths, "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "import layers, spans; layers.install(spans.Tracer())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_abm_ensemble_series_matches_stored_digest(tmp_path):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,6 @@ from scipy.special import expit
 from entrydyn import core
 from entrydyn.core import (
     BLOCK_AGENTS,
-    DomainError,
-    ErevRothRatio,
     GameParams,
     LearningRule,
     Logistic,
@@ -86,59 +83,15 @@ class TestProbabilityModels:
             p = m.prob(grid)
             assert np.max(np.abs(m.dprob(grid) - p * (1 - p) / s)) <= 1e-12
 
-    def test_ratio_model_values(self):
-        m = ErevRothRatio(1.0)
-        assert m.prob(1.0) == 0.5
-        assert m.dprob(1.0) == pytest.approx(0.25, abs=1e-12)
-
-    def test_ratio_model_rejects_negative(self):
-        m = ErevRothRatio(1.0)
-        with pytest.raises(DomainError):
-            m.prob(-0.1)
-        with pytest.raises(DomainError):
-            m.dprob(np.array([0.5, -1e-9]))
-        with pytest.raises(DomainError):
-            m.prob(np.array([0.5, -1e-9]), out=np.empty(2))
-
-    def test_ratio_domain_check_allocates_no_population_array(self):
-        # a bool per agent of the four blocks would be four times the bound
-        q = np.abs(np.random.default_rng(2).normal(0.5, 2.0, 4 * BLOCK_AGENTS))
-        p = np.empty_like(q)
-        tracemalloc.start()
-        try:
-            ErevRothRatio().prob(q, out=p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < BLOCK_AGENTS
-
-    @pytest.mark.parametrize("q", [np.nan, np.array([np.nan, 1.0]), np.array([]), np.array([[0.0, 2.0]])])
-    def test_ratio_domain_check_passes_nan_and_empty(self, q):
-        # NaN compares False against 0, so only a negative entry is out of the domain
-        p = ErevRothRatio().prob(q)
-        assert np.shape(p) == np.shape(q)
-
-    def test_ratio_derivative_matches_finite_difference(self):
-        m = ErevRothRatio(0.7)
-        q = np.linspace(0.1, 5.0, 50)
-        eps = 1e-6
-        fd = (m.prob(q + eps) - m.prob(q - eps)) / (2 * eps)
-        assert np.max(np.abs(m.dprob(q) - fd)) <= 1e-7
-
-    @pytest.mark.parametrize(
-        "model", [Logistic(1.0, 0.0), Logistic(0.3, 2.0), ErevRothRatio(1.5)]
-    )
+    @pytest.mark.parametrize("model", [Logistic(1.0, 0.0), Logistic(0.3, 2.0)])
     def test_strictly_increasing(self, model):
-        if isinstance(model, ErevRothRatio):
-            grid = np.linspace(0.0, 20.0, 500)
-        else:
-            # stay out of the saturated tails where float p hits exactly 1
-            grid = model.center + model.scale * np.linspace(-8.0, 8.0, 500)
+        # stay out of the saturated tails where float p hits exactly 1
+        grid = model.center + model.scale * np.linspace(-8.0, 8.0, 500)
         p = model.prob(grid)
         assert np.all(np.diff(p) > 0)
         assert np.all(p >= 0) and np.all(p <= 1)
 
-    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), ErevRothRatio(1.5), Logistic()])
+    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), Logistic()])
     def test_prob_into_out_is_bit_identical(self, model):
         q = np.random.default_rng(12).uniform(0.0, 9.0, 257)
         buf = np.full_like(q, np.nan)
@@ -167,7 +120,7 @@ LOGISTICS = st.builds(
 class TestEnters:
     @settings(max_examples=300, deadline=None)
     @given(
-        model=st.one_of(LOGISTICS, st.builds(ErevRothRatio, st.floats(0.1, 10.0))),
+        model=LOGISTICS,
         agents=st.lists(
             st.tuples(
                 st.one_of(st.floats(-800.0, 800.0), st.sampled_from(EXTREME_ARGS)),
@@ -181,12 +134,7 @@ class TestEnters:
     def test_equals_u_less_than_prob(self, model, agents):
         # u is either a uniform draw or p moved by a few ulps, so the draws
         # land inside the band where the fast and exact p can disagree
-        args = np.array([a for a, _, _ in agents])
-        if isinstance(model, Logistic):
-            q = model.center + model.scale * args
-        else:
-            # inf / (inf + baseline) is NaN with a warning on both paths
-            q = np.abs(np.where(np.isinf(args), 745.0, args))
+        q = model.center + model.scale * np.array([a for a, _, _ in agents])
         p = model.prob(q)
         u = np.array([
             draw if ulps is None or np.isnan(pi) else pi + ulps * np.spacing(pi)

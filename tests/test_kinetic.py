@@ -9,7 +9,7 @@ from entrydyn.analysis import (
     learning_window,
     sorting_fit,
 )
-from entrydyn.core import ErevRothRatio, GameParams, LearningRule, learning_constant, sorting_rate
+from entrydyn.core import GameParams, LearningRule, learning_constant, sorting_rate
 from entrydyn.grid import DensityGrid, GridSpec
 from entrydyn.kinetic import (
     SolverOptions,
@@ -64,10 +64,6 @@ class TestMoments:
         f = DensityGrid(spec, np.full(400, 1.0 / 16.0))
         a, b = moments(f)
         assert a == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_non_logistic_model(self):
-        with pytest.raises(ValueError, match="logistic"):
-            _Stencil(GRID, PDE_PARAMS, ErevRothRatio(1.0))
 
 
 class TestCoefficients:
@@ -311,11 +307,6 @@ class TestSolve:
         for kind, match in (("double", "mass 2"), ("nan", "mass nan"), ("negative", r"negative cell \(-0.01\)")):
             with pytest.raises(ValueError, match=match):
                 solve(spoiled_start(kind), PDE_PARAMS, MODEL, 0.01)
-
-    def test_rejects_non_logistic_model(self):
-        f = Gaussian(0.0, 1.0).density(GRID)
-        with pytest.raises(ValueError, match="logistic"):
-            solve(f, PDE_PARAMS, ErevRothRatio(1.0), 0.01)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError, match="cfl_safety"):

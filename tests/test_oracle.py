@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from entrydyn.core import DomainError, ErevRothRatio, GameParams, LearningRule, Logistic, learning_constant
+from entrydyn.core import GameParams, LearningRule, Logistic, learning_constant
 from entrydyn.oracle import (
     BLOCK_ELEMENTS,
     MAX_AGENTS,
@@ -89,17 +89,14 @@ def loop_round(q, params, model):
 
 def reference_random_instance(rng, max_agents, count):
     """Reference: random_instance's chunk drawn through Generator.integers,
-    uniform, normal and exponential with size=, column by column."""
+    uniform and normal with size=, column by column."""
     n = rng.integers(1, max_agents + 1, size=count)
     capacity = rng.integers(1, n + 1, size=count)
-    # h, rule, model kind, scale, center, baseline
-    u = rng.uniform([0.005, 0.0, 0.0, 0.5, -1.0, 0.5], [0.2, 1.0, 1.0, 2.0, 1.0, 2.0], size=(count, 6))
-    h, rule, kind, scale, center, baseline = u.T
-    normal = rng.normal(center[:, None], 2.0 * scale[:, None], size=(count, max_agents))
-    lifted = (h * (n + 1.0))[:, None] + rng.exponential(1.0, size=(count, max_agents))
-    ratio = kind >= 0.5
-    return Instances(n, capacity, h, rule >= 0.5, ratio, scale, center, baseline,
-                     np.where(ratio[:, None], lifted, normal))
+    # h, rule, scale, center
+    u = rng.uniform([0.005, 0.0, 0.5, -1.0], [0.2, 1.0, 2.0, 1.0], size=(count, 4))
+    h, rule, scale, center = u.T
+    q = rng.normal(center[:, None], 2.0 * scale[:, None], size=(count, max_agents))
+    return Instances(n, capacity, h, rule >= 0.5, scale, center, q)
 
 
 def drawn(seed, count, max_agents=MAX_AGENTS):
@@ -128,15 +125,16 @@ def vector_pmf(p):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every stacked evaluation of a probability model from here on, as
-    (model kind, the propensities of each row)."""
+    """Every stacked evaluation of the probability model from here on, as
+    the propensities of each row."""
     seen = []
-    for kind in (Logistic, ErevRothRatio):
-        def record(q, *args, _kind=kind, _real=kind.prob_rows, **kwargs):
-            seen.append((_kind.kind, np.array(q, dtype=float).reshape(len(q), -1)))
-            return _real(q, *args, **kwargs)
+    real = Logistic.prob_rows
 
-        monkeypatch.setattr(kind, "prob_rows", staticmethod(record))
+    def record(q, *args, **kwargs):
+        seen.append(np.array(q, dtype=float).reshape(len(q), -1))
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(Logistic, "prob_rows", staticmethod(record))
     return seen
 
 
@@ -145,13 +143,9 @@ def instances(draw, max_agents=10, min_agents=1):
     n = draw(st.integers(min_agents, max_agents))
     h = draw(st.floats(0.005, 0.2))
     params = GameParams(n, draw(st.integers(1, n)), h, 10, draw(st.sampled_from(LearningRule)))
-    if draw(st.booleans()):
-        model = Logistic(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
-        q = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
-        return np.array(q), params, model
-    # lifted as in random_instance, so no round leaves the ratio model's domain
-    q = draw(st.lists(st.floats(0.0, 8.0), min_size=n, max_size=n))
-    return h * (n + 1.0) + np.array(q), params, ErevRothRatio(draw(st.floats(0.5, 2.0)))
+    model = Logistic(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+    q = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    return np.array(q), params, model
 
 
 class TestRandomInstance:
@@ -180,7 +174,7 @@ class TestRandomInstance:
         for count in (1, 2, 512):
             rng = Counting(np.random.default_rng(0))
             random_instance(rng, MAX_AGENTS, count)
-            assert rng.calls == 5
+            assert rng.calls == 4
 
     def test_marginals(self):
         count = 40_000
@@ -195,18 +189,11 @@ class TestRandomInstance:
         assert np.all((0.005 <= chunk.payoff_scale) & (chunk.payoff_scale < 0.2))
         # a share of one half has sd 0.0025 at this count
         assert abs(chunk.fictitious.mean() - 0.5) <= 0.0125
-        assert abs(chunk.ratio.mean() - 0.5) <= 0.0125
         assert np.all((0.5 <= chunk.scale) & (chunk.scale < 2.0))
         assert np.all((-1.0 <= chunk.center) & (chunk.center < 1.0))
-        assert np.all((0.5 <= chunk.baseline) & (chunk.baseline < 2.0))
         agents = np.arange(MAX_AGENTS) < n[:, None]
-        ratio, logistic = agents & chunk.ratio[:, None], agents & ~chunk.ratio[:, None]
         q = chunk.propensities
-        floor = chunk.payoff_scale * (n + 1.0)
-        assert np.all(q[ratio] >= np.broadcast_to(floor[:, None], q.shape)[ratio])
-        excess = (q - floor[:, None])[ratio]
-        assert abs(excess.mean() - 1.0) <= 0.02 and abs(excess.std() - 1.0) <= 0.03
-        z = ((q - chunk.center[:, None]) / (2.0 * chunk.scale[:, None]))[logistic]
+        z = ((q - chunk.center[:, None]) / (2.0 * chunk.scale[:, None]))[agents]
         assert abs(z.mean()) <= 0.02 and abs(z.std() - 1.0) <= 0.02
 
 
@@ -281,59 +268,18 @@ class TestEnumerateRound:
         assert abs(law.expected_b[0] - ref.expected_b) <= 1e-13
 
     def test_model_sees_exactly_the_reachable_cells(self, evaluations):
-        # one evaluation per model kind in a block, on q and the (m, e)
-        # cells together: row b covers every post-round propensity of
-        # instance b's table and nothing else
+        # one evaluation in a block, on q and the (m, e) cells together:
+        # row b covers every post-round propensity of instance b's table
+        # and nothing else
         chunk = random_instance(np.random.default_rng(41), 8, 200)
         tables = [table_round(*instance)[1] for instance in instance_tuples(chunk)]
         for rows in blocks(chunk):
             evaluations.clear()
             enumerate_block(chunk.take(rows))
-            kinds = [ErevRothRatio.kind if chunk.ratio[b] else Logistic.kind for b in rows]
-            assert [kind for kind, _ in evaluations] == [k for k in (Logistic.kind, ErevRothRatio.kind) if k in kinds]
-            for kind, points in evaluations:
-                instances = [b for b, k in zip(rows, kinds) if k == kind]
-                assert len(points) == len(instances)
-                for b, row in zip(instances, points):
-                    assert set(row.tolist()) == set(tables[b].ravel().tolist())
-
-    def test_block_domain_error_names_the_first_failing_instance(self):
-        # both ratio instances reach negative cells at m = 2, -0.05 and
-        # -0.09; a check over the whole block would name -0.09
-        params = GameParams(2, 1, 0.1, 10, BASIC)
-        ratio = ErevRothRatio(1.0)
-        first = (np.array([0.05, 0.3]), params, ratio)
-        second = (np.array([0.01, 0.3]), params, ratio)
-        messages = []
-        for instance in (first, second):
-            with pytest.raises(DomainError) as single:
-                enumerate_block([instance])
-            messages.append(str(single.value))
-        assert messages[0] != messages[1]
-        fine = [(np.array([1.0, 2.0]), params, ratio), (np.array([-3.0, 0.5]), params, MODEL)]
-        with pytest.raises(DomainError) as block:
-            enumerate_block([fine[0], first, fine[1], second])
-        assert str(block.value) == messages[0]
-
-    def test_ratio_domain_error_parity(self):
-        # propensities on the payoff lattice put some cells at or below zero
-        rng = np.random.default_rng(43)
-        raised = 0
-        for i in range(400):
-            n = int(rng.integers(1, 8))
-            h = float(rng.uniform(0.01, 0.2))
-            params = GameParams(n, int(rng.integers(1, n + 1)), h, 10, (BASIC, FICT)[i % 2])
-            q = h * rng.integers(0, n + 2, size=n)
-            model = ErevRothRatio(float(rng.uniform(0.5, 2.0)))
-            try:
-                table_round(q, params, model)
-            except DomainError:
-                raised += 1
-                with pytest.raises(DomainError):
-                    enumerate_block([(q, params, model)])
-            else:
-                enumerate_block([(q, params, model)])
-        assert 0 < raised < 400
+            [points] = evaluations
+            assert len(points) == len(rows)
+            for b, row in zip(rows, points):
+                assert set(row.tolist()) == set(tables[b].ravel().tolist())
 
     def test_carries_its_probabilities(self):
         for q, params, model in drawn(47, 40):
@@ -392,8 +338,8 @@ class TestExpectedDriftCheck:
             worst = np.maximum(worst, enumerate_block([instance]).max_abs_gap)
         assert worst <= 1e-12
 
-    def test_at_most_two_probability_calls(self, evaluations):
-        # one per model kind in the block, whatever its size
+    def test_one_probability_call_per_block(self, evaluations):
+        # whatever the block's size
         chunk = random_instance(np.random.default_rng(31), MAX_AGENTS, 100)
         for instance in instance_tuples(chunk):
             evaluations.clear()
@@ -402,7 +348,7 @@ class TestExpectedDriftCheck:
         for rows in blocks(chunk):
             evaluations.clear()
             enumerate_block(chunk.take(rows))
-            assert len(evaluations) == np.unique(chunk.ratio[rows]).size <= 2
+            assert len(evaluations) == 1
 
 
 class TestLearningLaw:
@@ -431,7 +377,7 @@ class TestLearningLaw:
 
 @st.composite
 def mixed_blocks(draw):
-    """Instances of one N and one rule, both models mixed, as many as one
+    """Instances of one N and one rule, their models mixed, as many as one
     block holds, one more, or one."""
     n = draw(st.sampled_from(range(1, MAX_AGENTS + 1)))
     rule = draw(st.sampled_from(LearningRule))
@@ -504,18 +450,16 @@ EDGES = (0.0, -0.0, 709.782712893384, -709.782712893384, 709.8, -709.8, 745.0, -
 
 @st.composite
 def stacked_models(draw):
-    """Instances of one N under both model kinds, the standard logistic among
-    them, and a (B, k, N) stack of propensities for them to evaluate."""
+    """Instances of one N under logistic models, the standard one among them,
+    and a (B, k, N) stack of propensities for them to evaluate."""
     n, k = draw(st.integers(1, MAX_AGENTS)), draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from(EDGES), st.floats(-800.0, 800.0))
     instances, points = [], []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["standard", "logistic", "ratio"]))
-        if kind == "ratio":
-            model = ErevRothRatio(draw(st.floats(0.5, 2.0)))
-            values = st.one_of(st.sampled_from([x for x in EDGES if x >= 0]), st.floats(0.0, 800.0))
+        if draw(st.booleans()):
+            model = Logistic()
         else:
-            model = Logistic() if kind == "standard" else Logistic(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
-            values = st.one_of(st.sampled_from(EDGES), st.floats(-800.0, 800.0))
+            model = Logistic(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
         instances.append((np.zeros(n), GameParams(n, 1, 0.1, 10, BASIC), model))
         points.append(draw(st.lists(values, min_size=k * n, max_size=k * n)))
     return instances, np.array(points).reshape(len(instances), k, n)
