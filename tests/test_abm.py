@@ -38,9 +38,13 @@ def make_params(n=1000, c=500, h=0.01, m=100, rule=BASIC):
     return GameParams(n, c, h, m, rule)
 
 
-# an affine logistic model for the round's bit-identity tests
+# the round's bit-identity tests: an affine logistic from a start at its
+# centre, and the standard logistic from a crowded start that almost every
+# agent enters, whose first rounds drive propensities down through zero
 BIT_IDENTITY_MODELS = pytest.mark.parametrize(
-    "model, init", [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5))], ids=["logistic"]
+    "model, init",
+    [(Logistic(1.3, 0.2), Gaussian(0.0, 1.5)), (Logistic(), Gaussian(3.0, 0.5))],
+    ids=["logistic", "crowded"],
 )
 
 
@@ -220,6 +224,22 @@ class TestPlayRound:
         assert m == int(entered.sum())
         expected = [update_propensity(qi, bool(ei), m, params) for qi, ei in zip(q, entered)]
         assert new.tolist() == expected
+
+    def test_overcrowding_drives_propensities_below_zero(self):
+        # entry is near-certain at first, so m > c and every entrant loses
+        # until the propensities have fallen through zero; the logistic takes
+        # them there, and each round is the scalar rule's
+        params = GameParams(4, 1, 0.1, 10, BASIC)
+        q = AllEqual(0.05).population(params, np.random.default_rng(0))
+        model = Logistic(0.01)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            new, entered, m = play_round(q, params, model, rng)
+            assert new.tolist() == [update_propensity(qi, bool(ei), m, params) for qi, ei in zip(q, entered)]
+            q = new
+        assert q.min() < 0
+        p = model.prob(q)
+        assert np.all((0 <= p) & (p <= 1))
 
 
 def record_moments(q):

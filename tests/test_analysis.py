@@ -261,8 +261,9 @@ class TestLearningConstant:
         assert value == float(np.mean(plain.dprob(q) * plain.prob(q)))
 
     @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
+    # the steep logistic's p rounds to exactly 1, and p' to 0, above q = 2.84
     @pytest.mark.parametrize(
-        "model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"]
+        "model", [MODEL, Logistic(1.3, 0.2), Logistic(0.05, 1.0)], ids=["standard", "affine", "steep"]
     )
     @pytest.mark.parametrize(
         "size, on_grid",
@@ -290,7 +291,7 @@ class TestLearningConstant:
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
-    @pytest.mark.parametrize("model", [Logistic(1.3, 0.2)], ids=["logistic"])
+    @pytest.mark.parametrize("model", [Logistic(1.3, 0.2), MODEL], ids=["logistic", "standard"])
     def test_memory_beyond_the_population(self, model, rule):
         # p'(q) p(q), or p'(q), is formed a leaf at a time in one buffer of
         # p(q), at most a block, and with dprob's temporary stays under

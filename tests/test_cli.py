@@ -467,6 +467,7 @@ REJECTED_DOCUMENTS = [
     ("replicas-zero", {**TOP_LEVEL, "replicas": 0}, "replicas"),
     ("record_stride-zero", {**TOP_LEVEL, "record_stride": 0}, "record_stride"),
     ("model.scale-zero", {**TOP_LEVEL, "model": {"kind": "logistic", "scale": 0}}, "model"),
+    ("model.scale-negative", {**TOP_LEVEL, "model": {"kind": "logistic", "scale": -1.0}}, "model"),
     ("model-erev_roth_ratio", {**TOP_LEVEL, "model": {"kind": "erev_roth_ratio"}}, "model.kind"),
     ("game.n_agents-zero", {**TOP_LEVEL, "game": dict(GAME_SMALL, n_agents=0)}, "game"),
     ("grid.n_cells-one", {**TOP_LEVEL, "grid": {"q_min": -8.0, "q_max": 8.0, "n_cells": 1}}, "grid"),
@@ -531,6 +532,14 @@ class TestConfigRejection:
         assert main(["abm", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "typo" in err and "init" in err
+
+    def test_baseline_is_unknown_to_the_logistic(self, tmp_path, capsys):
+        # the removed ratio model's parameter
+        model = {"kind": "logistic", "baseline": 1.0}
+        cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), model=model)
+        assert main(["abm", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'baseline' in model\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "init, key",
@@ -603,6 +612,7 @@ class TestConfigRejection:
             pytest.param({"t_end": 10**400}, "t_end", id="huge-int-t_end"),
             pytest.param({"game": dict(GAME_SMALL, payoff_scale=math.inf)}, "game.payoff_scale", id="inf-h"),
             pytest.param({"model": {"kind": "logistic", "center": math.nan}}, "model.center", id="nan-center"),
+            pytest.param({"model": {"kind": "logistic", "scale": math.inf}}, "model.scale", id="inf-scale"),
             pytest.param(
                 {"grid": {"q_min": -8.0, "q_max": math.inf, "n_cells": 100}}, "grid.q_max", id="inf-grid"
             ),
@@ -733,6 +743,18 @@ class TestConfigRejection:
     def test_help_returns_ok(self, capsys):
         assert main(["--help"]) == 0
         assert "entrydyn" in capsys.readouterr().out
+
+    def test_start_below_zero_runs(self, tmp_path, capsys):
+        # about three starting propensities in ten are negative, which the
+        # logistic takes like any other
+        cfg = write_cfg(
+            tmp_path / "c.json",
+            out_dir=str(tmp_path / "out"),
+            init={"kind": "gaussian", "mean": 1.0, "sd": 2.0},
+        )
+        assert main(["abm", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "series.csv").exists()
 
     @pytest.mark.parametrize(
         "error, message",

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,41 @@ class TestProbabilityModels:
             p = m.prob(grid)
             assert np.max(np.abs(m.dprob(grid) - p * (1 - p) / s)) <= 1e-12
 
-    @pytest.mark.parametrize("model", [Logistic(1.0, 0.0), Logistic(0.3, 2.0)])
+    def test_affine_logistic_values_at_its_center(self):
+        m = Logistic(0.4, -1.5)
+        assert m.prob(-1.5) == 0.5
+        assert m.dprob(-1.5) == pytest.approx(1 / 1.6, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, 2.5)], ids=["standard", "affine"])
+    def test_derivative_matches_finite_difference(self, model):
+        q = model.center + model.scale * np.linspace(-6.0, 6.0, 50)
+        eps = 1e-6
+        fd = (model.prob(q + eps) - model.prob(q - eps)) / (2 * eps)
+        assert np.max(np.abs(model.dprob(q) - fd)) <= 1e-7
+
+    @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, 2.5)], ids=["standard", "affine"])
+    @pytest.mark.parametrize("q", [np.nan, np.array([np.nan, 1.0]), np.array([]), np.array([[0.0, 2.0]])])
+    def test_prob_keeps_shape_and_nan(self, model, q):
+        # the whole line is the domain: NaN passes through, and an empty or
+        # a 2-D array keeps its shape
+        p = model.prob(q)
+        assert np.shape(p) == np.shape(q)
+        assert np.array_equal(np.isnan(p), np.isnan(q))
+
+    @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, 2.5)], ids=["standard", "affine"])
+    def test_prob_into_out_allocates_no_population_array(self, model):
+        # a float per agent of the four blocks would be 32 times the bound
+        q = np.random.default_rng(2).normal(0.5, 2.0, 4 * BLOCK_AGENTS)
+        p = np.empty_like(q)
+        tracemalloc.start()
+        try:
+            model.prob(q, out=p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_AGENTS
+
+    @pytest.mark.parametrize("model", [Logistic(1.0, 0.0), Logistic(0.3, 2.0), Logistic(4.0, -300.0)])
     def test_strictly_increasing(self, model):
         # stay out of the saturated tails where float p hits exactly 1
         grid = model.center + model.scale * np.linspace(-8.0, 8.0, 500)
@@ -91,7 +126,8 @@ class TestProbabilityModels:
         assert np.all(np.diff(p) > 0)
         assert np.all(p >= 0) and np.all(p <= 1)
 
-    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), Logistic()])
+    # the steep logistic rounds to exactly 0 and 1 inside q's range
+    @pytest.mark.parametrize("model", [Logistic(0.7, -0.4), Logistic(0.005, 4.5), Logistic()])
     def test_prob_into_out_is_bit_identical(self, model):
         q = np.random.default_rng(12).uniform(0.0, 9.0, 257)
         buf = np.full_like(q, np.nan)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,7 @@ from entrydyn.analysis import (
     learning_window,
     sorting_fit,
 )
-from entrydyn.core import GameParams, LearningRule, learning_constant, sorting_rate
+from entrydyn.core import GameParams, LearningRule, Logistic, learning_constant, sorting_rate
 from entrydyn.grid import DensityGrid, GridSpec
 from entrydyn.kinetic import (
     SolverOptions,
@@ -33,6 +35,14 @@ from conftest import (
 SORTED_GRID = GridSpec(-16.0, 16.0, 800)
 # interior faces at -5.7, -5.4, ..., 5.7
 FACE_GRID = GridSpec(-6.0, 6.0, 40)
+
+
+# an affine logistic (scale S, center C) on a grid is the standard logistic
+# on the grid mapped by q' = (q - C) / S, with density S f and payoff scale
+# h / S; at S a power of two the mapping rounds nothing
+AFFINE = Logistic(2.0, 0.5)
+AFFINE_GRID = GridSpec(-7.5, 8.5, 400)
+MAPPED_GRID = GridSpec(-4.0, 4.0, 400)
 
 
 def moments(f: DensityGrid) -> tuple[float, float]:
@@ -64,6 +74,12 @@ class TestMoments:
         f = DensityGrid(spec, np.full(400, 1.0 / 16.0))
         a, b = moments(f)
         assert a == pytest.approx(0.5, abs=1e-12)
+
+    def test_affine_model_is_the_standard_on_a_mapped_grid(self):
+        f = Gaussian(1.0, 1.5).density(AFFINE_GRID)
+        a, b = _Stencil(AFFINE_GRID, PDE_PARAMS, AFFINE).moments(f.values)
+        assert (a, b) == _Stencil(MAPPED_GRID, PDE_PARAMS, MODEL).moments(f.values * AFFINE.scale)
+        assert 0.5 < a < 0.6
 
 
 class TestCoefficients:
@@ -307,6 +323,25 @@ class TestSolve:
         for kind, match in (("double", "mass 2"), ("nan", "mass nan"), ("negative", r"negative cell \(-0.01\)")):
             with pytest.raises(ValueError, match=match):
                 solve(spoiled_start(kind), PDE_PARAMS, MODEL, 0.01)
+
+    @pytest.mark.parametrize("params", [PDE_PARAMS, PDE_FICT_PARAMS], ids=["basic", "fictitious"])
+    def test_affine_model_is_the_standard_on_a_mapped_grid(self, params):
+        # v and mu scale as h and h^2, and dt = cfl dq / max|v| is unchanged
+        f = Gaussian(1.0, 1.5).density(AFFINE_GRID)
+        options = SolverOptions(output_interval=0.01)
+        result = solve(f, params, AFFINE, 0.05, options)
+        mapped = solve(
+            DensityGrid(MAPPED_GRID, f.values * AFFINE.scale),
+            replace(params, payoff_scale=params.payoff_scale / AFFINE.scale),
+            MODEL,
+            0.05,
+            options,
+        )
+        assert result.n_steps == mapped.n_steps > 1
+        for got, ref in ((result.series.a, mapped.series.a), (result.series.b, mapped.series.b)):
+            assert got.tobytes() == ref.tobytes()
+        assert (result.final.values * AFFINE.scale).tobytes() == mapped.final.values.tobytes()
+        assert result.series.a[-1] != result.series.a[0]
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError, match="cfl_safety"):

@@ -415,6 +415,23 @@ class TestBlocks:
                     assert getattr(law, name)[b].tobytes() == getattr(single, name)[0].tobytes(), name
                 assert pmf[b].tobytes() == single_pmf.tobytes()
 
+    @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
+    def test_saturated_rows_equal_single_instances(self, rule):
+        # far below and above the centre p is exactly 0 and 1, and the law
+        # of such a row is a point mass; a block of those and of ordinary
+        # rows gives each row its own law to the byte
+        params = GameParams(4, 2, 0.05, 10, rule)
+        rows = [
+            (np.full(4, -800.0), params, MODEL),
+            (np.full(4, 800.0), params, MODEL),
+            (np.array([-800.0, 800.0, 0.3, -0.2]), params, Logistic(0.7, -0.4)),
+            (np.array([1.0, -1.0, 40.0, -40.0]), params, Logistic(0.05, 1.0)),
+        ]
+        law = enumerate_block(rows)
+        assert law.m_probs[0, 0] == 1.0 and law.m_probs[1, 4] == 1.0
+        for b, instance in enumerate(rows):
+            assert_same_row(law, b, enumerate_block([instance]))
+
     def test_groups_in_drawn_order(self):
         chunk = random_instance(np.random.default_rng(59), MAX_AGENTS, 600)
         split = list(blocks(chunk))
