@@ -61,19 +61,30 @@ class Gaussian:
     def with_entry_fraction(self, model: Logistic, target: float) -> Gaussian:
         """This start with its mean moved so that its expected entry fraction is target.
 
-        Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by
-        Gauss-Hermite quadrature and bisection; p is strictly increasing so the
-        root is unique.
+        Solves E[p(Q)] = target for the mean of Q ~ Normal(mean, sd^2) by 64-node
+        Gauss-Hermite quadrature, or, where that root misses by over 1e-10, as when
+        the logistic is steep against sd, by the trapezoid rule over 16 sd either
+        side at steps of at most sd / 32 and model.scale / 8, up to 2^20 points.
         """
         if not 0.0 < target < 1.0:
             raise ValueError(f"target_entry_fraction must lie in (0, 1), got {target}")
-        offsets = np.sqrt(2.0) * self.sd * _GH_NODES
-
-        def gap(mean: float) -> float:
-            return float(_GH_WEIGHTS @ model.prob(mean + offsets)) - target
-
+        steps = 256.0 * self.sd / model.scale
+        if not steps <= 2**20 - 1:
+            raise ValueError(f"sd {self.sd:g} is too wide for model scale {model.scale:g}: more than 2^20 points")
         span = 60.0 * model.scale + 10.0 * self.sd
-        return replace(self, mean=brentq(gap, model.center - span, model.center + span, xtol=1e-13))
+
+        def gap(mean: float, offsets: np.ndarray, weights: np.ndarray) -> float:
+            return float(weights @ model.prob(mean + offsets)) - target
+
+        def root(*rule: np.ndarray) -> float:
+            return brentq(gap, model.center - span, model.center + span, args=rule, xtol=1e-13)
+
+        mean = root(np.sqrt(2.0) * self.sd * _GH_NODES, _GH_WEIGHTS)
+        offsets, step = np.linspace(-16.0 * self.sd, 16.0 * self.sd, max(1025, math.ceil(steps) + 1), retstep=True)
+        weights = np.exp(-0.5 * (offsets / self.sd) ** 2) * (step / (self.sd * math.sqrt(2.0 * math.pi)))
+        if not abs(gap(mean, offsets, weights)) <= 1e-10:
+            mean = root(offsets, weights)
+        return replace(self, mean=mean)
 
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
         # in place, so the draw holds one float per agent; every pass rounds

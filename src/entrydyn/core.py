@@ -292,15 +292,10 @@ def learning_constant(q, model: Logistic, rule: LearningRule, weights=None) -> f
     The mean forms its terms one leaf of pairwise_leaves(q.size) at a
     time in one leaf-sized buffer and folds the leaves' sums, so it holds
     no array of q's size and equals np.mean of all the terms bit for bit.
-    The sum against weights overwrites one float array of p(q) a block at
-    a time.
     """
     q = np.asarray(q, dtype=float)
     if weights is not None:
-        terms = model.prob(q, out=np.empty_like(q))
-        for i in range(0, q.size, BLOCK_AGENTS):
-            _rule_terms(q[i : i + BLOCK_AGENTS], terms[i : i + BLOCK_AGENTS], model, rule)
-        return float(terms @ weights)
+        return float(_rule_terms(q, model.prob(q), model, rule) @ weights)
     leaves = pairwise_leaves(q.size)
     buffer = np.empty(max(j - i for i, j in leaves))
     sums = [

@@ -2,17 +2,17 @@
 
 For N <= 12 agents the 2^N entry patterns are enumerated outright, giving
 the exact law of the entrant count m and the joint law of m and each
-agent's own decision, hence the exact expected post-round propensities and
-observables one round ahead.  The entrant-count law is independently
-reproducible through the Poisson-binomial convolution recurrence
-(poisson_binomial_rows), and the expected propensity drift has a closed
-form, core.expected_drift; both serve as cross-checks on any simulation
-engine, and this module only enumerates.  Instances travel as columns
-(Instances): random_instance draws a chunk, blocks() splits it into
-blocks of one N and one rule, and enumerate_block, the one entry point,
-returns one RoundLaw per block whose fields stack the instances along a
-leading axis.  The kernel works row by row, with one model call per block,
-so a sweep pays numpy's per-call cost once per block, not per instance.
+agent's own decision, hence the exact expected drift E[q' - q] (E[q'] is q
+plus it) and observables one round ahead.  The entrant-count law is
+independently reproducible through the Poisson-binomial convolution
+recurrence (poisson_binomial_rows), and the drift has a closed form,
+core.expected_drift; both serve as cross-checks on any simulation engine,
+and this module only enumerates.  Instances travel as columns (Instances):
+random_instance draws a chunk, blocks() splits it into blocks of one N and
+one rule, and enumerate_block, the one entry point, returns one RoundLaw
+per block whose fields stack the instances along a leading axis.  The
+kernel works row by row, with one model call per block, so a sweep pays
+numpy's per-call cost once per block, not per instance.
 """
 
 from __future__ import annotations
@@ -37,27 +37,20 @@ class RoundLaw:
     instance of a block; every field has a leading axis over the instances,
     and for instance b:
 
-    m_probs[b]              P(m = k) for k = 0..N
-    expected_propensity[b]  E[q'_i] for each agent after the round
-    expected_a[b]           E[mean_i p(q'_i)] one round ahead
-    expected_b[b]           E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
-    probs[b]                p(q_i), the entry probabilities the round used
-    propensities[b]         q_i, the state the round starts from
-    predicted_drift[b]      E[q'_i - q_i] in closed form, core.expected_drift
+    m_probs[b]          P(m = k) for k = 0..N
+    drift[b]            E[q'_i - q_i] as enumerated; E[q'_i] is q_i + drift[b, i]
+    expected_a[b]       E[mean_i p(q'_i)] one round ahead
+    expected_b[b]       E[mean_i p(q'_i)(1 - p(q'_i))] one round ahead
+    probs[b]            p(q_i), the entry probabilities the round used
+    predicted_drift[b]  E[q'_i - q_i] in closed form, core.expected_drift
     """
 
     m_probs: np.ndarray
-    expected_propensity: np.ndarray
+    drift: np.ndarray
     expected_a: np.ndarray
     expected_b: np.ndarray
     probs: np.ndarray
-    propensities: np.ndarray
     predicted_drift: np.ndarray
-
-    @property
-    def drift(self) -> np.ndarray:
-        """E[q'_i - q_i] as enumerated."""
-        return self.expected_propensity - self.propensities
 
     @property
     def max_abs_gap(self) -> float:
@@ -225,7 +218,7 @@ def _round_block(block: Instances) -> RoundLaw:
     p_next = p_next.reshape(size, -1, 1)
     expected_a = (cell_law @ p_next)[:, 0, 0] / n
     expected_b = (cell_law @ (p_next * (1.0 - p_next)))[:, 0, 0] / n
-    return RoundLaw(m_probs, q + drift[:, 0], expected_a, expected_b, p, q, expected_drift(p, h, c, rule))
+    return RoundLaw(m_probs, drift[:, 0], expected_a, expected_b, p, expected_drift(p, h, c, rule))
 
 
 def random_instance(rng: np.random.Generator, max_agents: int, count: int) -> Instances:

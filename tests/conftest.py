@@ -16,12 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg.lapack import dptsv
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
+
+# each run draws the same hypothesis examples, so the suite's wall time and
+# any failure repeat; no example database is read or written
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 MODEL = Logistic(scale=1.0, center=0.0)
 GRID = GridSpec(-12.0, 12.0, 800)

@@ -111,7 +111,9 @@ class TestInitPopulation:
 
 class TestMeanForEntryFraction:
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.5, 0.9])
-    @pytest.mark.parametrize("model", [MODEL, Logistic(0.7, -1.3)], ids=["unit", "shifted"])
+    @pytest.mark.parametrize(
+        "model", [MODEL, Logistic(0.7, -1.3), Logistic(0.05, 2.0)], ids=["unit", "shifted", "steep"]
+    )
     def test_start_enters_at_the_target_fraction(self, model, target):
         sd = 1.5
         mean = Gaussian(0.0, sd).with_entry_fraction(model, target).mean
@@ -126,6 +128,11 @@ class TestMeanForEntryFraction:
     def test_target_outside_the_open_unit_interval(self, target):
         with pytest.raises(ValueError, match=r"target_entry_fraction must lie in \(0, 1\)"):
             Gaussian(0.0, 1.0).with_entry_fraction(MODEL, target)
+
+    def test_start_too_wide_for_its_model(self):
+        # sd / scale = 4096 would take 256 * 4096 + 1 = 2^20 + 1 trapezoid points
+        with pytest.raises(ValueError, match=r"sd 4096 is too wide for model scale 1: more than 2\^20 points"):
+            Gaussian(0.0, 4096.0).with_entry_fraction(MODEL, 0.2)
 
 
 # one small instance of each start type; a start type missing here fails the guard below

@@ -5,9 +5,10 @@ pin what they use of the program: the config documents its workloads
 write, the engine names rep.py rebinds on entrydyn.cli to stamp the
 ready time, every name the traced run (--trace 1) reads directly when
 layers.install wraps its targets (the eight modules, config.RunConfig,
-core.Logistic and core.ErevRothRatio), the stored series digest of the
-agent ensemble and the stored density solution its checks compare
-with. The tests read files under benchmark/ and write none.
+core.Logistic and core.ErevRothRatio), the oracle-check report its
+checks parse, the stored series digest of the agent ensemble and the
+stored density solution its checks compare with. The tests read files
+under benchmark/ and write none.
 """
 
 import hashlib
@@ -57,6 +58,13 @@ def test_traced_run_finds_every_name_it_wraps(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_report_parses_as_two_gaps(capsys):
+    assert cli.main(["oracle-check", "--instances", "200"]) == 0
+    failures, values = checks.check_oracle(capsys.readouterr().out)
+    assert failures == []
+    assert set(values) == {"oracle.worst_law_gap", "oracle.worst_drift_gap"}
 
 
 def test_abm_ensemble_series_matches_stored_digest(tmp_path):

@@ -576,6 +576,7 @@ class TestConfigRejection:
             ({"value": 0.0}, "kind"),
             ({"kind": 3}, "kind"),
             ([{"kind": "all_equal", "value": 0.0}], "init"),
+            ({"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 5000.0}, "sd"),
         ],
     )
     def test_bad_init_section_is_named(self, tmp_path, capsys, init, key):
@@ -1006,7 +1007,7 @@ class TestOracleCheck:
     def test_zero_tolerance_fails(self):
         assert main(["oracle-check", "--instances", "20", "--tolerance", "0"]) == 1
 
-    @pytest.mark.parametrize("name", ["m_probs", "expected_propensity"])
+    @pytest.mark.parametrize("name", ["m_probs", "drift"])
     def test_nan_gap_fails(self, monkeypatch, capsys, name):
         # NaN compares false with everything, so a running max() would drop it
         real = oracle._round_block

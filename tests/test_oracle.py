@@ -47,9 +47,7 @@ def table_round(q, params, model):
     p_next = model.prob(q_next)
     expected_a = float(weights @ p_next.mean(axis=1))
     expected_b = float(weights @ (p_next * (1.0 - p_next)).mean(axis=1))
-    law = SimpleNamespace(
-        m_probs=m_probs, expected_propensity=weights @ q_next, expected_a=expected_a, expected_b=expected_b
-    )
+    law = SimpleNamespace(m_probs=m_probs, drift=weights @ q_next - q, expected_a=expected_a, expected_b=expected_b)
     return law, q_next
 
 
@@ -82,7 +80,7 @@ def loop_round(q, params, model):
     expected_a = float(np.vdot(cell_law, p_next)) / n
     expected_b = float(np.vdot(cell_law, p_next * (1.0 - p_next))) / n
     return SimpleNamespace(
-        m_probs=m_probs, expected_propensity=q + drift, expected_a=expected_a, expected_b=expected_b,
+        m_probs=m_probs, drift=drift, expected_a=expected_a, expected_b=expected_b,
         probs=p, predicted_drift=predicted,
     )
 
@@ -104,7 +102,7 @@ def drawn(seed, count, max_agents=MAX_AGENTS):
     return instance_tuples(random_instance(np.random.default_rng(seed), max_agents, count))
 
 
-LAW_FIELDS = ("m_probs", "expected_propensity", "expected_a", "expected_b", "probs", "predicted_drift")
+LAW_FIELDS = ("m_probs", "drift", "expected_a", "expected_b", "probs", "predicted_drift")
 
 
 def assert_same_row(law, b, ref):
@@ -211,16 +209,17 @@ class TestEnumerateRound:
     def test_sole_saturated_entrant_is_fixed(self):
         # p(40) is exactly 1.0 in floating point, m=1=c, payoff 0
         params = GameParams(1, 1, 0.01, 10, BASIC)
-        law = enumerate_block([(np.array([40.0]), params, MODEL)])
+        q = np.array([40.0])
+        law = enumerate_block([(q, params, MODEL)])
         assert law.m_probs[0, 1] == pytest.approx(1.0, abs=1e-15)
-        assert law.expected_propensity[0, 0] == pytest.approx(40.0, abs=1e-12)
+        assert (q + law.drift[0])[0] == pytest.approx(40.0, abs=1e-12)
 
     def test_deterministic_overcrowding(self):
         params = GameParams(2, 1, 0.01, 10, BASIC)
         q = np.array([40.0, 40.0])
         law = enumerate_block([(q, params, MODEL)])
         assert law.m_probs[0, 2] == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(law.expected_propensity[0], q - 0.01, atol=1e-12)
+        assert np.allclose(q + law.drift[0], q - 0.01, atol=1e-12)
 
     def test_identical_probabilities_give_binomial(self):
         for n in (2, 5, 12):
@@ -258,12 +257,12 @@ class TestEnumerateRound:
     @settings(max_examples=150, deadline=None)
     @given(instances())
     def test_matches_table_reference(self, instance):
-        # the reference's E[q'] carries q * (sum of weights - 1) of round-off,
+        # the reference's drift carries q * (sum of weights - 1) of round-off,
         # a few 1e-15 at these |q|; 1e-13 leaves room for it
         law = enumerate_block([instance])
         ref, _ = table_round(*instance)
         assert np.max(np.abs(law.m_probs[0] - ref.m_probs)) <= 1e-13
-        assert np.max(np.abs(law.expected_propensity[0] - ref.expected_propensity)) <= 1e-13
+        assert np.max(np.abs(law.drift[0] - ref.drift)) <= 1e-13
         assert abs(law.expected_a[0] - ref.expected_a) <= 1e-13
         assert abs(law.expected_b[0] - ref.expected_b) <= 1e-13
 
@@ -285,7 +284,6 @@ class TestEnumerateRound:
         for q, params, model in drawn(47, 40):
             law = enumerate_block([(q, params, model)])
             assert law.probs[0].tobytes() == np.atleast_1d(model.prob(q)).tobytes()
-            assert law.propensities[0].tobytes() == q.tobytes()
 
     def test_pattern_tables_are_cached_read_only(self):
         tables = _patterns(5)
@@ -337,6 +335,19 @@ class TestExpectedDriftCheck:
             # np.maximum keeps a NaN gap, so a NaN fails the bound
             worst = np.maximum(worst, enumerate_block([instance]).max_abs_gap)
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rule", [BASIC, FICT], ids=["basic", "fictitious"])
+    def test_identity_holds_far_from_zero(self, rule):
+        # at q near 1e6 one ulp of q is 1.2e-10, so a drift formed as
+        # E[q'] - q would miss the closed form by some 5e-11; the enumerated
+        # drift is summed from the gains alone and keeps the identity's own
+        # round-off
+        model = Logistic(1.0, 1e6)
+        q = 1e6 + 1.5 * np.random.default_rng(67).standard_normal(8)
+        params = GameParams(8, 3, 0.05, 10, rule)
+        law = enumerate_block([(q, params, model)])
+        assert law.max_abs_gap <= 1e-15
+        assert_same_row(law, 0, loop_round(q, params, model))
 
     def test_one_probability_call_per_block(self, evaluations):
         # whatever the block's size
@@ -411,7 +422,7 @@ class TestBlocks:
             pmf = poisson_binomial_rows(law.probs)
             for b, row in enumerate(rows):
                 single, single_pmf = singles[id(drawn[row])]
-                for name in (*LAW_FIELDS, "propensities", "drift"):
+                for name in LAW_FIELDS:
                     assert getattr(law, name)[b].tobytes() == getattr(single, name)[0].tobytes(), name
                 assert pmf[b].tobytes() == single_pmf.tobytes()
 
