@@ -43,16 +43,11 @@ class AllEqual:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Independent normal draws; optionally snapped to the lattice {mean + k*h}.
-
-    Snapping keeps the whole population on one step lattice, which both
-    learning rules then preserve exactly.
-    """
+    """Independent draws from Normal(mean, sd^2), one per agent."""
 
     kind: ClassVar[str] = "gaussian"
     mean: float
     sd: float
-    snap_to_lattice: bool = False
 
     def __post_init__(self) -> None:
         if not self.sd > 0:
@@ -73,11 +68,21 @@ class Gaussian:
             raise ValueError(f"sd {self.sd:g} is too wide for model scale {model.scale:g}: more than 2^20 points")
         span = 60.0 * model.scale + 10.0 * self.sd
 
+        def entry(mean: float, offsets: np.ndarray, weights: np.ndarray) -> float:
+            return float(weights @ model.prob(mean + offsets))
+
         def gap(mean: float, offsets: np.ndarray, weights: np.ndarray) -> float:
-            return float(weights @ model.prob(mean + offsets)) - target
+            return entry(mean, offsets, weights) - target
 
         def root(*rule: np.ndarray) -> float:
-            return brentq(gap, model.center - span, model.center + span, args=rule, xtol=1e-13)
+            ends = (model.center - span, model.center + span)
+            low, high = (entry(end, *rule) for end in ends)
+            if not low <= target <= high:
+                raise ValueError(
+                    f"target_entry_fraction {target:g} is out of reach: means within {span:g} of the"
+                    f" model center give entry fractions {low:.3g} to {high:.3g}"
+                )
+            return brentq(gap, *ends, args=rule, xtol=1e-13)
 
         mean = root(np.sqrt(2.0) * self.sd * _GH_NODES, _GH_WEIGHTS)
         offsets, step = np.linspace(-16.0 * self.sd, 16.0 * self.sd, max(1025, math.ceil(steps) + 1), retstep=True)
@@ -87,18 +92,11 @@ class Gaussian:
         return replace(self, mean=mean)
 
     def population(self, params: GameParams, rng: np.random.Generator) -> np.ndarray:
-        # in place, so the draw holds one float per agent; every pass rounds
-        # as mean + sd * x and mean + round((q - mean) / h) * h do
+        # in place, so the draw holds one float per agent; the two passes
+        # round as mean + sd * x does
         q = rng.standard_normal(params.n_agents)
         q *= self.sd
         q += self.mean
-        if self.snap_to_lattice:
-            h = params.payoff_scale
-            q -= self.mean
-            q /= h
-            np.round(q, out=q)
-            q *= h
-            q += self.mean
         return q
 
     def density(self, spec: GridSpec) -> DensityGrid:

@@ -86,12 +86,6 @@ def _as_exact_int(value, where: str) -> int:
     return number
 
 
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true/false, got {value!r}")
-    return value
-
-
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")
@@ -191,7 +185,6 @@ _READERS = {
     int: _as_exact_int,
     float: read_number,
     float | None: read_number,
-    bool: _as_bool,
     str: _as_str,
     tuple[float, ...]: _as_numbers,
     LearningRule: _as_rule,

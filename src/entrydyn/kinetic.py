@@ -92,7 +92,8 @@ def diffusion_coefficient(a: float, b: float, params: GameParams) -> float:
 
 def advective_dt(dq: float, v: np.ndarray, cfl_safety: float, cap: float) -> float:
     """Largest admissible step, cfl_safety * dq / max|v|, capped at cap."""
-    v_max = float(np.abs(v).max()) if v.size else 0.0
+    # v is never empty: it has a velocity per interior face, and a grid two cells
+    v_max = float(np.abs(v).max())
     if v_max > 0:
         return min(cap, cfl_safety * dq / v_max)
     return cap

@@ -97,12 +97,6 @@ class TestInitPopulation:
         with pytest.raises(ValueError, match="sd must be positive"):
             Gaussian(0.0, sd)
 
-    def test_lattice_snap(self):
-        params = make_params(h=0.01)
-        q = Gaussian(0.3, 2.0, snap_to_lattice=True).population(params, np.random.default_rng(7))
-        steps = (q - 0.3) / params.payoff_scale
-        assert np.max(np.abs(steps - np.round(steps))) <= 1e-9
-
     def test_seed_reproducibility(self):
         a = Gaussian(0.0, 1.0).population(make_params(), np.random.default_rng(42))
         b = Gaussian(0.0, 1.0).population(make_params(), np.random.default_rng(42))
@@ -129,6 +123,15 @@ class TestMeanForEntryFraction:
         with pytest.raises(ValueError, match=r"target_entry_fraction must lie in \(0, 1\)"):
             Gaussian(0.0, 1.0).with_entry_fraction(MODEL, target)
 
+    def test_target_out_of_the_bracket_is_named(self):
+        # means within 60 scales + 10 sd of the center reach no lower entry fraction
+        with pytest.raises(
+            ValueError,
+            match=r"target_entry_fraction 1e-300 is out of reach: means within 75 of the model center"
+            r" give entry fractions 8.25e-33 to 1$",
+        ):
+            Gaussian(0.0, 1.5).with_entry_fraction(MODEL, 1e-300)
+
     def test_start_too_wide_for_its_model(self):
         # sd / scale = 4096 would take 256 * 4096 + 1 = 2^20 + 1 trapezoid points
         with pytest.raises(ValueError, match=r"sd 4096 is too wide for model scale 1: more than 2\^20 points"):
@@ -138,7 +141,7 @@ class TestMeanForEntryFraction:
 # one small instance of each start type; a start type missing here fails the guard below
 SMALL_STARTS = {
     AllEqual: AllEqual(0.25),
-    Gaussian: Gaussian(0.0, 1.0, snap_to_lattice=True),
+    Gaussian: Gaussian(0.0, 1.0),
     Explicit: Explicit((-0.5, 0.0, 0.25, 1.0)),
     TwoSpike: TwoSpike(-1.0, 1.0, 0.5),
 }
@@ -582,14 +585,12 @@ class TestSimulate:
         assert len(result.snapshots) == int(snapshot)
         assert peak < 9 * n + (5 if snapshot else 3) * 8 * abm._BLOCK
 
-    def test_lattice_start_holds_one_float_per_agent(self):
-        # the draw is scaled, shifted and snapped in place
+    def test_gaussian_start_holds_one_float_per_agent(self):
+        # the draw is scaled and shifted in place
         n = 4 * abm._BLOCK + 17
         tracemalloc.start()
         try:
-            Gaussian(0.3, 2.0, snap_to_lattice=True).population(
-                make_params(n=n, c=n // 2), np.random.default_rng(7)
-            )
+            Gaussian(0.3, 2.0).population(make_params(n=n, c=n // 2), np.random.default_rng(7))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -607,7 +608,9 @@ class TestSimulate:
     )
     def test_snapped_population_stays_on_lattice(self, rule, n, capacity_frac, h, mean, sd, seed):
         params = GameParams(n, max(1, round(capacity_frac * n)), h, 100, rule)
-        init = Gaussian(mean, sd, snap_to_lattice=True)
+        # a lattice start {mean + k*h}, which both rules must keep the population on
+        q = Gaussian(mean, sd).population(params, np.random.default_rng(seed))
+        init = Explicit(tuple(mean + np.round((q - mean) / h) * h))
         result = simulate(params, MODEL, init, 0.2, seed)
         steps = (result.final - mean) / h
         assert np.max(np.abs(steps - np.round(steps))) <= 1e-6

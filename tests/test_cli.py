@@ -177,6 +177,30 @@ class TestRunCommands:
         assert np.max(np.abs(series.a - 0.5)) <= 1e-6
         assert np.max(series.b) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "engine, n_agents",
+        [("abm", 1000), ("abm", 3 * 2**16), ("pde", 1000)],
+        ids=["abm-one-leaf", "abm-four-leaves", "pde"],
+    )
+    def test_learning_constant_is_the_start_b(self, tmp_path, engine, n_agents):
+        # under the fictitious rule c_p = E[p'] = E[p(1 - p)] / scale: with the
+        # standard logistic, the b the engine records at t = 0, bit for bit
+        game = dict(GAME_PDE, n_agents=n_agents, capacity=n_agents // 2, rule="fictitious_stochastic")
+        init = {"kind": "gaussian", "mean": -1.5, "sd": 1.5}
+        cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out", engine=engine, game=game, init=init, t_end=0.01)
+        assert main([engine, "--config", str(cfg)]) == 0
+        c_p = read_json(tmp_path / "out" / "run.json")["learning_constant"]
+        assert c_p == read_series(tmp_path / "out" / "series.csv").b[0]
+
+    def test_ensemble_learning_constant_is_replica_0s_start_b(self, tmp_path):
+        # with replicas, c_p is replica 0's start: the population of the base seed
+        game = dict(GAME_PDE, rule="fictitious_stochastic")
+        path = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), game=game, replicas=3, t_end=0.01)
+        assert main(["abm", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        start = simulate(cfg.game, cfg.model, cfg.init, cfg.t_end, cfg.seed).series.b[0]
+        assert read_json(tmp_path / "out" / "run.json")["learning_constant"] == start
+
     def test_pde_rerun_is_byte_identical(self, tmp_path):
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "a")
         assert main(["pde", "--config", str(cfg)]) == 0
@@ -264,8 +288,6 @@ def valid_configs(draw):
             init["target_entry_fraction"] = draw(st.floats(0.05, 0.95))
         else:
             init["mean"] = draw(number)
-        if draw(st.booleans()):
-            init["snap_to_lattice"] = draw(st.booleans())
     elif kind == "explicit":
         init = {"kind": kind, "values": draw(st.lists(number, min_size=n, max_size=n))}
     else:
@@ -338,7 +360,7 @@ class TestConfig:
                 "engine": "pde",
                 "game": dict(GAME_PDE),
                 "model": {"kind": "logistic", "scale": 1.0, "center": 0.0},
-                "init": {"kind": "gaussian", "mean": -1.5, "sd": 1.5, "snap_to_lattice": False},
+                "init": {"kind": "gaussian", "mean": -1.5, "sd": 1.5},
                 "t_end": 0.6,
                 "seed": 7,
                 "replicas": 8,
@@ -373,20 +395,19 @@ class TestConfig:
         cfg = parse_config(readme_config())
         assert parse_config(cfg.resolved()) == cfg
 
-    @pytest.mark.parametrize("snap", [False, True])
     @pytest.mark.parametrize(
         "model", [{"kind": "logistic"}, {"kind": "logistic", "scale": 0.7, "center": -1.3}], ids=["unit", "shifted"]
     )
-    def test_target_start_is_the_gaussian_moved_to_it(self, model, snap):
+    def test_target_start_is_the_gaussian_moved_to_it(self, model):
         # the parsed start is the start the method returns: its mean bit for
-        # bit, its sd and snap kept, and the resolved init writes that mean
-        init = {"kind": "gaussian", "target_entry_fraction": 0.3, "sd": 1.2, "snap_to_lattice": snap}
+        # bit, its sd kept, and the resolved init writes that mean
+        init = {"kind": "gaussian", "target_entry_fraction": 0.3, "sd": 1.2}
         cfg = parse_config({"engine": "abm", "game": dict(GAME_SMALL), "model": model, "init": init, "t_end": 0.1})
-        expected = Gaussian(0.0, 1.2, snap).with_entry_fraction(cfg.model, 0.3)
+        expected = Gaussian(0.0, 1.2).with_entry_fraction(cfg.model, 0.3)
         assert cfg.init == expected
         assert np.float64(cfg.init.mean).tobytes() == np.float64(expected.mean).tobytes()
-        assert (cfg.init.sd, cfg.init.snap_to_lattice) == (1.2, snap)
-        resolved = {"kind": "gaussian", "mean": expected.mean, "sd": 1.2, "snap_to_lattice": snap}
+        assert cfg.init.sd == 1.2
+        resolved = {"kind": "gaussian", "mean": expected.mean, "sd": 1.2}
         assert cfg.resolved()["init"] == resolved
 
     def test_all_equal_start_on_a_cell_face_is_one_cell_for_both_engines(self):
@@ -422,7 +443,7 @@ SECTIONS = [
     ("model", {"kind": "logistic", "scale": 1.0, "center": 0.0}),
     ("grid", {"q_min": -8.0, "q_max": 8.0, "n_cells": 100}),
     ("init", {"kind": "all_equal", "value": 0.5}),
-    ("init", {"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": False}),
+    ("init", {"kind": "gaussian", "mean": 0.0, "sd": 1.0}),
     ("init", {"kind": "gaussian", "target_entry_fraction": 0.2, "sd": 1.0}),
     ("init", {"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 0.5}),
     ("init", {"kind": "explicit", "values": [0.1] * GAME_SMALL["n_agents"]}),
@@ -431,7 +452,7 @@ SECTIONS = [
 # a gaussian needs one of mean and target_entry_fraction: test_bad_init_section_is_named
 # covers dropping either
 OPTIONAL_KEYS = {
-    "scale", "center", "snap_to_lattice", "mean", "target_entry_fraction",
+    "scale", "center", "mean", "target_entry_fraction",
     "seed", "replicas", "record_stride", "out_dir", "snapshot_times",
     "output_interval", "cfl_safety",
 }
@@ -447,7 +468,7 @@ def spoiled_sections():
             # top-level keys are named bare, section keys as section.key
             where = f"{name}.{key}" if name else key
             label = f"{section.get('kind', name or 'top')}.{key}"
-            bad = "yes" if isinstance(value, bool) else 3 if isinstance(value, str) else "1"
+            bad = 3 if isinstance(value, str) else "1"
             yield pytest.param(name, {**section, key: bad}, where, id=f"{label}-type")
             if key not in OPTIONAL_KEYS:
                 dropped = {k: v for k, v in section.items() if k != key}
@@ -556,8 +577,8 @@ class TestConfigRejection:
             ({"kind": "gaussian", "target_entry_fraction": 0.0, "sd": 1.0}, "target_entry_fraction"),
             ({"kind": "gaussian", "target_entry_fraction": 1.0, "sd": 1.0}, "target_entry_fraction"),
             ({"kind": "gaussian", "target_entry_fraction": 1.5, "sd": 1.0}, "target_entry_fraction"),
-            ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": "yes"}, "snap_to_lattice"),
-            ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": 1}, "snap_to_lattice"),
+            ({"kind": "gaussian", "target_entry_fraction": 1e-300, "sd": 1.5}, "target_entry_fraction"),
+            ({"kind": "gaussian", "mean": 0.0, "sd": 1.0, "snap_to_lattice": True}, "snap_to_lattice"),
             ({"kind": "two_spike", "q_low": 1.0, "q_high": 1.0, "mass_high": 0.5}, "q_low"),
             ({"kind": "two_spike", "q_low": 2.0, "q_high": 1.0, "mass_high": 0.5}, "q_low"),
             ({"kind": "two_spike", "q_low": -1.0, "q_high": 1.0, "mass_high": 1.5}, "mass_high"),

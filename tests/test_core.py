@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from entrydyn import core
+from entrydyn import abm, config, core
 from entrydyn.core import (
     BLOCK_AGENTS,
     GameParams,
@@ -24,6 +26,8 @@ from entrydyn.core import (
     pairwise_leaves,
     predicted_time_scales,
 )
+from entrydyn.grid import GridSpec
+from entrydyn.kinetic import SolverOptions
 
 from conftest import payoff, update_propensity
 
@@ -391,6 +395,14 @@ def test_readme_module_map_names_every_module():
     mapped = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", section))
     modules = {path.stem for path in Path(core.__file__).parent.glob("*.py")} - {"__init__"}
     assert sorted(mapped) == sorted(modules)
+
+
+def test_readme_names_every_config_key():
+    # a key the README does not name is an option no reader can find
+    sections = [config.RunConfig, GameParams, Logistic, GridSpec, SolverOptions, *get_args(abm.InitialCondition)]
+    keys = {"kind", "target_entry_fraction"} | {f.name for cls in sections for f in dataclasses.fields(cls)}
+    readme = README.read_text()
+    assert sorted(key for key in keys if not re.search(rf"\b{key}\b", readme)) == []
 
 
 def test_no_module_imports_a_private_name():
