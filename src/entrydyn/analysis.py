@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameParams, predicted_time_scales
+from .core import GameParams, sorting_rate
 from .observables import ObservableSeries
 
 MIN_FIT_POINTS = 5
@@ -121,7 +121,7 @@ def sorting_fit(series: ObservableSeries, params: GameParams, epsilon: float = 0
     else:
         crossed = np.nonzero(gap < epsilon * gap[0])[0]
         if crossed.size == 0:
-            needed = 3.0 * predicted_time_scales(params).sorting
+            needed = 3.0 / sorting_rate(params)
             raise FitError(
                 "aggregate learning never completed within the series "
                 f"(|a - kappa| stayed above {epsilon:.0%} of its start); "

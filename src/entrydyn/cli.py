@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, load_config, read_number, read_section
 from .core import GameParams, aggregate_learning_rate, learning_constant
-from .core import predicted_time_scales, sorting_rate
+from .core import separation_ratio, sorting_rate
 from .kinetic import solve
 from .observables import ObservableSeries
 from .oracle import MAX_AGENTS, blocks, enumerate_block, poisson_binomial_rows, random_instance
@@ -136,7 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runio.write_density(out / name, density)
         snapshot_names[f"{t:.10g}"] = name
     p = cfg.game
-    scales = predicted_time_scales(p)
     payload = {
         "command": engine,
         "config": cfg.resolved(),
@@ -144,8 +143,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "kappa": p.kappa,
             "r": p.r,
             "tau": p.tau,
-            "tau_al": scales.aggregate_learning,
-            "tau_s": scales.sorting,
         },
         "learning_constant": c_p,
         "predicted_rates": {
@@ -218,7 +215,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ratio = fits["sorting"]["tau"] / fits["aggregate_learning"]["tau"]
         fits["time_scale_separation"] = {
             "fitted_ratio": ratio,
-            "predicted_ratio": predicted_time_scales(params).separation,
+            "predicted_ratio": separation_ratio(params),
             "minimum": args.min_ratio,
             "pass": ratio >= args.min_ratio,
         }

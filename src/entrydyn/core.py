@@ -13,7 +13,8 @@ Aggregate behavior is summarized by two observables over the propensity
 distribution: the mean entry fraction a = E[p] and the sorting coefficient
 b = E[p(1-p)], which vanishes once every agent is committed to entering or
 staying out.  Each closed form has its one home here: the one-round drift
-expected_drift, the learning constant c_p, and the predicted rates.
+expected_drift, the learning constant c_p, the predicted rates and the
+separation ratio.
 """
 
 from __future__ import annotations
@@ -248,29 +249,6 @@ class Logistic:
 ErevRothRatio = None
 
 
-@dataclass(frozen=True)
-class TimeScales:
-    """Predicted e-folding times of the two relaxation stages.
-
-    aggregate_learning  1/r: decay of the entry-fraction gap |a - kappa|
-    sorting             2/(r*h): decay of the sorting coefficient b
-    separation          2/h: sorting over aggregate_learning
-    """
-
-    aggregate_learning: float
-    sorting: float
-    separation: float
-
-
-def predicted_time_scales(params: GameParams) -> TimeScales:
-    r = params.r
-    return TimeScales(
-        aggregate_learning=1.0 / r,
-        sorting=2.0 / (r * params.payoff_scale),
-        separation=2.0 / params.payoff_scale,
-    )
-
-
 def expected_drift(p, h, c, rule: LearningRule):
     """E[q'_i - q_i] over one round in closed form, with S = sum_j p_j over p's last axis:
       basic reinforcement   E[dq_i] = h p_i (c - 1 - (S - p_i))
@@ -322,3 +300,9 @@ def aggregate_learning_rate(params: GameParams, learning_constant: float) -> flo
 def sorting_rate(params: GameParams) -> float:
     """Predicted decay rate r*h/2 of the sorting coefficient b."""
     return params.r * params.payoff_scale / 2.0
+
+
+def separation_ratio(params: GameParams) -> float:
+    """Predicted ratio 2/h of the sorting time 1/sorting_rate to the learning
+    time unit 1/r; the unit, not the predicted learning time 1/(c_p r)."""
+    return 2.0 / params.payoff_scale

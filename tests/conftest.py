@@ -198,7 +198,7 @@ def pde_acceptance(acceptance_f0, walls):
 
 @pytest.fixture(scope="session")
 def pde_fict_short(acceptance_f0, walls):
-    """Fictitious-rule PDE over the early-agreement window [0, 5*tau_al]."""
+    """Fictitious-rule PDE over the early-agreement window [0, 5 / r]."""
     options = SolverOptions(output_interval=0.001)
     start = time.perf_counter()
     result = solve(acceptance_f0, PDE_FICT_PARAMS, MODEL, 0.005, options)

@@ -636,6 +636,21 @@ class TestSimulate:
         assert target / 3 <= fit.rate <= target * 3
 
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_large_round_gain_locks_into_a_period_two_cycle(self, seed):
+        # fictitious rule from the acceptance start: at N h = 24 one round's
+        # gain overshoots capacity, so the crowd enters and stays out in turn
+        # and m/N flips every round; at N h = 2 it settles without flipping
+        init = Gaussian(0.0, 1.5).with_entry_fraction(MODEL, 0.2)
+
+        def lag_one_autocorrelation(n_h):
+            params = make_params(h=n_h / 1000, rule=FICT)
+            m_frac = simulate(params, MODEL, init, t_end=2.0, seed=seed).series.m_frac[:200]
+            return np.corrcoef(m_frac[:-1], m_frac[1:])[0, 1]
+
+        assert lag_one_autocorrelation(24) < -0.9
+        assert lag_one_autocorrelation(2) > -0.5
+
 class TestEnsembleRun:
     def test_stderr_fields_present(self):
         params = make_params(n=50, c=25)

@@ -24,7 +24,14 @@ from entrydyn.analysis import (
     within_factor,
 )
 from entrydyn.cli import main
-from entrydyn.core import GameParams, LearningRule, aggregate_learning_rate, learning_constant, sorting_rate
+from entrydyn.core import (
+    GameParams,
+    LearningRule,
+    aggregate_learning_rate,
+    learning_constant,
+    separation_ratio,
+    sorting_rate,
+)
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, _Stencil, diffusion_coefficient, solve
 from entrydyn.observables import ObservableSeries
@@ -164,7 +171,7 @@ def test_criterion_6_time_scale_separation(pde_acceptance):
     fit_al = aggregate_learning_fit(pde_acceptance.series, PDE_PARAMS)
     fit_s = sorting_fit(pde_acceptance.series, PDE_PARAMS)
     ratio = fit_s.tau / fit_al.tau
-    predicted = 2.0 / PDE_PARAMS.payoff_scale
+    predicted = separation_ratio(PDE_PARAMS)
     passed = ratio >= 20.0 and within_factor(ratio, predicted, 6.0)
     report(
         6,
@@ -178,7 +185,7 @@ def test_criterion_7_engine_agreement_on_learning_window(
     abm_basic_ensemble, abm_fict_ensemble, pde_acceptance, pde_fict_short
 ):
     # both rules: ensemble-averaged a(t) from 8 replicas of 10^4 agents
-    # tracks the density solution within 0.02 over [0, 5 tau_al]
+    # tracks the density solution within 0.02 over [0, 5 / r]
     horizon = 5.0 / PDE_PARAMS.r
     sup_basic = compare_series(
         early_window(abm_basic_ensemble, horizon),

@@ -167,6 +167,8 @@ class TestRunCommands:
         cfg = pde_cfg(tmp_path / "c.json", tmp_path / "out")
         assert main(["pde", "--config", str(cfg)]) == 0
         payload = read_json(tmp_path / "out" / "run.json")
+        # each predicted time is in predicted_rates alone
+        assert set(payload["derived"]) == {"kappa", "r", "tau"}
         assert payload["mass_residual"] <= 1e-8
         # sorted state: no drift, so every step is the full output interval
         assert payload["n_steps"] == 4

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from entrydyn import abm, config, core
+from entrydyn import abm, cli, config, core, runio
 from entrydyn.core import (
     BLOCK_AGENTS,
     GameParams,
@@ -24,11 +24,13 @@ from entrydyn.core import (
     expected_drift,
     pairwise_fold,
     pairwise_leaves,
-    predicted_time_scales,
+    separation_ratio,
+    sorting_rate,
 )
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions
 
+import test_cli
 from conftest import payoff, update_propensity
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
@@ -268,27 +270,26 @@ class TestUpdatePropensity:
                 assert gain == pytest.approx(payoff(entered, m, p), abs=1e-15)
 
 
-class TestPredictedTimeScales:
+class TestPredictedTimes:
     def test_acceptance_parameters(self):
-        ts = predicted_time_scales(make_params())
-        assert ts.aggregate_learning == pytest.approx(0.001, rel=1e-12)
-        assert ts.sorting == pytest.approx(0.2, rel=1e-12)
+        p = make_params()
+        assert 1.0 / p.r == pytest.approx(0.001, rel=1e-12)
+        assert 1.0 / sorting_rate(p) == pytest.approx(0.2, rel=1e-12)
 
     def test_second_parameter_set(self):
         p = make_params(n=100, c=50, h=0.1, m=10)
         assert p.r == 100.0
-        ts = predicted_time_scales(p)
-        assert ts.aggregate_learning == pytest.approx(0.01, rel=1e-12)
-        assert ts.sorting == pytest.approx(0.2, rel=1e-12)
+        assert 1.0 / p.r == pytest.approx(0.01, rel=1e-12)
+        assert 1.0 / sorting_rate(p) == pytest.approx(0.2, rel=1e-12)
 
     def test_ratio_is_two_over_h(self):
         for n, c, h, m in [(1000, 500, 0.01, 100), (64, 16, 0.5, 7), (10, 3, 1.5, 2)]:
             p = make_params(n=n, c=c, h=h, m=m)
-            ts = predicted_time_scales(p)
-            assert ts.sorting / ts.aggregate_learning == pytest.approx(2.0 / h, rel=1e-12)
-            assert ts.separation == 2.0 / h
+            tau_learning, tau_sorting = 1.0 / p.r, 1.0 / sorting_rate(p)
+            assert tau_sorting / tau_learning == pytest.approx(2.0 / h, rel=1e-12)
+            assert separation_ratio(p) == 2.0 / h
             if h < 2.0:
-                assert ts.sorting > ts.aggregate_learning
+                assert tau_sorting > tau_learning
 
 
 class TestExpectedDrift:
@@ -403,6 +404,24 @@ def test_readme_names_every_config_key():
     keys = {"kind", "target_entry_fraction"} | {f.name for cls in sections for f in dataclasses.fields(cls)}
     readme = README.read_text()
     assert sorted(key for key in keys if not re.search(rf"\b{key}\b", readme)) == []
+
+
+def test_readme_names_every_artifact_key(tmp_path):
+    # a key of run.json or fits.json the README does not name is an output no reader can read
+    abm_cfg = test_cli.write_cfg(tmp_path / "abm.json", out_dir=str(tmp_path / "abm"))
+    pde_cfg = test_cli.pde_cfg(tmp_path / "pde.json", tmp_path / "pde")
+    assert cli.main(["abm", "--config", str(abm_cfg)]) == 0
+    assert cli.main(["pde", "--config", str(pde_cfg)]) == 0
+    test_cli.TestAnalyze.synthetic_run(tmp_path / "fits")
+    assert cli.main(["analyze", str(tmp_path / "fits")]) == 0
+    keys = set()
+    for run in ("abm", "pde"):
+        record = runio.read_json(tmp_path / run / "run.json")
+        keys |= {*record, *record["derived"], *record["predicted_rates"]}
+    fits = runio.read_json(tmp_path / "fits" / "fits.json")
+    keys |= {*fits, *fits["aggregate_learning"], *fits["sorting"], *fits["time_scale_separation"]}
+    section = README.read_text().split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(key for key in keys if not re.search(rf"\b{key}\b", section)) == []
 
 
 def test_no_module_imports_a_private_name():

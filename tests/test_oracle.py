@@ -386,6 +386,37 @@ class TestLearningLaw:
         assert gaps[1] <= gaps[0] / 3 and gaps[2] <= gaps[1] / 3
 
 
+class TestRoundMapKernel:
+    def test_agent_means_equal_the_enumerated_round(self):
+        # the round map's kernel: agent i sees m_-i entrants among the others,
+        # whose law is the recurrence over the other N - 1 probabilities; an
+        # entrant moves to q_i + h (c - 1 - k), a stay-out stays at q_i under
+        # the basic rule and moves there too under the fictitious rule. Its
+        # agent means of p and p (1 - p) are the enumerated round's, with no
+        # sum over the 2^N patterns
+        chunk = random_instance(np.random.default_rng(3), 12, 512)
+        worst, rules = 0.0, set()
+        for rows in blocks(chunk):
+            block = chunk.take(rows)
+            law = enumerate_block(block)
+            q, h, c = block.propensities, block.payoff_scale[:, None, None], block.capacity[:, None, None]
+            size, n = q.shape
+            p = block.prob(q)
+            if n == 1:
+                others = np.ones((size, 1, 1))  # m_-i = 0 surely
+            else:
+                others = np.stack([poisson_binomial_rows(np.delete(p, i, axis=1)) for i in range(n)], axis=1)
+            entered = block.prob(q[:, :, None] + h * (c - 1.0 - np.arange(n)))
+            stayed = entered if block.fictitious[0] else np.broadcast_to(p[:, :, None], entered.shape)
+            enter_weight, stay_weight = p[:, :, None] * others, (1.0 - p[:, :, None]) * others
+            for observable, expected in ((lambda x: x, law.expected_a), (lambda x: x * (1.0 - x), law.expected_b)):
+                kernel = enter_weight * observable(entered) + stay_weight * observable(stayed)
+                worst = max(worst, float(np.max(np.abs(kernel.sum(axis=(1, 2)) / n - expected))))
+            rules.add(bool(block.fictitious[0]))
+        assert rules == {False, True}
+        assert worst <= 1e-14
+
+
 @st.composite
 def mixed_blocks(draw):
     """Instances of one N and one rule, their models mixed, as many as one
