@@ -5,8 +5,9 @@ separated time scales: the entry-fraction gap |a - kappa| closes first
 (aggregate learning), then the sorting coefficient b = E[p(1-p)] decays as
 agents commit.  Rates are measured by least squares on the log of the gap,
 windowed to the part of the series where the signal is clean.  This module
-only measures; `entrydyn analyze` compares each fitted rate with core's
-predictions c_p * r and r*h/2, with c_p the rule's core.learning_constant.
+measures and holds the acceptance bands; `entrydyn analyze` compares each
+fitted rate with core's predictions c_p * r and r*h/2, with c_p the rule's
+core.learning_constant.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ MIN_FIT_POINTS = 5
 # fractions of the starting gap that open and close the learning window
 WINDOW_UPPER = 0.8
 WINDOW_LOWER = 0.2
+# the acceptance bands: a fitted rate within a factor of its prediction, the
+# sorting window opened at this fraction of the starting |a - kappa|, and the
+# least fitted ratio of the sorting time to the learning time
+RATE_FACTOR = 2.0
+SORTING_EPSILON = 0.05
+MIN_SEPARATION = 20.0
 
 
 class FitError(ValueError):
@@ -107,7 +114,7 @@ def aggregate_learning_fit(series: ObservableSeries, params: GameParams) -> Deca
     return fit_exponential_decay(series.t, series.a, params.kappa, window)
 
 
-def sorting_fit(series: ObservableSeries, params: GameParams, epsilon: float = 0.05) -> DecayFit:
+def sorting_fit(series: ObservableSeries, params: GameParams, epsilon: float = SORTING_EPSILON) -> DecayFit:
     """Fitted decay rate of b on the post-learning window.
 
     The window opens at the first record where |a - kappa| has fallen below
@@ -131,7 +138,7 @@ def sorting_fit(series: ObservableSeries, params: GameParams, epsilon: float = 0
     return fit_exponential_decay(t, series.b, 0.0, (t_open, float(t[-1])))
 
 
-def within_factor(rate: float, predicted: float, factor: float = 2.0) -> bool:
+def within_factor(rate: float, predicted: float, factor: float = RATE_FACTOR) -> bool:
     """True when rate lies in [predicted/factor, predicted*factor]."""
     if not factor >= 1:
         raise ValueError(f"factor must be >= 1, got {factor}")

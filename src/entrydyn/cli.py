@@ -20,13 +20,8 @@ import numpy as np
 
 from . import runio
 from .abm import ensemble_run, simulate
-from .analysis import (
-    FitError,
-    aggregate_learning_fit,
-    compare_series,
-    sorting_fit,
-    within_factor,
-)
+from .analysis import MIN_SEPARATION, RATE_FACTOR, SORTING_EPSILON, FitError, aggregate_learning_fit
+from .analysis import compare_series, sorting_fit, within_factor
 from .config import ConfigError, RunConfig, load_config, read_number, read_section
 from .core import GameParams, aggregate_learning_rate, learning_constant
 from .core import separation_ratio, sorting_rate
@@ -44,13 +39,11 @@ EXIT_RUNTIME = 3
 ORACLE_CHUNK = 512
 
 
-def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind: type = float):
-    """argparse type: a float, or an int if kind is int, in [low, high), or (low, high)
-    unless closed; NaN is in neither.
+def _number_in(low: float, high: float = math.inf, *, kind: type = float):
+    """argparse type: a float, or an int if kind is int, in [low, high); NaN is not.
 
     argparse names the flag of a bad value, and main exits 2 before the subcommand runs.
     """
-    interval = f"{'[' if closed else '('}{low:g}, {high:g})"
     what = "an integer" if kind is int else "a number"
 
     def number(text: str):
@@ -58,8 +51,8 @@ def _number_in(low: float, high: float = math.inf, *, closed: bool = True, kind:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (low <= value < high if closed else low < value < high):
-            raise argparse.ArgumentTypeError(f"expected {what} in {interval}, got {text!r}")
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"expected {what} in [{low:g}, {high:g}), got {text!r}")
         return value
 
     return number
@@ -182,7 +175,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     params, c_p = _load_run_dir(run_dir)
     series = runio.read_series(run_dir / "series.csv")
 
-    fits: dict = {"factor": args.factor, "epsilon": args.epsilon, "pass": None}
+    fits: dict = {"factor": RATE_FACTOR, "epsilon": SORTING_EPSILON, "pass": None}
     errors = []
     # each fit beside core's prediction of its rate; no other code pairs them
     measurements = (
@@ -191,7 +184,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             aggregate_learning_rate(params, c_p),
             lambda: aggregate_learning_fit(series, params),
         ),
-        ("sorting", sorting_rate(params), lambda: sorting_fit(series, params, epsilon=args.epsilon)),
+        ("sorting", sorting_rate(params), lambda: sorting_fit(series, params)),
     )
     for name, predicted, measure in measurements:
         try:
@@ -208,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "tau": fit.tau,
             "predicted_rate": predicted,
             "ratio": fit.rate / predicted,
-            "pass": within_factor(fit.rate, predicted, args.factor),
+            "pass": within_factor(fit.rate, predicted),
         }
 
     if not errors:
@@ -216,8 +209,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fits["time_scale_separation"] = {
             "fitted_ratio": ratio,
             "predicted_ratio": separation_ratio(params),
-            "minimum": args.min_ratio,
-            "pass": ratio >= args.min_ratio,
+            "minimum": MIN_SEPARATION,
+            "pass": ratio >= MIN_SEPARATION,
         }
         fits["pass"] = all(
             fits[name]["pass"] for name in ("aggregate_learning", "sorting", "time_scale_separation")
@@ -366,13 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="fit decay time scales from a finished run")
     p_an.add_argument("run_dir", help="directory holding series.csv and run.json")
-    p_an.add_argument("--factor", type=_number_in(1.0), default=2.0, help="pass band around predicted rates")
-    p_an.add_argument(
-        "--epsilon", type=_number_in(0.0, 1.0, closed=False), default=0.05, help="learning-completion threshold"
-    )
-    p_an.add_argument(
-        "--min-ratio", type=_number_in(0.0, closed=False), default=20.0, help="required fitted time-scale ratio"
-    )
     p_an.add_argument("--out", default=None, help="directory for fits.json (default: run_dir)")
     p_an.set_defaults(handler=_cmd_analyze)
 

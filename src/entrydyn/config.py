@@ -188,7 +188,6 @@ _READERS = {
     str: _as_str,
     tuple[float, ...]: _as_numbers,
     LearningRule: _as_rule,
-    Logistic: _as_model,
     GameParams: partial(read_section, GameParams),
     GridSpec | None: partial(read_section, GridSpec),
     SolverOptions: partial(read_section, SolverOptions),

@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.linalg.lapack import dptsv
+from scipy.special import ndtri
 
 from entrydyn.abm import Gaussian, TwoSpike, ensemble_run, simulate
 from entrydyn.core import GameParams, LearningRule, Logistic
 from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions, diffusion_coefficient, solve
+from entrydyn.observables import ObservableSeries
 
 # each run draws the same hypothesis examples, so the suite's wall time and
 # any failure repeat; no example database is read or written
@@ -124,6 +126,28 @@ def play_round(q, params, model, rng):
         return q + gain * entered, entered, m
     return q + gain - h * ~entered, entered, m
 
+
+def fictitious_round_map(params: GameParams, start: Gaussian, t_end: float, K: int = 2000) -> ObservableSeries:
+    """The agent game's N -> infinity limit at its own round length, under the
+    fictitious rule and MODEL: the series of K equal-weight quantile particles
+    q_k = mean + sd Phi^-1((k + 1/2) / K) of the Gaussian start.
+
+    Given its own decision, agent k moves by h (c - 1 - m_-k), and m_-k has
+    mean N a - p(q_k), so each round every particle moves by
+    h (c - 1 - N a + p(q_k)), a and b the particles' means of p and
+    p (1 - p) before the round.  The map drops the noise in m that all agents
+    share, which translates the whole population, and any correlation
+    between agents beyond one round.
+    """
+    q = start.mean + start.sd * ndtri((np.arange(K) + 0.5) / K)
+    n, c, h = params.n_agents, params.capacity, params.payoff_scale
+    rounds = round(t_end * params.rounds_per_unit)
+    a, b = np.empty(rounds + 1), np.empty(rounds + 1)
+    for k in range(rounds + 1):
+        p = MODEL.prob(q)
+        a[k], b[k] = p.mean(), (p * (1.0 - p)).mean()
+        q = q + h * (c - 1.0 - n * a[k] + p)
+    return ObservableSeries(t=np.arange(rounds + 1) * params.tau, a=a, b=b)
 
 
 def instance_tuples(chunk):

@@ -20,14 +20,22 @@ from entrydyn.abm import (
     ensemble_run,
     simulate,
 )
-from entrydyn.analysis import fit_exponential_decay
+from entrydyn.analysis import compare_series, fit_exponential_decay
 from entrydyn.core import GameParams, LearningRule, Logistic, pairwise_fold, pairwise_leaves
 from entrydyn.grid import DensityGrid, GridSpec, histogram_density
 from entrydyn.kinetic import SolverOptions, solve
 from entrydyn.observables import Recorder
 from entrydyn.oracle import enumerate_block
 
-from conftest import CountingLogistic, play_round, update_propensity
+from conftest import (
+    ABM_FICT_PARAMS,
+    BASE_SEED,
+    INIT_SD,
+    CountingLogistic,
+    fictitious_round_map,
+    play_round,
+    update_propensity,
+)
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
@@ -692,6 +700,18 @@ class TestEnsembleRun:
         z_a = (series.a[1] - law.expected_a[0]) / series.stderr_a[1]
         z_b = (series.b[1] - law.expected_b[0]) / series.stderr_b[1]
         assert abs(z_a) < 4.0 and abs(z_b) < 4.0, (z_a, z_b)
+
+    def test_fictitious_ensemble_tracks_the_round_map(self, init_mean):
+        # at N h = 1 the map keeps the agents' round length and drops only the
+        # noise in m, so the ensemble's gap to it is replica noise; the sup
+        # over 101 records of an error of one standard error may reach a few
+        series = ensemble_run(ABM_FICT_PARAMS, MODEL, Gaussian(init_mean, INIT_SD), 0.1, 8, BASE_SEED)
+        reference = fictitious_round_map(ABM_FICT_PARAMS, Gaussian(init_mean, INIT_SD), 0.1)
+        assert ABM_FICT_PARAMS.n_agents * ABM_FICT_PARAMS.payoff_scale == 1.0
+        assert series.t.size == reference.t.size == 101
+        for column in ("a", "b"):
+            band = 3.0 * np.max(getattr(series, f"stderr_{column}"))
+            assert compare_series(series, reference, column).sup_norm <= band
 
     def test_zero_replicas_rejected(self):
         with pytest.raises(ValueError, match="n_replicas must be >= 1, got 0"):

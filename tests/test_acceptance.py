@@ -18,6 +18,8 @@ from scipy.stats import chi2
 
 from entrydyn.abm import AllEqual, Gaussian, TwoSpike, ensemble_run
 from entrydyn.analysis import (
+    MIN_SEPARATION,
+    RATE_FACTOR,
     aggregate_learning_fit,
     compare_series,
     sorting_fit,
@@ -121,7 +123,7 @@ def test_criterion_3_density_conservation_and_positivity(pde_acceptance, walls):
 def test_criterion_4_aggregate_learning_rate_both_engines(
     pde_acceptance, acceptance_f0, abm_basic_ensemble, init_mean, walls
 ):
-    # fitted |a - kappa| decay within a factor 2 of the moment-equation
+    # fitted |a - kappa| decay within RATE_FACTOR of the moment-equation
     # prediction c_p * r, measured from each engine's own initial state
     c_pde = learning_constant(
         acceptance_f0.centers(), MODEL, PDE_PARAMS.rule, acceptance_f0.values * acceptance_f0.dq
@@ -135,8 +137,8 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
     target_abm = aggregate_learning_rate(ABM_BASIC_PARAMS, c_abm)
 
     wall = walls["abm_basic_ensemble"]
-    ok_pde = within_factor(fit_pde.rate, target_pde, 2.0)
-    ok_abm = within_factor(fit_abm.rate, target_abm, 2.0)
+    ok_pde = within_factor(fit_pde.rate, target_pde, RATE_FACTOR)
+    ok_abm = within_factor(fit_abm.rate, target_abm, RATE_FACTOR)
     passed = ok_pde and ok_abm and wall < 300.0
     report(
         4,
@@ -144,7 +146,7 @@ def test_criterion_4_aggregate_learning_rate_both_engines(
         f"pde rate {fit_pde.rate:.1f} vs {target_pde:.1f} "
         f"(ratio {fit_pde.rate / target_pde:.2f}), "
         f"abm rate {fit_abm.rate:.1f} vs {target_abm:.1f} "
-        f"(ratio {fit_abm.rate / target_abm:.2f}), factor-2 band, "
+        f"(ratio {fit_abm.rate / target_abm:.2f}), factor-{RATE_FACTOR:g} band, "
         f"ensemble {wall:.1f}s (budget 300s)",
     )
 
@@ -156,12 +158,12 @@ def test_criterion_5_sorting_rate_matches_prediction(pde_acceptance):
     # attainable rate well below the target
     fit = sorting_fit(pde_acceptance.series, PDE_PARAMS)
     target = sorting_rate(PDE_PARAMS)
-    passed = within_factor(fit.rate, target, 2.0)
+    passed = within_factor(fit.rate, target, RATE_FACTOR)
     report(
         5,
         passed,
         f"sorting rate {fit.rate:.3f} vs predicted {target:.1f} "
-        f"(ratio {fit.rate / target:.2e}), factor-2 band",
+        f"(ratio {fit.rate / target:.2e}), factor-{RATE_FACTOR:g} band",
     )
 
 
@@ -172,12 +174,12 @@ def test_criterion_6_time_scale_separation(pde_acceptance):
     fit_s = sorting_fit(pde_acceptance.series, PDE_PARAMS)
     ratio = fit_s.tau / fit_al.tau
     predicted = separation_ratio(PDE_PARAMS)
-    passed = ratio >= 20.0 and within_factor(ratio, predicted, 6.0)
+    passed = ratio >= MIN_SEPARATION and within_factor(ratio, predicted, 6.0)
     report(
         6,
         passed,
         f"fitted tau_s/tau_al {ratio:.0f}, predicted {predicted:.0f}, "
-        f"required >= 20 and within factor 6",
+        f"required >= {MIN_SEPARATION:g} and within factor 6",
     )
 
 

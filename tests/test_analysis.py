@@ -7,6 +7,8 @@ from entrydyn.abm import Gaussian
 from entrydyn.analysis import (
     FitError,
     MIN_FIT_POINTS,
+    RATE_FACTOR,
+    SORTING_EPSILON,
     aggregate_learning_fit,
     compare_series,
     fit_exponential_decay,
@@ -160,6 +162,12 @@ class TestSortingFit:
         # e^{-10 t} < 0.5 first holds at t = 0.07
         assert fit.window[0] == pytest.approx(0.07, abs=1e-12)
 
+    def test_default_window_opens_at_sorting_epsilon(self):
+        series = decay_series(rate_a=10.0, rate_b=2.0, t_end=1.0, dt=0.01)
+        assert SORTING_EPSILON == 0.05
+        assert sorting_fit(series, PARAMS) == sorting_fit(series, PARAMS, epsilon=SORTING_EPSILON)
+        assert sorting_fit(series, PARAMS).window[0] == pytest.approx(0.30, abs=1e-12)
+
     def test_short_horizon_reports_needed_run_length(self):
         series = decay_series(rate_a=10.0, t_end=0.1, dt=0.002)
         with pytest.raises(FitError, match="never completed") as err:
@@ -173,6 +181,11 @@ class TestWithinFactor:
         assert within_factor(20.0, 10.0, 2.0)
         assert not within_factor(4.999, 10.0, 2.0)
         assert not within_factor(20.001, 10.0, 2.0)
+
+    def test_default_band_is_rate_factor(self):
+        assert RATE_FACTOR == 2.0
+        assert within_factor(5.0, 10.0) and within_factor(20.0, 10.0)
+        assert not within_factor(4.999, 10.0) and not within_factor(20.001, 10.0)
 
     def test_factor_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from entrydyn import cli, oracle, runio
 from entrydyn.abm import Gaussian, simulate
+from entrydyn.analysis import MIN_SEPARATION, RATE_FACTOR, SORTING_EPSILON
 from entrydyn.cli import main
 from entrydyn.config import ConfigError, load_config, parse_config
 from entrydyn.observables import ObservableSeries
@@ -877,13 +878,46 @@ class TestAnalyze:
         assert fits["aggregate_learning"]["pass"] is True
         assert fits["aggregate_learning"]["predicted_rate"] == run["learning_constant"] * run["derived"]["r"]
 
-    def test_min_ratio_flag_can_fail_the_run(self, tmp_path):
+    def test_separation_below_its_minimum_fails_the_run(self, tmp_path):
+        # both rates in their bands, 100 against 100 and 6 against 5, but a
+        # fitted ratio of 100 / 6 = 16.7 falls short of MIN_SEPARATION
         run_dir = tmp_path / "run"
-        self.synthetic_run(run_dir)
-        assert main(["analyze", str(run_dir), "--min-ratio", "30"]) == 1
+        self.synthetic_run(run_dir, rate_b=6.0)
+        assert main(["analyze", str(run_dir)]) == 1
         fits = read_json(run_dir / "fits.json")
+        assert fits["aggregate_learning"]["pass"] is True
+        assert fits["sorting"]["pass"] is True
+        assert fits["time_scale_separation"]["fitted_ratio"] == pytest.approx(100.0 / 6.0, rel=1e-5)
+        assert fits["time_scale_separation"]["minimum"] == MIN_SEPARATION
         assert fits["time_scale_separation"]["pass"] is False
         assert fits["pass"] is False
+
+    def test_sorting_rate_outside_its_band_fails_the_run(self, tmp_path):
+        # 2.4 against a target of 5 lies below 5 / RATE_FACTOR, while the
+        # fitted ratio of 100 / 2.4 = 41.7 clears MIN_SEPARATION
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir, rate_b=2.4)
+        assert main(["analyze", str(run_dir)]) == 1
+        fits = read_json(run_dir / "fits.json")
+        assert fits["aggregate_learning"]["pass"] is True
+        assert fits["sorting"]["pass"] is False
+        assert fits["time_scale_separation"]["pass"] is True
+        assert fits["pass"] is False
+
+    def test_fits_json_records_the_fixed_bands(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.synthetic_run(run_dir)
+        assert main(["analyze", str(run_dir)]) == 0
+        fits = read_json(run_dir / "fits.json")
+        assert fits["factor"] == RATE_FACTOR
+        assert fits["epsilon"] == SORTING_EPSILON
+        assert fits["time_scale_separation"]["minimum"] == MIN_SEPARATION
+
+    def test_help_lists_only_run_dir_and_out(self, capsys):
+        assert main(["analyze", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "run_dir" in usage and "--out" in usage
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == {"--help", "--out"}
 
     def test_out_flag_redirects_fits(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -1116,16 +1150,6 @@ class TestOracleCheck:
         ("oracle-check", "--max-agents", "0"),
         ("oracle-check", "--max-agents", "13"),
         ("oracle-check", "--seed", "-1"),
-        ("analyze", "--factor", "nan"),
-        ("analyze", "--factor", "0.5"),
-        ("analyze", "--factor", "inf"),
-        ("analyze", "--epsilon", "nan"),
-        ("analyze", "--epsilon", "-1"),
-        ("analyze", "--epsilon", "0"),
-        ("analyze", "--epsilon", "1"),
-        ("analyze", "--min-ratio", "nan"),
-        ("analyze", "--min-ratio", "0"),
-        ("analyze", "--min-ratio", "two"),
         ("compare", "--max-sup", "nan"),
         ("compare", "--max-sup", "-1"),
         ("compare", "--max-sup", "1e400"),
@@ -1138,11 +1162,21 @@ def test_bad_numeric_flag_exits_2_before_any_write(tmp_path, capsys, command, fl
     series = str(run_dir / "series.csv")
     args = {
         "oracle-check": ["oracle-check", "--instances", "5"],
-        "analyze": ["analyze", str(run_dir), "--out", str(out)],
         "compare": ["compare", series, series, "--out", str(out)],
     }[command]
     assert main(args + [flag, value]) == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--factor", "2"), ("--epsilon", "0.05"), ("--min-ratio", "20")])
+def test_analyze_bands_are_not_flags(tmp_path, capsys, flag, value):
+    # analyze judges every run against analysis's fixed bands
+    run_dir = tmp_path / "run"
+    TestAnalyze.synthetic_run(run_dir)
+    out = tmp_path / "out"
+    assert main(["analyze", str(run_dir), "--out", str(out), flag, value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
     assert not (run_dir / "fits.json").exists()
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import math
@@ -404,6 +405,16 @@ def test_readme_names_every_config_key():
     keys = {"kind", "target_entry_fraction"} | {f.name for cls in sections for f in dataclasses.fields(cls)}
     readme = README.read_text()
     assert sorted(key for key in keys if not re.search(rf"\b{key}\b", readme)) == []
+
+
+def test_readme_and_parser_name_the_same_flags():
+    # a flag the README does not name is an option no reader can find, and
+    # a flag only the README names is one no run accepts
+    (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {flag for sub in subcommands.choices.values() for a in sub._actions for flag in a.option_strings}
+    head, rest = README.read_text().split("\n## Install\n", 1)
+    named = set(re.findall(r"--[a-z][a-z-]*", head + rest.split("\n## ", 1)[1]))
+    assert sorted(named) == sorted(parsed - {"-h", "--help"})
 
 
 def test_readme_names_every_artifact_key(tmp_path):

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from entrydyn.abm import Gaussian, TwoSpike
 from entrydyn.analysis import (
+    compare_series,
     fit_exponential_decay,
     learning_window,
     sorting_fit,
@@ -28,6 +29,7 @@ from conftest import (
     PDE_FICT_PARAMS,
     PDE_PARAMS,
     CountingLogistic,
+    fictitious_round_map,
     step_advective_dt,
     step_apply,
     step_face_coefficients,
@@ -500,3 +502,24 @@ class TestGaussianReference:
         coarse, fine = self.sup_gaps(init_mean, 800), self.sup_gaps(init_mean, 3200)
         for gap_coarse, gap_fine in zip(coarse, fine):
             assert 0.8 <= np.log(gap_coarse / gap_fine) / np.log(4.0) <= 1.2
+
+
+class TestFictitiousRoundMap:
+    # the round map is the agent game at its own round length with no noise in
+    # m; at fixed r = 1000 the PDE is its limit as N h -> 0, so map - PDE is the
+    # round-length error, first order in N h (measured: 9.5e-3, 4.6e-3 and
+    # 2.2e-3 at N h = 1, 1/2, 1/4). The PDE's own scheme error on the
+    # acceptance grid, 7.6e-5 in a (TestGaussianReference), is under 1/25 of
+    # the smallest of them
+
+    def test_first_order_in_round_length(self, acceptance_f0, init_mean):
+        n = 10_000
+        gaps = []
+        for nh in (1.0, 0.5, 0.25):
+            params = GameParams(n, n // 2, nh / n, round(1000 / nh), LearningRule.FICTITIOUS_STOCHASTIC)
+            assert params.r == 1000.0
+            pde = solve(acceptance_f0, params, MODEL, 0.1, SolverOptions(output_interval=0.001)).series
+            reference = fictitious_round_map(params, Gaussian(init_mean, 1.5), 0.1)
+            gaps.append(compare_series(reference, pde, "a").sup_norm)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 0.8 <= np.log2(coarse / fine) <= 1.2

@@ -497,6 +497,10 @@ class TestBlocks:
             enumerate_block([(q, params, model), (q, other, model)])
         with pytest.raises(ValueError):
             enumerate_block([])
+        # each tuple fits its own game, but the two differ in N
+        three, two = GameParams(3, 1, 0.1, 10, BASIC), GameParams(2, 1, 0.1, 10, BASIC)
+        with pytest.raises(ValueError, match="one n_agents and one rule"):
+            enumerate_block([(np.zeros(3), three, model), (np.zeros(2), two, model)])
         # a chunk is not a block: its rows mix N, its propensities are padded
         with pytest.raises(ValueError, match="one n_agents and one rule"):
             enumerate_block(random_instance(np.random.default_rng(61), 4, 50))
