@@ -12,7 +12,10 @@ random_instance draws a chunk, blocks() splits it into blocks of one N and
 one rule, and enumerate_block, the one entry point, returns one RoundLaw
 per block whose fields stack the instances along a leading axis.  The
 kernel works row by row, with one model call per block, so a sweep pays
-numpy's per-call cost once per block, not per instance.
+numpy's per-call cost once per block, not per instance.  P(m, e_i = 1) takes
+one contraction per entrant count m, N + 1 calls a block, by np.einsum
+rather than matmul: BLAS rounds a one-row product and a many-row product of
+the same data differently, and each row must not depend on its block.
 """
 
 from __future__ import annotations
@@ -175,10 +178,13 @@ def _round_block(block: Instances) -> RoundLaw:
     q'_i depends on the pattern only through e_i and m, so the sum yields the
     joint law P(m, e_i).  Every propensity the round touches, q and the
     (m, e) cells reached, is formed first, so the block's models are
-    evaluated in one call.  P(m, e_i = 1) is summed one agent at a
-    time through one scratch table, so no temporary is larger than the
-    (B, 2^N) weights.  Every step acts on each row alone, so row b is bit
-    for bit the law of instance b in a block of its own.
+    evaluated in one call.  With the patterns sorted by m, P(m, e_i = 1) is
+    one contraction per m of that group's weights with its entry bits, by
+    einsum without optimize, which sums each row on its own; matmul would
+    hand the block to BLAS, whose rounding depends on the number of rows.  Each
+    group's bits are cast to float as used, so no temporary is larger than
+    the (B, 2^N) weights.  Every step acts on each row alone, so row b is
+    bit for bit the law of instance b in a block of its own.
     """
     q, h, c = block.propensities, block.payoff_scale[:, None], block.capacity[:, None]
     rule = LearningRule.FICTITIOUS_STOCHASTIC if block.fictitious[0] else LearningRule.BASIC_REINFORCEMENT
@@ -200,16 +206,15 @@ def _round_block(block: Instances) -> RoundLaw:
     weights = np.ones((size, 1))
     for i in range(n):
         weights = (factors[:, :, i, None] * weights[:, None, :]).reshape(size, -1)
-    scratch, weights = weights, np.take(weights, order, axis=1)
+    weights = np.take(weights, order, axis=1)
     m_probs = np.add.reduceat(weights, starts, axis=1)
-    # P(m, e_i = 1), kept as the transposed view of the sums: matmul rounds
-    # by memory layout, and this is the layout every result was checked in
-    sums = np.empty((size, n, n + 1))
-    for i in range(n):
-        np.multiply(entered[i], weights, out=scratch)
-        np.add.reduceat(scratch, starts, axis=1, out=sums[:, i, :])
-    del weights, scratch
-    enter_law = sums.transpose(0, 2, 1)
+    # P(m, e_i = 1), row m, in the C-contiguous layout the @ products below
+    # read: matmul rounds by memory layout, and the tests check this one
+    enter_law = np.empty((size, n + 1, n))
+    for m, (start, end) in enumerate(zip(starts, (*starts[1:], 2**n))):
+        np.einsum("bj,ij->bi", weights[:, start:end], entered[:, start:end].astype(float),
+                  out=enter_law[:, m], optimize=False)
+    del weights
     stay_law = m_probs[:, :, None] - enter_law  # P(m, e_i = 0)
     drift = gain[:, None, :] @ enter_law
     if rule is LearningRule.FICTITIOUS_STOCHASTIC:

@@ -1164,8 +1164,14 @@ def test_bad_numeric_flag_exits_2_before_any_write(tmp_path, capsys, command, fl
         "oracle-check": ["oracle-check", "--instances", "5"],
         "compare": ["compare", series, series, "--out", str(out)],
     }[command]
-    assert main(args + [flag, value]) == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    # flag=value, so argparse hands a value such as -1e-12 to the flag's type
+    # rather than reading it as an option
+    assert main(args + [f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    # oracle-check writes no file: a check made after the work would show as
+    # its report on stdout
+    assert captured.out == ""
     assert not out.exists()
 
 

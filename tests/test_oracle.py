@@ -63,7 +63,10 @@ def loop_round(q, params, model):
         weights = np.concatenate((weights * (1.0 - pi), weights * pi))
     weights = weights[order]
     m_probs = np.add.reduceat(weights, starts)
-    enter_law = np.add.reduceat(entered * weights, starts, axis=1).T
+    # P(m, e_i = 1), row m: each m's weights contracted with its entry bits
+    ends = (*starts[1:], 2**n)
+    enter_law = np.stack([np.einsum("j,ij->i", weights[s:e], entered[:, s:e].astype(float), optimize=False)
+                          for s, e in zip(starts, ends)])
     stay_law = m_probs[:, None] - enter_law
     h, c = params.payoff_scale, params.capacity
     gain = h * (c - np.arange(n + 1))
