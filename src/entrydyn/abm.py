@@ -171,17 +171,18 @@ InitialCondition = AllEqual | Gaussian | Explicit | TwoSpike
 def _update(q_b: np.ndarray, work_b: np.ndarray, entered_b: np.ndarray, gain: float, params: GameParams) -> None:
     """Apply one round's learning rule in place to one block of agents.
 
-    gain is h * (c - m) and work_b (q_b's size) is scratch.  The decisions
-    are cast to 0.0 or 1.0 in work_b, then only float passes follow, those of
+    gain is h * (c - m) and work_b (q_b's size) is scratch.  The decisions,
+    under basic reinforcement, or the stay-outs, under fictitious play, are
+    cast to 0.0 or 1.0 in work_b, then only float passes follow, those of
     q + gain * entered and q + gain - h * ~entered operation for operation,
     so results, signs of zero included, are bit-identical to those forms.
     """
-    np.copyto(work_b, entered_b)
     if params.rule is LearningRule.BASIC_REINFORCEMENT:
+        np.copyto(work_b, entered_b)
         work_b *= gain
         q_b += work_b
     else:
-        np.subtract(1.0, work_b, out=work_b)
+        np.logical_not(entered_b, out=work_b)
         work_b *= params.payoff_scale
         q_b += gain
         q_b -= work_b
@@ -227,10 +228,10 @@ def simulate(
     A recorded round evaluates the probability model exactly once, into a
     buffer that both the record and the round's entry draws read.  Other
     rounds need p only through the draws u < p, and take them from
-    model.enters, which compares u with a fast vectorised p and recomputes
-    p exactly only for the agents whose draw lies within core._TIE (2**-40)
-    of it, so the decisions, and every output, are bit-identical to
-    comparing with the exact p.
+    model.enters, which compares u times a fast vectorised 1 / p with 1
+    and recomputes p exactly only for the agents whose product lies
+    within core._TIE (2**-40) of 1, so the decisions, and every output,
+    are bit-identical to comparing with the exact p.
 
     A run holds q (8 bytes per agent), the decisions (1 byte) and two
     leaf-sized float buffers, p and scratch: about 9 bytes per agent.

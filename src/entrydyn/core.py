@@ -26,10 +26,12 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import expit
 
-# Logistic.enters decides u < p from a fast value p~ wherever |u - p~| > _TIE
-# and from the exact p elsewhere.  |p~ - p| measures at most 2.2e-16, under
-# _TIE / 1000, and a uniform draw lands within _TIE of p~ with probability
-# 2 * _TIE, so the exact path runs about once in 5e5 rounds at N = 10^6.
+# Logistic.enters decides u < p = 1 / D from the product t = u * D~, with a
+# fast denominator D~, wherever |t - 1| > _TIE, and from the exact p
+# elsewhere.  The band is relative: |D~ - D| / D measures at most 3.8e-16,
+# under _TIE / 1000, and a uniform draw lands in it, u within about _TIE * p
+# of p, with probability about 2 * _TIE * p, so the exact path runs less
+# than once in 5e5 rounds at N = 10^6.
 _TIE = 2.0**-40
 
 # Agents per block of a pass over a population: a block of floats (512 KiB)
@@ -199,39 +201,56 @@ class Logistic:
     def enters(self, q, u, out, work):
         """Entry decisions u < prob(q) into out (bool, q's shape), bit-identically.
 
-        work is a float scratch array of q's shape.  The decisions are taken
-        against a fast vectorised p (see _fast_prob) wherever the draw u lies
-        more than _TIE from it, and against prob() for the rest.
+        work is a float scratch array of q's shape, and u holds draws in
+        [0, 1).  prob(q) is expit's 1 / D with D = 1 + exp(z), z = (center -
+        q) / scale.  The decision is taken as t < 1 for the product t = u *
+        D~, where D~ (see _fast_denominator) lies within a relative _TIE /
+        1000 of D, wherever |t - 1| > _TIE, and from prob() for the rest.
+        Then t < 1 - _TIE implies u < (1 - _TIE) / D~ < p, and t > 1 + _TIE
+        implies u > p, since the rounding of t, of D~ and of expit's p each
+        add at most a relative 2^-50 or so.  At the edges:
+
+        - p subnormal: D is finite, so p >= 1 / DBL_MAX > 2^-1025 and its
+          rounding is still within a relative 2^-51 of 1 / D;
+        - D~ = inf with u = 0: t = 0 * inf is NaN, and NaN < 1 is False,
+          as the exact 0 < 0 is, since expit forms 1 / (1 + inf) = 0 there;
+        - u = 0 where D overflows: that both sides agree needs numpy's exp
+          to overflow at the same double as the C library's exp, which
+          expit calls; both first give inf at 709.7827128933841.
         """
-        self._fast_prob(q, out=work)
-        np.less(u, work, out=out)
-        np.subtract(u, work, out=work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # exp overflows to inf above 709.78, and then 0 * inf is NaN
+            self._fast_denominator(q, out=work)
+            work *= u
+        np.less(work, 1.0, out=out)
+        work -= 1.0
         np.abs(work, out=work)
-        # |u - p~| rounds monotonically, so a value above _TIE certifies the
-        # decision; fmin skips the NaN of a NaN propensity, which compares
-        # False on both paths, so it cannot hide another agent's near-tie
+        # |t - 1| rounds monotonically, so a value above _TIE certifies the
+        # decision; fmin skips the NaN of a NaN propensity, or of u = 0
+        # against D~ = inf, which compares False on both paths, so it
+        # cannot hide another agent's near-tie
         if np.fmin.reduce(work) <= _TIE:
             near = np.flatnonzero(work <= _TIE)
             out[near] = u[near] < self.prob(q[near])
         return out
 
-    def _fast_prob(self, q, out):
-        """prob(q) into out through numpy's SIMD exp, within _TIE / 1000 of prob(q).
+    def _fast_denominator(self, q, out):
+        """1 + exp(z) into out through numpy's SIMD exp, within a relative
+        _TIE / 1000 of expit's denominator, z = (center - q) / scale.
 
-        The argument of the logistic is formed exactly as prob forms it
-        ((center - q) / scale is -((q - center) / scale) in IEEE
-        arithmetic); only exp and the division differ from scipy's expit.
+        z is formed exactly as prob forms its argument ((center - q) /
+        scale is -((q - center) / scale) in IEEE arithmetic); only exp
+        differs from scipy's expit.  exp overflows to inf above 709.78,
+        which warns unless the caller silences it.
         """
         if self._is_standard():
             np.negative(q, out=out)
         else:
             np.subtract(self.center, q, out=out)
             out /= self.scale
-        with np.errstate(over="ignore"):
-            # exp overflows to inf above 709.78, and 1 / (1 + inf) = 0
-            np.exp(out, out=out)
+        np.exp(out, out=out)
         out += 1.0
-        return np.divide(1.0, out, out=out)
+        return out
 
     def _is_standard(self) -> bool:
         # (q - 0.0) / 1.0 == q exactly, so the affine step can be skipped

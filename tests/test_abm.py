@@ -487,6 +487,19 @@ class TestSimulate:
             assert got.values.tobytes() == ref.values.tobytes()
         return result
 
+    @staticmethod
+    def assert_every_unrecorded_decision_is_exact(params, model, record_stride, t_end=0.3, seed=11):
+        # a record evaluates p of each leaf into the p buffer, and a round
+        # that is not recorded evaluates the exact p of every agent of each
+        # leaf, allocating, on enters' exact path
+        counting = CountingLogistic(model.scale, model.center)
+        simulate(params, counting, Gaussian(0.0, 1.5), t_end, seed, record_stride)
+        n_rounds = math.ceil(t_end * params.rounds_per_unit - 1e-9)
+        sizes = [j - i for i, j in pairwise_leaves(params.n_agents, abm._BLOCK)]
+        assert counting.calls == [
+            (size, n % record_stride == 0 or n == n_rounds) for n in range(n_rounds + 1) for size in sizes
+        ]
+
     @pytest.mark.parametrize("record_stride", [1, 3])
     @BIT_IDENTITY_MODELS
     @pytest.mark.parametrize("rule", [BASIC, FICT])
@@ -524,10 +537,11 @@ class TestSimulate:
     @pytest.mark.parametrize("model", [MODEL, Logistic(1.3, 0.2)], ids=["standard", "affine"])
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_forced_exact_recheck_is_bit_identical(self, monkeypatch, rule, model):
-        # every |u - p~| is at most 1, so every agent of every non-record
+        # every |t - 1| is at most inf, so every agent of every non-record
         # round takes its decision from the exact path
-        monkeypatch.setattr(core, "_TIE", 1.0)
+        monkeypatch.setattr(core, "_TIE", math.inf)
         params = make_params(n=400, c=200, rule=rule)
+        self.assert_every_unrecorded_decision_is_exact(params, model, 3)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
 
     @pytest.mark.parametrize("block", [200, 7])
@@ -535,9 +549,10 @@ class TestSimulate:
     @pytest.mark.parametrize("rule", [BASIC, FICT])
     def test_forced_exact_recheck_in_blocks_is_bit_identical(self, monkeypatch, rule, model, block):
         # the exact path of every leaf after the first indexes its own views
-        monkeypatch.setattr(core, "_TIE", 1.0)
+        monkeypatch.setattr(core, "_TIE", math.inf)
         monkeypatch.setattr(abm, "_BLOCK", block)
         params = make_params(n=777, c=388, rule=rule)
+        self.assert_every_unrecorded_decision_is_exact(params, model, 3)
         self.assert_matches_play_round_loop(params, model, Gaussian(0.0, 1.5), 3)
 
     @pytest.mark.parametrize("record_stride", [1, 2])

@@ -32,7 +32,7 @@ from entrydyn.grid import GridSpec
 from entrydyn.kinetic import SolverOptions
 
 import test_cli
-from conftest import payoff, update_propensity
+from conftest import CountingLogistic, payoff, update_propensity
 
 BASIC = LearningRule.BASIC_REINFORCEMENT
 FICT = LearningRule.FICTITIOUS_STOCHASTIC
@@ -153,6 +153,8 @@ class TestProbabilityModels:
 
 # the edges of exp's range, the centre and NaN, in units of the logistic's argument
 EXTREME_ARGS = [745.0, -745.0, 709.8, -709.8, 0.0, -0.0, math.inf, -math.inf, math.nan]
+# the first double whose exp overflows
+OVERFLOW_ARG = 709.7827128933841
 LOGISTICS = st.builds(
     Logistic,
     scale=st.sampled_from([1.0, 0.7, 3.0, 0.05]),
@@ -189,24 +191,76 @@ class TestEnters:
         assert out.tolist() == (u < p).tolist()
 
     @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, -0.4)], ids=["standard", "affine"])
-    def test_fast_logistic_is_far_inside_the_tie_band(self, model):
+    def test_fast_denominator_is_far_inside_the_tie_band(self, model):
+        # against 1 + exp(z) in extended precision, which stays finite past
+        # the double range: the fast denominator overflows where its double
+        # rounding does, and is within a relative _TIE / 1000 elsewhere
         q = model.center + model.scale * np.concatenate(
             [np.linspace(-800.0, 800.0, 1_600_001), EXTREME_ARGS[:-1]]
         )
-        fast = model._fast_prob(q, out=np.empty_like(q))
-        assert np.max(np.abs(fast - model.prob(q))) <= core._TIE / 1000
+        with np.errstate(over="ignore"):
+            fast = model._fast_denominator(q, out=np.empty_like(q))
+            exact = 1.0 + np.exp(((model.center - q) / model.scale).astype(np.longdouble))
+            finite = np.isfinite(exact.astype(float))
+        assert np.array_equal(np.isinf(fast), ~finite)
+        relative = np.abs(fast[finite] - exact[finite]) / exact[finite]
+        assert np.max(relative) <= core._TIE / 1000
 
     @pytest.mark.parametrize("model", [Logistic(), Logistic(0.7, -0.4)], ids=["standard", "affine"])
-    def test_exact_where_the_fast_logistic_errs(self, model):
-        # u = min(p, p~) puts the draw between the two values wherever they
-        # differ, so a decision taken from p~ alone would be wrong there
+    def test_exact_where_the_bare_product_errs(self, model):
+        # u = min(p, 1 / D~) puts the draw between p and the fast 1 / D~
+        # wherever they differ, so a decision taken from u * D~ < 1 alone
+        # would be wrong there
         q = model.center + model.scale * np.linspace(-40.0, 40.0, 200_001)
-        p, fast = model.prob(q), model._fast_prob(q, out=np.empty_like(q))
-        u = np.minimum(np.minimum(p, fast), np.nextafter(1.0, 0.0))
-        fast_wrong = (u < fast) != (u < p)
-        assert np.count_nonzero(fast_wrong) > 100
+        p = model.prob(q)
+        fast = model._fast_denominator(q, out=np.empty_like(q))
+        u = np.minimum(np.minimum(p, 1.0 / fast), np.nextafter(1.0, 0.0))
+        bare_wrong = (u * fast < 1.0) != (u < p)
+        assert np.count_nonzero(bare_wrong) > 100
         out = model.enters(q, u, np.empty(q.shape, dtype=bool), np.empty_like(q))
         assert np.array_equal(out, u < p)
+
+    def test_zero_draw_where_exp_overflows(self):
+        # u = 0 enters iff p > 0: one ulp below the first double whose exp
+        # overflows p is subnormal and 0 * D~ = 0 < 1; from that double on
+        # expit's p is 1 / (1 + inf) = 0, and 0 * inf is NaN, which compares
+        # False.  q = -z, since the standard logistic's z is -q
+        below, above = np.nextafter(OVERFLOW_ARG, 0.0), np.nextafter(OVERFLOW_ARG, np.inf)
+        z = np.array([below, OVERFLOW_ARG, above, np.inf, -np.inf])
+        q, u = -z, np.zeros_like(z)
+        out = Logistic().enters(q, u, np.empty(q.shape, dtype=bool), np.empty_like(q))
+        assert out.tolist() == (u < Logistic().prob(q)).tolist() == [True, False, False, False, True]
+
+    def test_nan_propensity_cannot_hide_a_near_tie(self):
+        # a NaN first would make np.min of the band's distances NaN, and the
+        # near-tie beside it would then skip the exact path
+        model = CountingLogistic()
+        q = np.linspace(-40.0, 40.0, 200_001)
+        fast = model._fast_denominator(q, out=np.empty_like(q))
+        u = np.minimum(model.prob(q), 1.0 / fast)
+        k = int(np.flatnonzero((u * fast < 1.0) != (u < model.prob(q)))[0])
+        q, u = np.array([np.nan, q[k]]), np.array([0.5, u[k]])
+        model.calls.clear()
+        out = model.enters(q, u, np.empty(2, dtype=bool), np.empty(2))
+        assert model.calls == [(1, False)]
+        assert out.tolist() == (u < model.prob(q)).tolist()
+
+    def test_numpy_and_libm_exp_first_overflow_at_the_same_double(self):
+        # enters relies on it: numpy's exp sets D~ = inf exactly where expit,
+        # through the C library's exp, returns p = 0
+        bits = np.float64(math.log(sys.float_info.max)).view(np.int64)
+        z = (bits + np.arange(-(2**12), 2**12 + 1)).view(np.float64)
+        with np.errstate(over="ignore"):
+            numpy_inf = np.isinf(np.exp(z))
+        libm_inf = []
+        for x in z.tolist():
+            try:
+                libm_inf.append(math.isinf(math.exp(x)))
+            except OverflowError:
+                libm_inf.append(True)
+        assert numpy_inf.tolist() == libm_inf
+        assert np.array_equal(numpy_inf, expit(-z) == 0.0)
+        assert z[np.argmax(numpy_inf)] == OVERFLOW_ARG
 
 
 class TestPayoff:
